@@ -1,8 +1,9 @@
 """Command-line front end: generate, inspect, attack, estimate, verify.
 
 Every subcommand is deterministic given its flags and seed, and every report
-embeds the full configuration and the toolkit version.  Exit codes: 0 success,
-1 verification failure, 2 infeasible, 64 usage error.
+embeds the full configuration and the toolkit version.  Exit codes: 0 success;
+1 a failed gate (``estimate --table2``, ``verify``) or unreadable input; 2 an
+attack that ends without a verified support; 64 usage error.
 """
 
 from __future__ import annotations
@@ -230,7 +231,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
         inst,
         strategy,
         b_max=args.b_max,
-        method=args.method,
         max_attempts=args.max_attempts,
     )
     report = _base_report("attack", args)
@@ -425,9 +425,6 @@ def build_parser() -> _Parser:
     p_att.add_argument("--delta", type=int, default=0, help="weight reduction r - w")
     p_att.add_argument("--a", type=int, default=None, help="shortening length override")
     p_att.add_argument("--b-max", type=int, default=3, dest="b_max")
-    p_att.add_argument(
-        "--method", choices=("auto", "dense", "wiedemann"), default="auto"
-    )
     p_att.add_argument("--max-attempts", type=int, default=None, dest="max_attempts")
     add_report(p_att)
     p_att.set_defaults(func=cmd_attack)

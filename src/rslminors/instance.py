@@ -128,10 +128,11 @@ def strategy_params(
 ) -> StrategyParams:
     """Derive the shortening strategy for a given delta.
 
-    delta = 0: a is forced by a r < N <= (a+1) r, capped at k so the identity
-    block of H survives the shortening, and only N' = a r + 1 syndromes are
-    kept.  delta > 0: w = r - delta, N' = delta (n - r + delta) + a (r - delta)
-    with a maximal subject to N' <= N unless overridden.
+    delta = 0: a is forced by a r < N <= (a+1) r, capped at k - 1 so the
+    shortened code keeps dimension k - a >= 1, and only N' = a r + 1
+    syndromes are kept.  delta > 0: w = r - delta,
+    N' = delta (n - r + delta) + a (r - delta) with a maximal subject to
+    N' <= N and a <= k - 1 unless overridden.
     """
     n, k, r, N = params.n, params.k, params.r, params.N
     if delta < 0 or delta >= r:
@@ -140,7 +141,7 @@ def strategy_params(
         if a_override is not None:
             raise ValueError("a is determined when delta = 0")
         a = (N + r - 1) // r - 1
-        a = min(a, k)
+        a = min(a, k - 1)
         return StrategyParams(delta=0, w=r, a=a, N_prime=a * r + 1)
     w = r - delta
     base = delta * (n - r + delta)
@@ -148,7 +149,7 @@ def strategy_params(
         raise ValueError(
             f"delta={delta} infeasible: N={N} < delta*(n-r+delta)={base}"
         )
-    a_max = min((N - base) // w, k, n - w - 1)
+    a_max = min((N - base) // w, k - 1, n - w - 1)
     a = a_max if a_override is None else a_override
     if not 0 <= a <= a_max:
         raise ValueError(f"a={a} outside feasible range [0, {a_max}]")

@@ -1,11 +1,12 @@
 """Dense exact linear algebra over the fields in :mod:`rslminors.fields`.
 
 ``FieldMatrix`` is a small row-major dense matrix whose entries are element
-tokens of an attached field.  The generic routines (reduced row echelon form
-with transform, determinant, maximal minors) are pure Python and work for any
-field object.  ``rank``, ``kernel`` and ``solve`` dispatch to vectorized numpy
-elimination when the field allows it: arithmetic mod p for prime fields, and
-Zech-logarithm arithmetic for extension fields with tabulated logarithms.
+tokens of an attached field.  The generic routines (reduced row echelon form,
+determinant, maximal minors) are pure Python and work for any field object.
+Rank, kernel, solve and column-space basis all run on one elimination core,
+``_echelon``, which picks a representation once per call: int64 residues for
+prime fields, Zech logarithms for extension fields with tabulated logarithms,
+and the generic ``rref_rows`` for any other field.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -140,8 +141,8 @@ class FieldMatrix:
 
     # -- exact elimination ---------------------------------------------------
 
-    def rref(self, with_transform: bool = True) -> "RrefResult":
-        return rref_rows(self.rows, self.field, with_transform)
+    def rref(self) -> "RrefResult":
+        return rref_rows(self.rows, self.field)
 
     def rank(self) -> int:
         return rank_rows(self.rows, self.field)
@@ -171,20 +172,18 @@ class RrefResult:
     matrix: "FieldMatrix"
     rank: int
     pivots: list[int]
-    transform: "FieldMatrix | None"
 
 
-def rref_rows(rows: Sequence[Sequence[int]], field, with_transform: bool = True) -> RrefResult:
+def rref_rows(rows: Sequence[Sequence[int]], field) -> RrefResult:
     """Reduced row echelon form by Gauss-Jordan elimination over any field.
 
-    When ``with_transform`` is set, also returns an invertible matrix E with
-    E * M equal to the echelon form.
+    Plain Python on field tokens: the oracle the numpy elimination is checked
+    against, and the path for fields too large to tabulate.
     """
     f = field
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    t = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if with_transform else None
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -194,28 +193,17 @@ def rref_rows(rows: Sequence[Sequence[int]], field, with_transform: bool = True)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
-        if t is not None:
-            t[r], t[p] = t[p], t[r]
         inv = f.inv(m[r][c])
         if inv != 1:
             m[r] = [f.mul(inv, x) for x in m[r]]
-            if t is not None:
-                t[r] = [f.mul(inv, x) for x in t[r]]
         for i in range(nrows):
             if i == r or m[i][c] == 0:
                 continue
             fac = m[i][c]
             m[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[i], m[r])]
-            if t is not None:
-                t[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(t[i], t[r])]
         pivots.append(c)
         r += 1
-    return RrefResult(
-        FieldMatrix(f, m, validate=False),
-        r,
-        pivots,
-        FieldMatrix(f, t, validate=False) if t is not None else None,
-    )
+    return RrefResult(FieldMatrix(f, m, validate=False), r, pivots)
 
 
 # -- determinants ------------------------------------------------------------
@@ -275,176 +263,163 @@ def det_rows(rows: Sequence[Sequence[int]], field) -> int:
     return _det_bareiss(rows, field)
 
 
-# -- vectorized elimination kernels ------------------------------------------
+# -- the elimination core ----------------------------------------------------
 
 
-def _prime_echelon(arr: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    a = np.array(arr, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
+class _ModP:
+    """F_p elements as int64 residues; zero is 0."""
+
+    zero = 0
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def encode(self, rows) -> np.ndarray:
+        return np.asarray(rows, dtype=np.int64) % self.p
+
+    def decode(self, row: np.ndarray) -> list[int]:
+        return row.tolist()
+
+    def normalise(self, a: np.ndarray, r: int, c: int) -> None:
+        p = self.p
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
             a[r] = (a[r] * inv) % p
-        if reduced:
-            targets = np.nonzero(a[:, c])[0]
-            targets = targets[targets != r]
-        else:
-            targets = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if targets.size:
-            a[targets] = (a[targets] - np.outer(a[targets, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+
+    def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
+        p = self.p
+        a[targets] = (a[targets] - np.outer(a[targets, c], a[r])) % p
 
 
-def _zech_add(a: np.ndarray, b: np.ndarray, qm1: int, zech: np.ndarray) -> np.ndarray:
-    # operands are logarithm codes with -1 standing for zero
-    out = np.where(a == -1, b, a)
-    both = (a != -1) & (b != -1)
-    if np.any(both):
-        av = a[both]
-        bv = b[both]
-        d = (bv - av) % qm1
-        z = zech[d]
-        res = np.where(z == -1, -1, (av + z) % qm1)
-        out[both] = res
-    return out
+class _ZechLog:
+    """Elements of a tabulated F_{q^m} as logarithms to the table's generator;
+    zero is -1, and sums go through the Zech logarithm table."""
+
+    zero = -1
+
+    def __init__(self, field: ExtensionField, tables):
+        self.t = tables
+        self.qm1 = field.order - 1
+        self.log_m1 = int(tables.log[field.neg(1)])
+
+    def encode(self, rows) -> np.ndarray:
+        return self.t.log[np.asarray(rows, dtype=np.int64)]
+
+    def decode(self, row: np.ndarray) -> list[int]:
+        return np.where(row == -1, 0, self.t.exp[np.where(row == -1, 0, row)]).tolist()
+
+    def normalise(self, a: np.ndarray, r: int, c: int) -> None:
+        piv = int(a[r, c])
+        if piv != 0:
+            row_nz = a[r] != -1
+            a[r, row_nz] = (a[r, row_nz] - piv) % self.qm1
+
+    def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
+        qm1 = self.qm1
+        prow = a[r][None, :]
+        # log of -(factor * pivot row), then log of target + that product
+        prod = np.where(prow == -1, -1, (prow + a[targets, c][:, None] + self.log_m1) % qm1)
+        cur = a[targets]
+        out = np.where(cur == -1, prod, cur)
+        both = (cur != -1) & (prod != -1)
+        if np.any(both):
+            av = cur[both]
+            z = self.t.zech[(prod[both] - av) % qm1]
+            out[both] = np.where(z == -1, -1, (av + z) % qm1)
+        a[targets] = out
 
 
-def _zech_echelon(codes: np.ndarray, field: ExtensionField, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    t = field.np_tables()
-    assert t is not None
-    qm1 = field.order - 1
-    zech = t.zech
-    log_m1 = int(t.log[field.neg(1)])
-    a = codes.copy()
+def _representation(field):
+    """The numpy representation the field eliminates in, or None."""
+    if isinstance(field, PrimeField):
+        return _ModP(field.q)
+    if isinstance(field, ExtensionField):
+        tables = field.np_tables()
+        if tables is not None:
+            return _ZechLog(field, tables)
+    return None
+
+
+def _echelon(rows, field, reduced: bool):
+    """Row echelon form of ``rows`` over ``field``; reduced (every pivot
+    column a unit vector) when ``reduced`` is set.
+
+    Returns the nonzero echelon rows and their pivot columns.  The rows come
+    as a lazy iterator of token lists, so a caller that wants only the rank
+    never decodes them.  Prime fields and tabulated extension fields share
+    the numpy pivot loop below; any other field goes through ``rref_rows``.
+    """
+    if len(rows) == 0 or len(rows[0]) == 0:
+        return iter(()), []
+    rep = _representation(field)
+    if rep is None:
+        res = rref_rows(rows, field)
+        return iter(res.matrix.rows[: res.rank]), res.pivots
+    a = rep.encode(rows)
+    zero = rep.zero
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c] != -1)[0]
+        nz = np.nonzero(a[r:, c] != zero)[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        piv = int(a[r, c])
-        if piv != 0:
-            row_nz = a[r] != -1
-            a[r, row_nz] = (a[r, row_nz] - piv) % qm1
+        rep.normalise(a, r, c)
         if reduced:
-            targets = np.nonzero(a[:, c] != -1)[0]
+            targets = np.nonzero(a[:, c] != zero)[0]
             targets = targets[targets != r]
         else:
-            targets = r + 1 + np.nonzero(a[r + 1 :, c] != -1)[0]
+            targets = r + 1 + np.nonzero(a[r + 1 :, c] != zero)[0]
         if targets.size:
-            fac = a[targets, c]
-            prow = a[r]
-            prod = np.where(
-                prow[None, :] == -1,
-                -1,
-                (prow[None, :] + fac[:, None] + log_m1) % qm1,
-            )
-            a[targets] = _zech_add(a[targets], prod, qm1, zech)
+            rep.update(a, targets, r, c)
         pivots.append(c)
         r += 1
-    return a, pivots
-
-
-def _to_codes(rows, field: ExtensionField) -> np.ndarray:
-    t = field.np_tables()
-    arr = np.asarray(rows, dtype=np.int64)
-    return t.log[arr]
-
-
-def _from_codes(codes: np.ndarray, field: ExtensionField) -> np.ndarray:
-    t = field.np_tables()
-    out = np.where(codes == -1, 0, t.exp[np.where(codes == -1, 0, codes)])
-    return out
+    return map(rep.decode, a[:r]), pivots
 
 
 def rank_rows(rows, field) -> int:
-    """Rank over the given field; vectorized when the field permits."""
-    n = len(rows)
-    if n == 0 or len(rows[0]) == 0:
-        return 0
-    if isinstance(field, PrimeField):
-        _, pivots = _prime_echelon(np.asarray(rows, dtype=np.int64), field.q, reduced=False)
-        return len(pivots)
-    if isinstance(field, ExtensionField) and field.np_tables() is not None:
-        _, pivots = _zech_echelon(_to_codes(rows, field), field, reduced=False)
-        return len(pivots)
-    return rref_rows(rows, field, with_transform=False).rank
+    """Rank over the given field."""
+    return len(_echelon(rows, field, reduced=False)[1])
 
 
 def kernel_rows(rows, field) -> list[list[int]]:
     """Basis of the right kernel {v : M v = 0}, as token vectors."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [
-            [1 if j == i else 0 for j in range(ncols)] for i in range(ncols)
-        ]
-    if isinstance(field, PrimeField):
-        a, pivots = _prime_echelon(np.asarray(rows, dtype=np.int64), field.q, reduced=True)
-        rr = [[int(x) for x in a[i]] for i in range(len(pivots))]
-    elif isinstance(field, ExtensionField) and field.np_tables() is not None:
-        codes, pivots = _zech_echelon(_to_codes(rows, field), field, reduced=True)
-        dense = _from_codes(codes, field)
-        rr = [[int(x) for x in dense[i]] for i in range(len(pivots))]
-    else:
-        res = rref_rows(rows, field, with_transform=False)
-        pivots = res.pivots
-        rr = res.matrix.rows[: res.rank]
+    ncols = len(rows[0]) if rows else 0
+    ech, pivots = _echelon(rows, field, reduced=True)
+    ech = list(ech)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [0] * ncols
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rr[i][fc])
+        for row, pc in zip(ech, pivots):
+            v[pc] = field.neg(row[fc])
         basis.append(v)
     return basis
 
 
 def solve_rows(rows, rhs: Sequence[int], field) -> list[int] | None:
     """One solution of M x = rhs, or None when the system is inconsistent."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if isinstance(field, PrimeField):
-        a, pivots = _prime_echelon(np.asarray(aug, dtype=np.int64), field.q, reduced=True)
-        rr = [[int(x) for x in a[i]] for i in range(len(pivots))]
-    else:
-        res = rref_rows(aug, field, with_transform=False)
-        pivots = res.pivots
-        rr = res.matrix.rows[: res.rank]
+    ech, pivots = _echelon(aug, field, reduced=True)
     if ncols in pivots:
         return None
     x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rr[i][ncols]
+    for row, pc in zip(ech, pivots):
+        x[pc] = row[ncols]
     return x
 
 
 def column_space_basis(mat: FieldMatrix) -> FieldMatrix:
     """Canonical basis of the column space: reduced echelon rows of the
     transpose, transposed back, so equal spaces compare equal."""
-    res = rref_rows(mat.transpose().rows, mat.field, with_transform=False)
-    rows = res.matrix.rows[: res.rank]
-    return FieldMatrix(mat.field, rows, validate=False).transpose()
+    ech, _ = _echelon(mat.transpose().rows, mat.field, reduced=True)
+    return FieldMatrix(mat.field, list(ech), validate=False).transpose()

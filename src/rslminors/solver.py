@@ -14,13 +14,12 @@ meaningless on the view.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .estimator import make_counts
-from .fields import PrimeField, prime_field
+from .fields import prime_field
 from .instance import (
     RslInstance,
     SecretWitness,
@@ -61,7 +60,7 @@ class KernelSolution:
     field: object
     col_labels: list[Monomial]
     vector: list[int]
-    kernel_dim: Optional[int]  # None when found without a full kernel basis
+    kernel_dim: int
     n_lambda: int
     w: int
     n_cols: int
@@ -70,45 +69,22 @@ class KernelSolution:
         return dict(zip(self.col_labels, self.vector))
 
 
-WIEDEMANN_COLUMN_THRESHOLD = 200_000
-
-
-def solve_linearized(
-    mac: MacaulayMatrix, method: str = "auto", seed: int = 0
-) -> KernelSolution:
-    """Right kernel of the Macaulay matrix, expected one-dimensional.
-
-    method "dense" computes the full kernel basis; "wiedemann" finds a single
-    kernel vector iteratively and cannot certify uniqueness (kernel_dim is
-    None).  "auto" picks dense below WIEDEMANN_COLUMN_THRESHOLD columns.
-    """
-    ncols = len(mac.col_labels)
-    if method not in ("auto", "dense", "wiedemann"):
-        raise ValueError(f"unknown method {method!r}")
-    use_wiedemann = method == "wiedemann" or (
-        method == "auto" and ncols > WIEDEMANN_COLUMN_THRESHOLD
-    )
-    if use_wiedemann:
-        vec = wiedemann_kernel_vector(mac, seed=seed)
-        if vec is None:
-            raise NoSolutionError("no kernel vector found (retries exhausted)")
-        dim = None
-    else:
-        basis = kernel_rows(mac.dense_rows(), mac.field)
-        dim = len(basis)
-        if dim == 0:
-            raise NoSolutionError("no solution at this weight and strategy")
-        if dim > 1:
-            raise UnderdeterminedError(
-                f"kernel dimension {dim}: insufficient equations, "
-                "increase b or shorten more",
-                dim,
-            )
-        vec = basis[0]
+def solve_linearized(mac: MacaulayMatrix) -> KernelSolution:
+    """Right kernel of the Macaulay matrix, expected one-dimensional."""
+    basis = kernel_rows(mac.dense_rows(), mac.field)
+    dim = len(basis)
+    if dim == 0:
+        raise NoSolutionError("no solution at this weight and strategy")
+    if dim > 1:
+        raise UnderdeterminedError(
+            f"kernel dimension {dim}: insufficient equations, "
+            "increase b or shorten more",
+            dim,
+        )
     return KernelSolution(
         field=mac.field,
         col_labels=list(mac.col_labels),
-        vector=vec,
+        vector=basis[0],
         kernel_dim=dim,
         n_lambda=mac.n_lambda,
         w=mac.w,
@@ -368,7 +344,6 @@ def _attempt(
     inst: RslInstance,
     strategy: StrategyParams,
     b_max: int,
-    method: str,
     offset: int,
     history: list[dict],
 ) -> Optional[RecoveredSupport]:
@@ -379,10 +354,9 @@ def _attempt(
     unfolded = unfold_system(system)
     fq = unfolded.field
     for b in range(1, b_max + 1):
-        try:
-            mac = build_macaulay(unfolded, b, "cumulative")
-        except ValueError:
-            break  # degree bound b < q reached for this base field
+        if fq.q > 2 and b >= fq.q:
+            break  # the cumulative matrix needs b < q above F_2
+        mac = build_macaulay(unfolded, b, "cumulative")
         entry = {
             "offset": offset,
             "b": b,
@@ -390,7 +364,7 @@ def _attempt(
             "cols": mac.shape[1],
         }
         try:
-            sol = solve_linearized(mac, method)
+            sol = solve_linearized(mac)
         except UnderdeterminedError as exc:
             entry["kernel_dim"] = exc.kernel_dim
             history.append(entry)
@@ -419,7 +393,6 @@ def attack(
     inst: RslInstance,
     strategy: StrategyParams,
     b_max: int = 3,
-    method: str = "auto",
     max_attempts: Optional[int] = None,
 ) -> AttackResult:
     """Full pipeline; for delta > 0 the recovered word only spans part of the
@@ -437,7 +410,7 @@ def attack(
     # column window; k rotations exhaust the distinct windows
     for offset in range(min(max_attempts, max(p.k, 1))):
         attempts += 1
-        rec = _attempt(inst, strategy, b_max, method, offset, history)
+        rec = _attempt(inst, strategy, b_max, offset, history)
         if rec is None:
             continue
         last_b = rec.b
@@ -489,127 +462,3 @@ def attack(
         message=message,
         elapsed_s=time.monotonic() - started,
     )
-
-
-# -- iterative kernel backend -------------------------------------------------
-
-
-def _berlekamp_massey(seq: list[int], field) -> tuple[list[int], int]:
-    """Minimal LFSR for the sequence: returns (c, L) with register length L
-    and connection polynomial c (ascending, c[0] = 1, trailing zeros
-    stripped) satisfying sum_j c[j] seq[i-j] = 0 for L <= i < len(seq).
-
-    deg(c) < L exactly when the recurrence ends in zero taps, which makes
-    the annihilating polynomial rev_L(c) divisible by x."""
-    f = field
-    c = [1]
-    bpoly = [1]
-    L = 0
-    mshift = 1
-    bval = 1
-    for i, s in enumerate(seq):
-        delta = s
-        for j in range(1, L + 1):
-            if j < len(c) and c[j]:
-                delta = f.add(delta, f.mul(c[j], seq[i - j]))
-        if delta == 0:
-            mshift += 1
-            continue
-        coef = f.mul(delta, f.inv(bval))
-        if 2 * L <= i:
-            old_c = list(c)
-            need = len(bpoly) + mshift
-            if len(c) < need:
-                c = c + [0] * (need - len(c))
-            for j, bj in enumerate(bpoly):
-                if bj:
-                    c[j + mshift] = f.sub(c[j + mshift], f.mul(coef, bj))
-            L = i + 1 - L
-            bpoly = old_c
-            bval = delta
-            mshift = 1
-        else:
-            need = len(bpoly) + mshift
-            if len(c) < need:
-                c = c + [0] * (need - len(c))
-            for j, bj in enumerate(bpoly):
-                if bj:
-                    c[j + mshift] = f.sub(c[j + mshift], f.mul(coef, bj))
-            mshift += 1
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c, L
-
-
-def wiedemann_kernel_vector(
-    mac: MacaulayMatrix, seed: int = 0, max_tries: int = 8
-) -> Optional[list[int]]:
-    """Single right-kernel vector of the Macaulay matrix by the iterative
-    minimal-polynomial method, using only sparse matrix-vector products.
-
-    Squares the system as B = E A with a random sparse E and runs
-    Berlekamp-Massey on a projected Krylov sequence of B.  The reversal of
-    the connection polynomial annihilates the Krylov space; its power-of-x
-    factor (the register length minus the polynomial degree) is peeled off
-    to land in the kernel.  A candidate is accepted only if A z = 0, which
-    guards against both projection loss and ker(E) artifacts.  Returns None
-    when the kernel is trivial or all retries failed.  Prime fields only.
-    """
-    f = mac.field
-    if not isinstance(f, PrimeField):
-        raise ValueError("iterative backend supports prime fields only")
-    R, C = mac.shape
-    if C == 0:
-        return None
-    rng = random.Random(seed)
-    nnz_per_row = min(R, 4)
-    for _ in range(max_tries):
-        E = []
-        for _ in range(C):
-            cols = rng.sample(range(R), nnz_per_row) if R else []
-            E.append({c: rng.randrange(1, f.q) for c in cols})
-        def bmul(v: list[int]) -> list[int]:
-            t = mac.apply(v)
-            out = []
-            for row in E:
-                acc = 0
-                for idx, coef in row.items():
-                    if t[idx]:
-                        acc = f.add(acc, f.mul(coef, t[idx]))
-                out.append(acc)
-            return out
-        u = [rng.randrange(f.q) for _ in range(C)]
-        v0 = [rng.randrange(f.q) for _ in range(C)]
-        seq = []
-        vec = v0
-        for _ in range(2 * C + 2):
-            acc = 0
-            for ui, vi in zip(u, vec):
-                if ui and vi:
-                    acc = f.add(acc, f.mul(ui, vi))
-            seq.append(acc)
-            vec = bmul(vec)
-        c, L = _berlekamp_massey(seq, f)
-        s = L - (len(c) - 1)
-        if s <= 0:
-            # full-degree recurrence: zero is not an eigenvalue of B as seen
-            # through this projection, retry with fresh vectors
-            continue
-        # rev_L(c) = x^s h(x) annihilates the Krylov space of v0
-        h = list(reversed(c))
-        # z = h(B) B^(s-1) v0, so B z = rev_L(c)(B) v0 = 0
-        base = v0
-        for _ in range(s - 1):
-            base = bmul(base)
-        z = [0] * C
-        term = base
-        for hj in h:
-            if hj:
-                z = [f.add(zi, f.mul(hj, ti)) for zi, ti in zip(z, term)]
-            term = bmul(term)
-        if not any(z):
-            continue
-        if any(mac.apply(z)):
-            continue
-        return z
-    return None

@@ -352,28 +352,6 @@ def run_assumption2(
     }
 
 
-def _tiny_rank(rows: list[list[int]], q: int) -> int:
-    """Row rank over F_q by plain elimination; meant for very small matrices."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q) if q > 2 else 1
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = (rows[i][col] * inv) % q
-                rows[i] = [(a - f * bv) % q for a, bv in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def monte_carlo_codewords(
     q: int, r: int, n: int, N: int, w: int, trials: int, seed: int = 0
 ) -> dict:
@@ -404,7 +382,7 @@ def monte_carlo_codewords(
                         if vj:
                             word[j] = fq.add(word[j], fq.mul(c, vj))
             mat = [word[i * n : (i + 1) * n] for i in range(r)]
-            if _tiny_rank(mat, q) == w:
+            if rank_rows(mat, fq) == w:
                 count += 1
         count_total += count
     stats = codeword_stats(q, r, n, N, w)

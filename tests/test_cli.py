@@ -147,6 +147,17 @@ def test_attack_infeasible_b_max(toy_file, capsys):
     assert "no recovery up to b=0" in capsys.readouterr().out
 
 
+def test_attack_shortening_as_wide_as_k_fails_cleanly(capsys):
+    # N = 13 at r = 3 asks for a = 4 = k; shortening stops at k - 1
+    rc = main([
+        "attack", "--q", "2", "--m", "14", "--n", "9", "--k", "4", "--r", "3",
+        "--N", "13", "--b-max", "1",
+    ])
+    assert rc == EXIT_INFEASIBLE
+    out = capsys.readouterr().out
+    assert "no recovery up to b=1" in out and "a=3" in out
+
+
 def test_attack_bad_strategy(toy_file, capsys):
     assert main(["attack", "--instance", str(toy_file), "--delta", "5"]) == EXIT_USAGE
     assert main(["attack", "--instance", str(toy_file), "--a", "99"]) == EXIT_USAGE

@@ -20,7 +20,7 @@ def count_subspaces_brute(n, k, q):
     for rows in product(all_vectors(n, q), repeat=k):
         if rank_rows([list(r) for r in rows], field) != k:
             continue
-        res = rref_rows([list(r) for r in rows], field, with_transform=False)
+        res = rref_rows([list(r) for r in rows], field)
         seen.add(tuple(tuple(row) for row in res.matrix.rows[:k]))
     return len(seen)
 

@@ -112,7 +112,22 @@ def test_strategy_params_specialized():
 def test_strategy_params_delta0_a_capped_by_k():
     p = RslParams(q=2, m=8, n=8, k=3, r=2, N=40)
     s = strategy_params(p, 0)
-    assert s.a == 3 and s.N_prime == 7
+    assert s.a == 2 and s.N_prime == 5
+
+
+def test_strategy_params_leave_a_code_to_shorten():
+    # shortening by a leaves a code of dimension k - a, which must stay >= 1
+    for n in range(3, 11):
+        for k in range(1, n):
+            for r in range(1, min(n, 4) + 1):
+                for N in range(1, 3 * n):
+                    p = RslParams(q=2, m=8, n=n, k=k, r=r, N=N)
+                    for delta in range(r):
+                        try:
+                            s = strategy_params(p, delta)
+                        except ValueError:
+                            continue
+                        assert 0 <= s.a and k - s.a >= 1, (p, s)
 
 
 def test_strategy_params_shortened():
@@ -120,7 +135,7 @@ def test_strategy_params_shortened():
     s = strategy_params(p, 1, a_override=86)
     assert (s.delta, s.w, s.N_prime) == (1, 8, 266 + 86 * 8)
     widest = strategy_params(p, 1)
-    assert widest.a == min((959 - 266) // 8, 137, 274 - 8 - 1)
+    assert widest.a == min((959 - 266) // 8, 137 - 1, 274 - 8 - 1)
     with pytest.raises(ValueError):
         strategy_params(p, 1, a_override=widest.a + 1)
     with pytest.raises(ValueError):

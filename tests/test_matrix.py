@@ -1,5 +1,6 @@
 """Exact linear algebra: determinants against a permutation-sum oracle,
-echelon form invariants, kernel and solve round trips."""
+echelon form invariants, kernel and solve round trips, and the numpy
+elimination core against the plain ``rref_rows`` oracle."""
 
 import random
 from itertools import permutations
@@ -9,6 +10,7 @@ import pytest
 from rslminors.fields import extension_field, prime_field
 from rslminors.matrix import (
     FieldMatrix,
+    _echelon,
     column_space_basis,
     det_rows,
     kernel_rows,
@@ -37,10 +39,17 @@ def det_leibniz(rows, field):
     return acc
 
 
-FIELDS = [prime_field(2), prime_field(5), extension_field(2, 4), extension_field(3, 2)]
+FIELDS = [
+    prime_field(2),
+    prime_field(3),
+    prime_field(5),
+    extension_field(2, 4),
+    extension_field(3, 2),
+]
+IDS = ["gf2", "gf3", "gf5", "gf16", "gf9"]
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["gf2", "gf5", "gf16", "gf9"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_det_matches_leibniz(field):
     rng = random.Random(11)
     for n in range(1, 5):
@@ -68,13 +77,13 @@ def test_det_zero_on_repeated_row():
         assert m.rank() < 3
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["gf2", "gf5", "gf16", "gf9"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_rref_invariants(field):
     rng = random.Random(17)
-    for nr, nc in ((3, 5), (5, 3), (4, 4), (1, 6)):
+    for nr, nc in ((3, 5), (5, 3), (4, 4), (1, 6), (6, 1)):
         for _ in range(10):
             m = FieldMatrix.random(field, nr, nc, rng)
-            res = rref_rows(m.rows, field, with_transform=True)
+            res = rref_rows(m.rows, field)
             r = res.rank
             assert r == len(res.pivots)
             assert res.pivots == sorted(res.pivots)
@@ -87,14 +96,13 @@ def test_rref_invariants(field):
                 assert all(res.matrix[i, j] == 0 for j in range(pc))
             for i in range(r, nr):
                 assert all(x == 0 for x in res.matrix.row(i))
-            assert res.transform.mul(m).rows == res.matrix.rows
             assert rank_rows(m.rows, field) == r
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["gf2", "gf5", "gf16", "gf9"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_kernel_basis(field):
     rng = random.Random(23)
-    for nr, nc in ((3, 6), (4, 4), (6, 3)):
+    for nr, nc in ((3, 6), (4, 4), (6, 3), (1, 1), (5, 1), (1, 7)):
         for _ in range(8):
             m = FieldMatrix.random(field, nr, nc, rng)
             basis = kernel_rows(m.rows, field)
@@ -105,7 +113,7 @@ def test_kernel_basis(field):
                 assert rank_rows(basis, field) == len(basis)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["gf2", "gf5", "gf16", "gf9"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_solve_rows(field):
     rng = random.Random(31)
     for _ in range(10):
@@ -117,6 +125,90 @@ def test_solve_rows(field):
         assert m.matvec(x) == rhs
     # an inconsistent system: 0 x = 1
     assert solve_rows([[0, 0]], [1], field) is None
+
+
+def planted_rank(field, nr, nc, rank, rng):
+    """A uniform-ish nr x nc matrix of rank at most ``rank``: A B with A of
+    shape nr x rank and B of shape rank x nc."""
+    if rank == 0:
+        return [[0] * nc for _ in range(nr)]
+    a = FieldMatrix.random(field, nr, rank, rng)
+    b = FieldMatrix.random(field, rank, nc, rng)
+    return a.mul(b).rows
+
+
+# (rows, columns, planted rank); a planted rank of None keeps the matrix random
+SHAPES = [
+    (0, 5, None),
+    (3, 0, None),
+    (1, 1, None),
+    (7, 1, None),
+    (1, 9, None),
+    (6, 60, None),
+    (40, 12, None),
+    (40, 60, 25),
+    (30, 30, 29),
+    (12, 40, 0),
+]
+
+
+def oracle_kernel(rows, ncols, field):
+    res = rref_rows(rows, field)
+    basis = []
+    for fc in range(ncols):
+        if fc in res.pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for i, pc in enumerate(res.pivots):
+            v[pc] = field.neg(res.matrix[i, fc])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c, _ in SHAPES])
+def test_elimination_core_matches_rref_oracle(field, shape):
+    nr, nc, rank = shape
+    rng = random.Random(61 * nr + nc)
+    for _ in range(2):
+        if rank is None:
+            rows = FieldMatrix.random(field, nr, nc, rng).rows
+        else:
+            rows = planted_rank(field, nr, nc, rank, rng)
+        res = rref_rows(rows, field)
+        reduced, pivots = _echelon(rows, field, reduced=True)
+        assert pivots == res.pivots
+        assert list(reduced) == res.matrix.rows[: res.rank]
+        echelon, pivots = _echelon(rows, field, reduced=False)
+        echelon = list(echelon)
+        assert pivots == res.pivots
+        # an echelon form of the same row space: unit pivots, zeros below
+        # and to the left of each pivot, and the oracle's reduced form
+        for i, pc in enumerate(pivots):
+            assert echelon[i][pc] == 1
+            assert all(x == 0 for x in echelon[i][:pc])
+            assert all(row[pc] == 0 for row in echelon[i + 1 :])
+        assert rref_rows(echelon, field).matrix.rows == res.matrix.rows[: res.rank]
+        assert rank_rows(rows, field) == res.rank
+        if rank is not None:
+            assert res.rank <= rank
+        assert kernel_rows(rows, field) == (oracle_kernel(rows, nc, field) if nr else [])
+        rhs = [field.random_element(rng) for _ in range(nr)]
+        aug = [row + [b] for row, b in zip(rows, rhs)]
+        aug_res = rref_rows(aug, field)
+        x = solve_rows(rows, rhs, field)
+        if nc in aug_res.pivots:
+            assert x is None
+        else:
+            assert x is not None and len(x) == (nc if nr else 0)
+            if nr:
+                assert FieldMatrix(field, rows, validate=False).matvec(x) == rhs
+        if nr and nc:
+            m = FieldMatrix(field, rows, validate=False)
+            want = rref_rows(m.transpose().rows, field)
+            basis = column_space_basis(m)
+            assert basis.transpose().rows == want.matrix.rows[: want.rank]
 
 
 def test_maximal_minors_match_oracle():

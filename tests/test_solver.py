@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from rslminors import solver
 from rslminors.fields import prime_field
 from rslminors.instance import (
     RslParams,
@@ -23,7 +24,6 @@ from rslminors.solver import (
     KernelSolution,
     NoSolutionError,
     UnderdeterminedError,
-    _berlekamp_massey,
     attack,
     planted_solution,
     plucker_reconstruct,
@@ -31,7 +31,6 @@ from rslminors.solver import (
     recover_support,
     rotate_information_columns,
     solve_linearized,
-    wiedemann_kernel_vector,
 )
 
 TOY = RslParams(q=2, m=14, n=10, k=5, r=2, N=9)
@@ -133,42 +132,13 @@ def test_rank1_extract_rejects_mixed_solutions():
         rank1_extract(zero)
 
 
-def test_berlekamp_massey_recovers_lfsr():
-    f5 = prime_field(5)
-    seq = [1, 0]
-    for i in range(2, 14):
-        # s_i + 3 s_{i-1} + 2 s_{i-2} = 0
-        seq.append(f5.neg(f5.add(f5.mul(3, seq[i - 1]), f5.mul(2, seq[i - 2]))))
-    assert _berlekamp_massey(seq, f5) == ([1, 3, 2], 2)
-    f2 = prime_field(2)
-    seq = [0, 1]
-    for i in range(2, 12):
-        seq.append(f2.add(seq[i - 1], seq[i - 2]))
-    assert _berlekamp_massey(seq, f2) == ([1, 1, 1], 2)
-    # impulse sequence: register length 1 but degree 0, recurrence rev is x
-    assert _berlekamp_massey([1] + [0] * 9, f5) == ([1], 1)
-
-
 def test_solve_linearized_dense(toy_macaulay):
     mac, _ = toy_macaulay
     assert mac.shape == (140, 135)
-    sol = solve_linearized(mac, method="dense")
+    sol = solve_linearized(mac)
     assert sol.kernel_dim == 1
     assert any(sol.vector)
     assert not any(mac.apply(sol.vector))
-    with pytest.raises(ValueError):
-        solve_linearized(mac, method="lu")
-
-
-def test_wiedemann_matches_dense(toy_macaulay):
-    mac, _ = toy_macaulay
-    dense = solve_linearized(mac, method="dense")
-    sparse = solve_linearized(mac, method="wiedemann", seed=1)
-    assert sparse.kernel_dim is None
-    # the kernel is one-dimensional over F_2, so the vectors coincide
-    assert sparse.vector == dense.vector
-    vec = wiedemann_kernel_vector(mac, seed=7)
-    assert vec == dense.vector
 
 
 def test_solve_linearized_no_solution(toy):
@@ -176,14 +146,14 @@ def test_solve_linearized_no_solution(toy):
     sh = shorten(inst, 4)
     mac = build_macaulay(unfold_system(build_system(sh, 1)), 1, "cumulative")
     with pytest.raises(NoSolutionError):
-        solve_linearized(mac, method="dense")
+        solve_linearized(mac)
 
 
 def test_solve_linearized_underdetermined(toy_macaulay):
     mac, _ = toy_macaulay
     starved = replace(mac, rows=mac.rows[:40], row_labels=mac.row_labels[:40])
     with pytest.raises(UnderdeterminedError) as exc:
-        solve_linearized(starved, method="dense")
+        solve_linearized(starved)
     assert exc.value.kernel_dim >= 2
 
 
@@ -291,3 +261,21 @@ def test_attack_failure_reports_counts(toy):
     assert result.attempts == 4
     assert "no recovery up to b=2" in result.message
     assert "N_leq_b=" in result.message and "M_leq_b=" in result.message
+
+
+def test_attack_q3_stops_below_b_equal_q():
+    # above F_2 the cumulative Macaulay matrix exists only for b < q
+    params = RslParams(q=3, m=6, n=6, k=3, r=2, N=3)
+    inst, _ = gen_instance(params, 0)
+    result = attack(inst, strategy_params(params, 0), b_max=4)
+    assert result.b_history
+    assert max(h["b"] for h in result.b_history) == 2
+
+
+def test_attack_does_not_swallow_macaulay_errors(toy, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken build")
+
+    monkeypatch.setattr(solver, "build_macaulay", broken)
+    with pytest.raises(ValueError, match="broken build"):
+        attack(toy[0], strategy_params(TOY, 0), b_max=1)
