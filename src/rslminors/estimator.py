@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional

@@ -15,11 +15,11 @@ plain linear algebra and instances carry an easy-regime flag.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .fields import ExtensionField, extension_field, prime_field
-from .matrix import FieldMatrix, column_space_basis, rank_rows, solve_rows
+from .matrix import FieldMatrix, column_space_basis, rank_rows
 
 
 @dataclass(frozen=True)

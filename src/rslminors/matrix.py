@@ -4,9 +4,10 @@
 tokens of an attached field.  The generic routines (reduced row echelon form,
 determinant, maximal minors) are pure Python and work for any field object.
 Rank, kernel, solve and column-space basis all run on one elimination core,
-``_echelon``, which picks a representation once per call: int64 residues for
-prime fields, Zech logarithms for extension fields with tabulated logarithms,
-and the generic ``rref_rows`` for any other field.
+``_echelon``, which picks one of three representations once per call: rows
+bit-packed into uint64 words for F_2, int64 residues for the other prime
+fields, and Zech logarithms for extension fields with tabulated logarithms.
+Any other field goes through the generic ``rref_rows``.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -266,10 +267,32 @@ def det_rows(rows: Sequence[Sequence[int]], field) -> int:
 # -- the elimination core ----------------------------------------------------
 
 
+class _PackedF2:
+    """F_2 rows packed little-endian into uint64 words, column c at bit
+    c % 64 of word c // 64.  Every pivot is 1, and a row update is an XOR."""
+
+    def encode(self, rows) -> np.ndarray:
+        self.ncols = len(rows[0])
+        bits = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1, bitorder="little")
+        words = np.zeros((len(rows), (self.ncols + 63) // 64 * 8), dtype=np.uint8)
+        words[:, : bits.shape[1]] = bits
+        return words.view("<u8")
+
+    def decode(self, row: np.ndarray) -> list[int]:
+        return np.unpackbits(row.view(np.uint8), count=self.ncols, bitorder="little").tolist()
+
+    def column(self, a: np.ndarray, c: int) -> np.ndarray:
+        return a[:, c >> 6] & np.uint64(1 << (c & 63))
+
+    def normalise(self, a: np.ndarray, r: int, c: int) -> None:
+        pass
+
+    def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
+        a[targets] ^= a[r]
+
+
 class _ModP:
     """F_p elements as int64 residues; zero is 0."""
-
-    zero = 0
 
     def __init__(self, p: int):
         self.p = p
@@ -279,6 +302,9 @@ class _ModP:
 
     def decode(self, row: np.ndarray) -> list[int]:
         return row.tolist()
+
+    def column(self, a: np.ndarray, c: int) -> np.ndarray:
+        return a[:, c] != 0
 
     def normalise(self, a: np.ndarray, r: int, c: int) -> None:
         p = self.p
@@ -295,8 +321,6 @@ class _ZechLog:
     """Elements of a tabulated F_{q^m} as logarithms to the table's generator;
     zero is -1, and sums go through the Zech logarithm table."""
 
-    zero = -1
-
     def __init__(self, field: ExtensionField, tables):
         self.t = tables
         self.qm1 = field.order - 1
@@ -307,6 +331,9 @@ class _ZechLog:
 
     def decode(self, row: np.ndarray) -> list[int]:
         return np.where(row == -1, 0, self.t.exp[np.where(row == -1, 0, row)]).tolist()
+
+    def column(self, a: np.ndarray, c: int) -> np.ndarray:
+        return a[:, c] != -1
 
     def normalise(self, a: np.ndarray, r: int, c: int) -> None:
         piv = int(a[r, c])
@@ -332,7 +359,7 @@ class _ZechLog:
 def _representation(field):
     """The numpy representation the field eliminates in, or None."""
     if isinstance(field, PrimeField):
-        return _ModP(field.q)
+        return _PackedF2() if field.q == 2 else _ModP(field.q)
     if isinstance(field, ExtensionField):
         tables = field.np_tables()
         if tables is not None:
@@ -346,35 +373,37 @@ def _echelon(rows, field, reduced: bool):
 
     Returns the nonzero echelon rows and their pivot columns.  The rows come
     as a lazy iterator of token lists, so a caller that wants only the rank
-    never decodes them.  Prime fields and tabulated extension fields share
-    the numpy pivot loop below; any other field goes through ``rref_rows``.
+    never decodes them.  F_2, the other prime fields and tabulated extension
+    fields share the numpy pivot loop below; each representation supplies the
+    nonzero test of a column, the pivot normalisation and the row update.  Any
+    other field goes through ``rref_rows``.
     """
-    if len(rows) == 0 or len(rows[0]) == 0:
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if ncols == 0:
         return iter(()), []
     rep = _representation(field)
     if rep is None:
         res = rref_rows(rows, field)
         return iter(res.matrix.rows[: res.rank]), res.pivots
     a = rep.encode(rows)
-    zero = rep.zero
-    nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c] != zero)[0]
+        nz = np.nonzero(rep.column(a[r:], c))[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
         rep.normalise(a, r, c)
+        # the swap left row i zero in column c; the rows below it still are
+        # the ones nz found
+        targets = r + nz[1:]
         if reduced:
-            targets = np.nonzero(a[:, c] != zero)[0]
-            targets = targets[targets != r]
-        else:
-            targets = r + 1 + np.nonzero(a[r + 1 :, c] != zero)[0]
+            targets = np.concatenate((np.nonzero(rep.column(a[:r], c))[0], targets))
         if targets.size:
             rep.update(a, targets, r, c)
         pivots.append(c)

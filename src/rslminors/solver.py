@@ -34,7 +34,6 @@ from .modeling import (
     Monomial,
     build_macaulay,
     build_system,
-    monomial_vector,
     unfold_system,
 )
 
@@ -288,10 +287,10 @@ def planted_solution(
         for rho in range(r)
         for j in range(a)
     ]
-    basis = kernel_rows(rows, fq) if rows else kernel_rows([], fq)
     if not rows:
         lam = [1] + [0] * (Np - 1)
     else:
+        basis = kernel_rows(rows, fq)
         if not basis:
             raise ExtractionError("no combination vanishes on the shortened columns")
         lam = basis[0]

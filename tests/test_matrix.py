@@ -137,7 +137,8 @@ def planted_rank(field, nr, nc, rank, rng):
     return a.mul(b).rows
 
 
-# (rows, columns, planted rank); a planted rank of None keeps the matrix random
+# (rows, columns, planted rank); a planted rank of None keeps the matrix random.
+# The last four cross the 64-column words that F_2 rows are packed into.
 SHAPES = [
     (0, 5, None),
     (3, 0, None),
@@ -149,6 +150,10 @@ SHAPES = [
     (40, 60, 25),
     (30, 30, 29),
     (12, 40, 0),
+    (5, 64, None),
+    (70, 65, None),
+    (130, 70, None),
+    (90, 129, 50),
 ]
 
 

@@ -15,10 +15,16 @@ from rslminors.instance import (
     gen_instance,
     shorten,
     strategy_params,
+    truncate_syndromes,
     verify_support,
 )
 from rslminors.matrix import FieldMatrix
-from rslminors.modeling import build_macaulay, build_system, unfold_system
+from rslminors.modeling import (
+    build_macaulay,
+    build_system,
+    monomial_vector,
+    unfold_system,
+)
 from rslminors.solver import (
     ExtractionError,
     KernelSolution,
@@ -185,6 +191,21 @@ def test_planted_point_solves_system(toy):
     rec = recover_support(sh, lam, Rt, verify_on=inst, strategy=strat, b=1)
     assert rec.verified and rec.d == TOY.r
     assert rec.C == witness.support_basis()
+
+
+def test_toy_kernel_at_b3_is_the_planted_point(toy):
+    # the b=3 cumulative matrix of the toy (6440x1935) has the planted point
+    # as its whole kernel
+    inst, witness = toy
+    strat = strategy_params(TOY, 0)
+    sh = shorten(rotate_information_columns(inst, 0), strat.a)
+    sh, _ = truncate_syndromes(sh, strat.N_prime)
+    mac = build_macaulay(unfold_system(build_system(sh, strat.w)), 3, "cumulative")
+    assert mac.shape == (6440, 1935)
+    sol = solve_linearized(mac)
+    assert sol.kernel_dim == 1
+    lam, rT, _ = planted_solution(witness, strat, TOY.n, TOY.q)
+    assert sol.vector == monomial_vector(mac.col_labels, lam, rT, mac.field)
 
 
 def test_recover_support_rejects_garbage(toy):

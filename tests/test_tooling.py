@@ -1,10 +1,13 @@
 """The benchmark's per-layer tracer still finds every name it wraps, and a
-traced attack still reaches the kernel through those names."""
+traced attack still reaches the kernel through those names.  No toolkit
+module imports a name it never uses."""
 
+import ast
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
 
 import tracing  # noqa: E402
 from rslminors import solver, verification  # noqa: E402
@@ -41,3 +44,36 @@ def test_tracer_installs_and_sees_the_attack_layers():
         "matrix.rank_rows",
     ):
         assert name in names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, ``__future__`` aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_check_sees_an_unused_name():
+    assert unused_imports("import os\nfrom a import b, c as d\nprint(d)\n") == [
+        "os (line 1)",
+        "b (line 2)",
+    ]
+
+
+def test_toolkit_modules_have_no_unused_imports():
+    found = {}
+    for path in sorted((ROOT / "src" / "rslminors").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = unused_imports(path.read_text())
+        if unused:
+            found[path.name] = unused
+    assert found == {}
