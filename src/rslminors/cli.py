@@ -9,6 +9,7 @@ attack that ends without a verified support; 64 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -18,7 +19,7 @@ from .estimator import delta_max, ghpt_cost, optimize, run_table2
 from .instance import RslParams, gen_instance, strategy_params
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .solver import attack
-from .verification import SUITES, run_suite
+from .verification import SUITES, runner
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -344,17 +345,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs: dict = {"seed": args.seed}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.suite in ("thm1", "thm2", "lemma3", "assumption1") and args.q is not None:
-        kwargs["qs"] = (args.q,)
-    if args.suite in ("thm2", "assumption2") and args.b is not None:
-        kwargs["bs"] = (args.b,)
-    if args.suite in ("thm1", "thm2", "lemma3"):
-        kwargs["quarantine_dir"] = args.quarantine_dir
+    run = runner(args.suite)
+    options = {
+        "trials": args.trials,
+        "qs": None if args.q is None else (args.q,),
+        "bs": None if args.b is None else (args.b,),
+        "seed": args.seed,
+        "quarantine_dir": args.quarantine_dir,
+    }
+    accepted = inspect.signature(run).parameters
+    kwargs = {key: v for key, v in options.items() if key in accepted and v is not None}
     report = _base_report("verify", args)
-    report.update(run_suite(args.suite, **kwargs))
+    report.update(run(**kwargs))
     lines = [
         f"verify {args.suite}: trials={report['trials']} "
         + (
@@ -367,12 +369,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if report.get("failures"):
         for fail in report["failures"]:
             lines.append(f"  failure: {json.dumps(fail)}")
-    if args.suite == "prop1":
-        for cell in report["cells"]:
-            lines.append(
-                f"  N={cell['N']} w={cell['w']}: mean={cell['mean']:.4f} "
-                f"expected={cell['expected']:.4f} z={cell['z']:.2f} ok={cell['ok']}"
-            )
+    for cell in report.get("cells", []):
+        lines.append(
+            f"  N={cell['N']} w={cell['w']}: mean={cell['mean']:.4f} "
+            f"expected={cell['expected']:.4f} z={cell['z']:.2f} ok={cell['ok']}"
+        )
     lines.append(f"elapsed {report['elapsed_s']}s")
     _emit(report, args.report, args.output, lines)
     return EXIT_OK if report["ok"] else EXIT_FAIL
@@ -444,7 +445,7 @@ def build_parser() -> _Parser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_ver = sub.add_parser("verify", help="run experimental confirmation suites")
-    p_ver.add_argument("suite", choices=SUITES)
+    p_ver.add_argument("suite", choices=tuple(SUITES))
     p_ver.add_argument("--trials", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--q", type=int, default=None, help="restrict to one base field")

@@ -91,8 +91,6 @@ class CountSet:
     b: int
     N_b: int
     M_b: int
-    N_b_f2: int
-    M_b_f2: int
     N_leq_b_f2: int
     M_leq_b_f2: int
 
@@ -107,8 +105,6 @@ def make_counts(n_eff: int, k_eff: int, w: int, N_eff: int, a: int, b: int) -> C
         b=b,
         N_b=count_Nb(n_eff, k_eff, w, N_eff, b),
         M_b=count_Mb(n_eff, w, N_eff, b, "general"),
-        N_b_f2=count_Nb(n_eff, k_eff, w, N_eff, b, f2=True),
-        M_b_f2=count_Mb(n_eff, w, N_eff, b, "f2"),
         N_leq_b_f2=sum(count_Nb(n_eff, k_eff, w, N_eff, j, f2=True) for j in range(1, b + 1)),
         M_leq_b_f2=count_Mb(n_eff, w, N_eff, b, "cumulative_f2"),
     )

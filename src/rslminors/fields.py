@@ -161,6 +161,22 @@ def _poly_gcd(a, b, q):
     return a
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, in increasing order, by trial
+    division."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def is_irreducible(modulus: Sequence[int], q: int) -> bool:
     """Rabin's irreducibility test for a monic polynomial over GF(q)."""
     modulus = tuple(c % q for c in modulus)
@@ -169,18 +185,7 @@ def is_irreducible(modulus: Sequence[int], q: int) -> bool:
         return False
     # x**(q**m) == x mod f, and gcd(x**(q**(m/p)) - x, f) == 1 for primes p|m
     x = (0, 1)
-    prime_divs = []
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
-            prime_divs.append(p)
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    if mm > 1:
-        prime_divs.append(mm)
-    powers = {m // p for p in prime_divs}
+    powers = {m // p for p in _prime_factors(m)}
     h = x
     for i in range(1, m + 1):
         h = _poly_powq(h, modulus, q)
@@ -388,17 +393,7 @@ class ExtensionField:
 
     def _find_generator(self) -> int:
         n = self.order - 1
-        factors = []
-        mm = n
-        p = 2
-        while p * p <= mm:
-            if mm % p == 0:
-                factors.append(p)
-                while mm % p == 0:
-                    mm //= p
-            p += 1
-        if mm > 1:
-            factors.append(mm)
+        factors = _prime_factors(n)
         for g in range(2, self.order):
             if all(self._pow_poly(g, n // p) != 1 for p in factors):
                 return g

@@ -94,9 +94,6 @@ class RslInstance:
                     return False
         return True
 
-    def syndrome(self, i: int) -> list[int]:
-        return self.S.col(i)
-
     def y_vector(self, i: int) -> list[int]:
         """Canonical preimage of syndrome i: zero on the first k coordinates,
         the syndrome itself on the identity block."""

@@ -124,12 +124,6 @@ class FieldMatrix:
             out.append(acc)
         return out
 
-    def scale(self, c: int) -> "FieldMatrix":
-        f = self.field
-        return FieldMatrix(
-            f, [[f.mul(c, x) for x in row] for row in self.rows], validate=False
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
@@ -147,9 +141,6 @@ class FieldMatrix:
 
     def rank(self) -> int:
         return rank_rows(self.rows, self.field)
-
-    def kernel(self) -> list[list[int]]:
-        return kernel_rows(self.rows, self.field)
 
     def det(self) -> int:
         return det_rows(self.rows, self.field)

@@ -311,9 +311,6 @@ class MacaulayMatrix:
     def rank(self) -> int:
         return rank_rows(self.dense_rows(), self.field)
 
-    def column_index(self) -> dict[Monomial, int]:
-        return {mono: i for i, mono in enumerate(self.col_labels)}
-
     def apply(self, values: list[int]) -> list[int]:
         """Matrix-vector product against a vector of column values."""
         f = self.field

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .estimator import make_counts
+from .estimator import bit_cost
 from .fields import prime_field
 from .instance import (
     RslInstance,
@@ -418,14 +418,7 @@ def attack(
             break
     elapsed = time.monotonic() - started
     if union is None:
-        counts = make_counts(
-            p.n - strategy.a,
-            p.k - strategy.a,
-            strategy.w,
-            strategy.N_prime,
-            strategy.a,
-            max(b_max, 1),
-        )
+        counts = bit_cost(p, strategy, max(b_max, 1)).to_dict()
         dim_note = next(
             (h["kernel_dim"] for h in reversed(history) if "kernel_dim" in h), None
         )
@@ -438,7 +431,7 @@ def attack(
             attempts=attempts,
             message=(
                 f"no recovery up to b={b_max}: last kernel dim {dim_note}, "
-                f"N_leq_b={counts.N_leq_b_f2}, M_leq_b={counts.M_leq_b_f2}"
+                f"N_leq_b={counts['N_leq_b']}, M_leq_b={counts['M_leq_b']}"
             ),
             elapsed_s=elapsed,
         )

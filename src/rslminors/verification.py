@@ -14,7 +14,7 @@ import random
 import time
 from typing import Optional
 
-from .estimator import codeword_stats, count_Mb, count_Nb
+from .estimator import codeword_stats, count_Nb, make_counts
 from .fields import prime_field
 from .instance import (
     RslInstance,
@@ -34,9 +34,6 @@ from .modeling import (
     syzygy_stack_rows,
     unfold_system,
 )
-
-SUITES = ("assumption1", "thm1", "thm2", "lemma3", "assumption2", "prop1")
-
 
 def sample_family(rng: random.Random, q: int) -> tuple[RslParams, int]:
     """Small random instance shape: 6 <= m <= 12, 8 <= n <= 14 (<= 11 when
@@ -70,50 +67,63 @@ def _gen_passing(
     )
 
 
-def _quarantine(
-    inst: RslInstance,
-    witness: Optional[SecretWitness],
+def _tally(
     suite: str,
-    trial: int,
-    quarantine_dir: Optional[str],
-) -> Optional[str]:
-    if quarantine_dir is None:
-        return None
-    os.makedirs(quarantine_dir, exist_ok=True)
-    path = os.path.join(quarantine_dir, f"quarantine_{suite}_{trial}.rsl")
-    save_instance(path, inst, witness)
-    return path
+    cases,
+    config: dict,
+    quarantine_dir: Optional[str] = None,
+    gate: Optional[float] = None,
+) -> dict:
+    """Run a suite's ``(ok, failure, instance, witness)`` cases and report.
+
+    A failing case with an instance is saved, with its witness, to
+    ``quarantine_<suite>_<n>.rsl`` in ``quarantine_dir`` (when given), n
+    counting the cases from 1.  Without a ``gate`` the suite must pass every
+    case; with one, the report carries the pass rate and the suite passes at
+    that rate."""
+    started = time.monotonic()
+    passes = 0
+    total = 0
+    failures = []
+    for ok, failure, inst, witness in cases:
+        total += 1
+        if ok:
+            passes += 1
+            continue
+        if inst is not None:
+            path = None
+            if quarantine_dir is not None:
+                os.makedirs(quarantine_dir, exist_ok=True)
+                path = os.path.join(quarantine_dir, f"quarantine_{suite}_{total}.rsl")
+                save_instance(path, inst, witness)
+            failure["quarantine"] = path
+        failures.append(failure)
+    report = {"suite": suite, "trials": total, "passes": passes}
+    if gate is not None:
+        report["rate"] = passes / total if total else 0.0
+    report["ok"] = passes == total if gate is None else report["rate"] >= gate
+    report.update(
+        failures=failures, config=config, elapsed_s=round(time.monotonic() - started, 3)
+    )
+    return report
 
 
 def run_assumption1(trials: int = 50, qs=(2, 3), seed: int = 0) -> dict:
     """Fraction of fresh instances whose top n-k-w syndrome rows have full
     rank.  Failures are expected to be rare (probability about q^-m per
     missing dimension); the suite passes at a 90% rate."""
-    started = time.monotonic()
-    rng = random.Random(seed)
-    passes = 0
-    total = 0
-    failures = []
-    for q in qs:
-        for t in range(trials):
-            params, w = sample_family(rng, q)
-            inst, _ = gen_instance(params, seed=rng.randrange(2**30))
-            total += 1
-            if check_assumption1(inst, w):
-                passes += 1
-            else:
-                failures.append({"trial": t, "q": q, "params": vars(params) | {"w": w}})
-    rate = passes / total if total else 0.0
-    return {
-        "suite": "assumption1",
-        "trials": total,
-        "passes": passes,
-        "rate": rate,
-        "ok": rate >= 0.9,
-        "failures": failures,
-        "config": {"trials": trials, "qs": list(qs), "seed": seed},
-        "elapsed_s": round(time.monotonic() - started, 3),
-    }
+
+    def cases():
+        rng = random.Random(seed)
+        for q in qs:
+            for t in range(trials):
+                params, w = sample_family(rng, q)
+                inst, _ = gen_instance(params, seed=rng.randrange(2**30))
+                failure = {"trial": t, "q": q, "params": vars(params) | {"w": w}}
+                yield check_assumption1(inst, w), failure, None, None
+
+    config = {"trials": trials, "qs": list(qs), "seed": seed}
+    return _tally("assumption1", cases(), config, gate=0.9)
 
 
 def run_thm1(
@@ -124,52 +134,38 @@ def run_thm1(
 ) -> dict:
     """Rank of the minor system over F_{q^m} must equal C(n-k, w+1), and the
     echelonized system must have pairwise-distinct leading monomials."""
-    started = time.monotonic()
-    rng = random.Random(seed)
-    passes = 0
-    total = 0
-    failures = []
-    for q in qs:
-        for t in range(trials):
-            params, w = sample_family(rng, q)
-            inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
-            system = build_system(inst, w)
-            mac = build_macaulay(system, 1, "exact")
-            got = mac.rank()
-            want = math.comb(params.n - params.k, w + 1)
-            ech, leads = echelonize_tildeQ(system, inst, w)
-            actual_leads = [
-                eq.leading_monomial(params.N) for eq in ech.equations if eq.terms
-            ]
-            leads_ok = (
-                len(actual_leads) == want
-                and len(set(actual_leads)) == want
-                and actual_leads == leads
-            )
-            total += 1
-            if got == want and leads_ok:
-                passes += 1
-            else:
-                failures.append(
-                    {
-                        "trial": t,
-                        "q": q,
-                        "params": vars(params) | {"w": w, "seed": used_seed},
-                        "rank": got,
-                        "expected": want,
-                        "leads_distinct": leads_ok,
-                        "quarantine": _quarantine(inst, wit, "thm1", total, quarantine_dir),
-                    }
+
+    def cases():
+        rng = random.Random(seed)
+        for q in qs:
+            for t in range(trials):
+                params, w = sample_family(rng, q)
+                inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
+                system = build_system(inst, w)
+                mac = build_macaulay(system, 1, "exact")
+                got = mac.rank()
+                want = math.comb(params.n - params.k, w + 1)
+                ech, leads = echelonize_tildeQ(system, inst, w)
+                actual_leads = [
+                    eq.leading_monomial(params.N) for eq in ech.equations if eq.terms
+                ]
+                leads_ok = (
+                    len(actual_leads) == want
+                    and len(set(actual_leads)) == want
+                    and actual_leads == leads
                 )
-    return {
-        "suite": "thm1",
-        "trials": total,
-        "passes": passes,
-        "ok": passes == total,
-        "failures": failures,
-        "config": {"trials": trials, "qs": list(qs), "seed": seed},
-        "elapsed_s": round(time.monotonic() - started, 3),
-    }
+                failure = {
+                    "trial": t,
+                    "q": q,
+                    "params": vars(params) | {"w": w, "seed": used_seed},
+                    "rank": got,
+                    "expected": want,
+                    "leads_distinct": leads_ok,
+                }
+                yield got == want and leads_ok, failure, inst, wit
+
+    config = {"trials": trials, "qs": list(qs), "seed": seed}
+    return _tally("thm1", cases(), config, quarantine_dir)
 
 
 def run_thm2(
@@ -181,46 +177,30 @@ def run_thm2(
 ) -> dict:
     """Rank of the degree-(b,1) Macaulay matrix over F_{q^m} must equal the
     closed-form count of independent equations, for every requested b."""
-    started = time.monotonic()
-    rng = random.Random(seed)
-    passes = 0
-    total = 0
-    failures = []
-    for q in qs:
-        for t in range(trials):
-            params, w = sample_family(rng, q)
-            inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
-            system = build_system(inst, w)
-            for b in bs:
-                mac = build_macaulay(system, b, "exact")
-                got = mac.rank()
-                want = count_Nb(params.n, params.k, w, params.N, b)
-                total += 1
-                if got == want:
-                    passes += 1
-                else:
-                    failures.append(
-                        {
-                            "trial": t,
-                            "q": q,
-                            "b": b,
-                            "params": vars(params) | {"w": w, "seed": used_seed},
-                            "rank": got,
-                            "expected": want,
-                            "quarantine": _quarantine(
-                                inst, wit, "thm2", total, quarantine_dir
-                            ),
-                        }
-                    )
-    return {
-        "suite": "thm2",
-        "trials": total,
-        "passes": passes,
-        "ok": passes == total,
-        "failures": failures,
-        "config": {"trials": trials, "qs": list(qs), "bs": list(bs), "seed": seed},
-        "elapsed_s": round(time.monotonic() - started, 3),
-    }
+
+    def cases():
+        rng = random.Random(seed)
+        for q in qs:
+            for t in range(trials):
+                params, w = sample_family(rng, q)
+                inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
+                system = build_system(inst, w)
+                for b in bs:
+                    mac = build_macaulay(system, b, "exact")
+                    got = mac.rank()
+                    want = count_Nb(params.n, params.k, w, params.N, b)
+                    failure = {
+                        "trial": t,
+                        "q": q,
+                        "b": b,
+                        "params": vars(params) | {"w": w, "seed": used_seed},
+                        "rank": got,
+                        "expected": want,
+                    }
+                    yield got == want, failure, inst, wit
+
+    config = {"trials": trials, "qs": list(qs), "bs": list(bs), "seed": seed}
+    return _tally("thm2", cases(), config, quarantine_dir)
 
 
 def run_lemma3(
@@ -232,48 +212,32 @@ def run_lemma3(
     """Every constructed relation must annihilate the minor system
     symbolically, and the stacked relation coefficients must have rank
     C(n-k, w+2) when the syndrome rows are generic."""
-    started = time.monotonic()
-    rng = random.Random(seed)
-    passes = 0
-    total = 0
-    failures = []
-    for q in qs:
-        for t in range(trials):
-            params, w = sample_family(rng, q)
-            nk = params.n - params.k
-            inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
-            system = build_system(inst, w)
-            syzygies = build_syzygies(inst, w)
-            residues = [len(apply_syzygy(s, system)) for s in syzygies]
-            stack = syzygy_stack_rows(syzygies, system)
-            rank = rank_rows(stack, inst.field)
-            want = math.comb(nk, w + 2)
-            total += 1
-            if all(rv == 0 for rv in residues) and rank == want:
-                passes += 1
-            else:
-                failures.append(
-                    {
-                        "trial": t,
-                        "q": q,
-                        "params": vars(params) | {"w": w, "seed": used_seed},
-                        "nonzero_residues": sum(1 for rv in residues if rv),
-                        "stack_rank": rank,
-                        "expected_rank": want,
-                        "quarantine": _quarantine(
-                            inst, wit, "lemma3", total, quarantine_dir
-                        ),
-                    }
-                )
-    return {
-        "suite": "lemma3",
-        "trials": total,
-        "passes": passes,
-        "ok": passes == total,
-        "failures": failures,
-        "config": {"trials": trials, "qs": list(qs), "seed": seed},
-        "elapsed_s": round(time.monotonic() - started, 3),
-    }
+
+    def cases():
+        rng = random.Random(seed)
+        for q in qs:
+            for t in range(trials):
+                params, w = sample_family(rng, q)
+                nk = params.n - params.k
+                inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
+                system = build_system(inst, w)
+                syzygies = build_syzygies(inst, w)
+                residues = [len(apply_syzygy(s, system)) for s in syzygies]
+                stack = syzygy_stack_rows(syzygies, system)
+                rank = rank_rows(stack, inst.field)
+                want = math.comb(nk, w + 2)
+                failure = {
+                    "trial": t,
+                    "q": q,
+                    "params": vars(params) | {"w": w, "seed": used_seed},
+                    "nonzero_residues": sum(1 for rv in residues if rv),
+                    "stack_rank": rank,
+                    "expected_rank": want,
+                }
+                yield all(rv == 0 for rv in residues) and rank == want, failure, inst, wit
+
+    config = {"trials": trials, "qs": list(qs), "seed": seed}
+    return _tally("lemma3", cases(), config, quarantine_dir)
 
 
 def _sample_rank_brackets(rng: random.Random, bs) -> tuple[RslParams, int]:
@@ -290,11 +254,8 @@ def _sample_rank_brackets(rng: random.Random, bs) -> tuple[RslParams, int]:
         m = rng.randrange(6, 13)
         ok = True
         for b in bs:
-            n_leq = sum(
-                count_Nb(n, k, w, N, j, f2=True) for j in range(1, b + 1)
-            )
-            m_leq = count_Mb(n, w, N, b, variant="cumulative_f2")
-            if m * n_leq > m_leq - 2**N:
+            counts = make_counts(n, k, w, N, 0, b)
+            if m * counts.N_leq_b_f2 > counts.M_leq_b_f2 - 2**N:
                 ok = False
                 break
         if ok:
@@ -307,49 +268,30 @@ def run_assumption2(
     """Over F_2, the unfolded cumulative Macaulay rank should equal
     min(m * N_leq_b, M_leq_b - 1) for most random instances drawn from
     the formula's validity domain."""
-    started = time.monotonic()
-    rng = random.Random(seed)
-    passes = 0
-    total = 0
-    failures = []
-    for t in range(trials):
-        params, w = _sample_rank_brackets(rng, bs)
-        inst, _ = gen_instance(params, seed=rng.randrange(2**30))
-        system = build_system(inst, w)
-        unfolded = unfold_system(system)
-        for b in bs:
-            mac = build_macaulay(unfolded, b, "cumulative")
-            got = mac.rank()
-            n_leq = sum(
-                count_Nb(params.n, params.k, w, params.N, j, f2=True)
-                for j in range(1, b + 1)
-            )
-            m_leq = count_Mb(params.n, w, params.N, b, variant="cumulative_f2")
-            want = min(params.m * n_leq, m_leq - 1)
-            total += 1
-            if got == want:
-                passes += 1
-            else:
-                failures.append(
-                    {
-                        "trial": t,
-                        "b": b,
-                        "params": vars(params) | {"w": w},
-                        "rank": got,
-                        "expected": want,
-                    }
-                )
-    rate = passes / total if total else 0.0
-    return {
-        "suite": "assumption2",
-        "trials": total,
-        "passes": passes,
-        "rate": rate,
-        "ok": rate >= threshold,
-        "failures": failures,
-        "config": {"trials": trials, "bs": list(bs), "seed": seed, "threshold": threshold},
-        "elapsed_s": round(time.monotonic() - started, 3),
-    }
+
+    def cases():
+        rng = random.Random(seed)
+        for t in range(trials):
+            params, w = _sample_rank_brackets(rng, bs)
+            inst, _ = gen_instance(params, seed=rng.randrange(2**30))
+            system = build_system(inst, w)
+            unfolded = unfold_system(system)
+            for b in bs:
+                mac = build_macaulay(unfolded, b, "cumulative")
+                got = mac.rank()
+                counts = make_counts(params.n, params.k, w, params.N, 0, b)
+                want = min(params.m * counts.N_leq_b_f2, counts.M_leq_b_f2 - 1)
+                failure = {
+                    "trial": t,
+                    "b": b,
+                    "params": vars(params) | {"w": w},
+                    "rank": got,
+                    "expected": want,
+                }
+                yield got == want, failure, None, None
+
+    config = {"trials": trials, "bs": list(bs), "seed": seed, "threshold": threshold}
+    return _tally("assumption2", cases(), config, gate=threshold)
 
 
 def monte_carlo_codewords(
@@ -427,17 +369,18 @@ def run_prop1(trials: int = 2000, seed: int = 0) -> dict:
     }
 
 
-def run_suite(name: str, **kwargs) -> dict:
-    if name == "assumption1":
-        return run_assumption1(**kwargs)
-    if name == "thm1":
-        return run_thm1(**kwargs)
-    if name == "thm2":
-        return run_thm2(**kwargs)
-    if name == "lemma3":
-        return run_lemma3(**kwargs)
-    if name == "assumption2":
-        return run_assumption2(**kwargs)
-    if name == "prop1":
-        return run_prop1(**kwargs)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+# Suite name -> name of its runner in this module.  The runner is looked up
+# when it is called, so wrappers installed on the module still apply.
+SUITES = {
+    "assumption1": "run_assumption1",
+    "thm1": "run_thm1",
+    "thm2": "run_thm2",
+    "lemma3": "run_lemma3",
+    "assumption2": "run_assumption2",
+    "prop1": "run_prop1",
+}
+
+
+def runner(name: str):
+    """The runner of the named suite, as this module holds it now."""
+    return globals()[SUITES[name]]

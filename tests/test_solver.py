@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from rslminors import solver
+from rslminors.estimator import make_counts
 from rslminors.fields import prime_field
 from rslminors.instance import (
     RslParams,
@@ -282,6 +283,19 @@ def test_attack_failure_reports_counts(toy):
     assert result.attempts == 4
     assert "no recovery up to b=2" in result.message
     assert "N_leq_b=" in result.message and "M_leq_b=" in result.message
+
+
+def test_attack_failure_quotes_the_counts_of_its_field():
+    params = RslParams(q=3, m=8, n=8, k=4, r=2, N=4)
+    inst, _ = gen_instance(params, 0)
+    strat = strategy_params(params, 0)
+    result = attack(inst, strat, b_max=2)
+    assert not result.success
+    counts = make_counts(params.n - strat.a, params.k - strat.a, strat.w,
+                         strat.N_prime, strat.a, 2)
+    assert (counts.N_b, counts.M_b) == (11, 126)
+    assert counts.N_leq_b_f2 == 15  # the F_2 count differs here
+    assert result.message.endswith("N_leq_b=11, M_leq_b=126")
 
 
 def test_attack_q3_stops_below_b_equal_q():

@@ -1,8 +1,11 @@
 """The benchmark's per-layer tracer still finds every name it wraps, and a
 traced attack still reaches the kernel through those names.  No toolkit
-module imports a name it never uses."""
+module imports a name it never uses, and every function, method and class
+it defines is named somewhere else."""
 
 import ast
+import builtins
+import importlib
 import sys
 from pathlib import Path
 
@@ -77,3 +80,108 @@ def test_toolkit_modules_have_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def _library_bases(cls: ast.ClassDef, tree: ast.Module) -> list[type]:
+    """The bases of ``cls`` that are builtins or come from an imported module,
+    not from the module's own classes."""
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    bases = []
+    for base in cls.bases:
+        root, *attrs = ast.unparse(base).split(".")
+        if root in modules:
+            obj = importlib.import_module(modules[root])
+        elif hasattr(builtins, root):
+            obj = getattr(builtins, root)
+        else:
+            continue
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        bases.append(obj)
+    return bases
+
+
+def _named(tree: ast.Module):
+    """(name, line) of every name read, attribute taken or identifier spelled
+    as a string constant (as the tracer spells its targets)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            yield node.value, node.lineno
+
+
+def unreferenced_definitions(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Functions, methods and classes defined in the ``defining`` sources
+    that no source (label -> text) names outside their own definition.
+    Dunder methods, which the language calls, and overrides of a library
+    base class method are exempt."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    uses: dict[str, list] = {}
+    for label, tree in trees.items():
+        for name, line in _named(tree):
+            uses.setdefault(name, []).append((label, line))
+    found = []
+    for label in defining:
+        tree = trees[label]
+        exempt = {
+            id(fn)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for base in _library_bases(cls, tree)
+            for fn in cls.body
+            if hasattr(base, getattr(fn, "name", ""))
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if id(node) in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(
+                where != label or not node.lineno <= line <= node.end_lineno
+                for where, line in uses.get(name, [])
+            ):
+                found.append((label, node.lineno, name))
+    return [f"{label}:{line} {name}" for label, line, name in sorted(found)]
+
+
+def test_unreferenced_definitions_check_sees_a_dead_name():
+    module = (
+        "import argparse\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n"
+        "        return self.error(message)\n"
+        "    def unused(self):\n"
+        "        return P\n"
+        "def traced():\n"
+        "    pass\n"
+        "def called():\n"
+        "    return called()\n"
+    )
+    sources = {"a.py": module, "b.py": "TARGET = 'traced'\nprint(P)\n"}
+    assert unreferenced_definitions(sources, ["a.py"]) == [
+        "a.py:5 unused",
+        "a.py:9 called",
+    ]
+
+
+def test_every_toolkit_definition_is_named_somewhere():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("src", "tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    defining = [label for label in sources if label.startswith("src/rslminors/")]
+    assert unreferenced_definitions(sources, defining) == []
