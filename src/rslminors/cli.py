@@ -134,8 +134,14 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
     return {"version": _version(), "command": command, "config": config}
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
+
+
 def _params_from_args(args: argparse.Namespace) -> RslParams:
-    missing = [f for f in ("m", "n", "k", "r", "N") if getattr(args, f.lower() if f != "N" else "N") is None]
+    missing = [f for f in ("m", "n", "k", "r", "N") if getattr(args, f) is None]
     if missing:
         raise ValueError(f"missing parameter flags: {', '.join('--' + f for f in missing)}")
     N = eval_n_expression(args.N, args.k, args.r)
@@ -446,7 +452,7 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run experimental confirmation suites")
     p_ver.add_argument("suite", choices=tuple(SUITES))
-    p_ver.add_argument("--trials", type=int, default=None)
+    p_ver.add_argument("--trials", type=_positive_int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--q", type=int, default=None, help="restrict to one base field")
     p_ver.add_argument("--b", type=int, default=None, help="restrict to one degree")

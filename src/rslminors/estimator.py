@@ -1,11 +1,13 @@
 """Closed-form counting, solvability and bit-cost estimation.
 
 Everything here is exact big-integer combinatorics until the final log2.  The
-counts mirror the structure of the equation system: N_b is the number of
-independent rows of the Macaulay matrix at bi-degree (b,1), M_b the number of
-its columns, with _f2 variants for squarefree lambda-monomials over F_2 and
-cumulative variants summing degrees 1..b.  Linearization is feasible once the
-independent rows reach the column count minus one (the solution is projective).
+counts mirror the structure of the equation system: count_Nb is the number of
+independent rows of the Macaulay matrix at bi-degree (b,1), count_Mb the number
+of its columns.  ``make_counts`` keeps one pair, N_leq_b and M_leq_b, for the
+matrix the solver builds over the instance's field: over F_2 the squarefree
+matrix of lambda-degrees 1..b, above F_2 the matrix of lambda-degree exactly
+b.  Linearization is feasible once the independent rows reach the column
+count minus one (the solution is projective).
 
 Cost calibration: Strassen-style elimination is charged (M_leq_b)^omega with
 omega = 2.807 after discarding surplus rows, and Wiedemann is charged
@@ -81,32 +83,29 @@ def count_Mb(n_eff: int, w: int, N_eff: int, b: int, variant: str = "general") -
 
 @dataclass(frozen=True)
 class CountSet:
-    """All row/column counts for one strategy-adjusted parameter point."""
+    """Row and column counts of the solver's Macaulay matrix at one
+    strategy-adjusted parameter point."""
 
-    n_eff: int
     k_eff: int
-    w: int
     N_eff: int
-    a: int
-    b: int
-    N_b: int
-    M_b: int
-    N_leq_b_f2: int
-    M_leq_b_f2: int
+    N_leq_b: int
+    M_leq_b: int
 
 
-def make_counts(n_eff: int, k_eff: int, w: int, N_eff: int, a: int, b: int) -> CountSet:
+def make_counts(q: int, n_eff: int, k_eff: int, w: int, N_eff: int, b: int) -> CountSet:
+    """Counts of the matrix the solver builds over F_q: the squarefree
+    matrix of lambda-degrees 1..b over F_2, the exact-degree-b one above."""
+    if q == 2:
+        N_leq_b = sum(count_Nb(n_eff, k_eff, w, N_eff, j, f2=True) for j in range(1, b + 1))
+        M_leq_b = count_Mb(n_eff, w, N_eff, b, "cumulative_f2")
+    else:
+        N_leq_b = count_Nb(n_eff, k_eff, w, N_eff, b)
+        M_leq_b = count_Mb(n_eff, w, N_eff, b, "general")
     return CountSet(
-        n_eff=n_eff,
         k_eff=k_eff,
-        w=w,
         N_eff=N_eff,
-        a=a,
-        b=b,
-        N_b=count_Nb(n_eff, k_eff, w, N_eff, b),
-        M_b=count_Mb(n_eff, w, N_eff, b, "general"),
-        N_leq_b_f2=sum(count_Nb(n_eff, k_eff, w, N_eff, j, f2=True) for j in range(1, b + 1)),
-        M_leq_b_f2=count_Mb(n_eff, w, N_eff, b, "cumulative_f2"),
+        N_leq_b=N_leq_b,
+        M_leq_b=M_leq_b,
     )
 
 
@@ -114,16 +113,16 @@ def _counts_for(params: RslParams, strategy: StrategyParams, b: int,
                 alpha_C: int = 0, alpha_lambda: int = 0) -> CountSet:
     n_eff = params.n - strategy.a - alpha_C
     k_eff = params.k - strategy.a - alpha_C
-    return make_counts(n_eff, k_eff, strategy.w, strategy.N_prime - alpha_lambda, strategy.a, b)
+    return make_counts(params.q, n_eff, k_eff, strategy.w, strategy.N_prime - alpha_lambda, b)
 
 
 def is_feasible(params: RslParams, counts: CountSet, b: int) -> bool:
-    """Linearization condition: enough independent rows to leave a line."""
-    if params.q == 2:
-        return params.m * counts.N_leq_b_f2 >= counts.M_leq_b_f2 - 1
-    if b >= params.q:
+    """Linearization condition: enough independent rows to leave a line.
+    Above F_2 no b >= q is called feasible, and the attack stops below that
+    degree too."""
+    if 2 < params.q <= b:
         return False
-    return params.m * counts.N_b >= counts.M_b - 1
+    return params.m * counts.N_leq_b >= counts.M_leq_b - 1
 
 
 def min_b(
@@ -161,7 +160,6 @@ class CostReport:
     log2_cost: float
     feasible: bool
     counts: CountSet
-    omega: float
 
     def to_dict(self) -> dict:
         return {
@@ -174,8 +172,8 @@ class CostReport:
             "algorithm": self.algorithm,
             "log2_cost": self.log2_cost,
             "feasible": self.feasible,
-            "N_leq_b": self.counts.N_leq_b_f2 if self.q == 2 else self.counts.N_b,
-            "M_leq_b": self.counts.M_leq_b_f2 if self.q == 2 else self.counts.M_b,
+            "N_leq_b": self.counts.N_leq_b,
+            "M_leq_b": self.counts.M_leq_b,
         }
 
 
@@ -198,8 +196,7 @@ def bit_cost(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if counts is None:
         counts = _counts_for(params, strategy, b, alpha_C, alpha_lambda)
-    M = counts.M_leq_b_f2 if params.q == 2 else counts.M_b
-    M = max(M, 2)
+    M = max(counts.M_leq_b, 2)
     guess_bits = (strategy.w * alpha_C + alpha_lambda) * math.log2(params.q)
     log2_M = math.log2(M)
     row_weight = counts.N_eff * _comb(counts.k_eff + 1 + strategy.w, strategy.w)
@@ -226,7 +223,6 @@ def bit_cost(
         log2_cost=strassen if algorithm == "strassen" else wiedemann,
         feasible=is_feasible(params, counts, b),
         counts=counts,
-        omega=OMEGA,
     )
 
 

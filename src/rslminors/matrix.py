@@ -407,9 +407,9 @@ def rank_rows(rows, field) -> int:
     return len(_echelon(rows, field, reduced=False)[1])
 
 
-def kernel_rows(rows, field) -> list[list[int]]:
-    """Basis of the right kernel {v : M v = 0}, as token vectors."""
-    ncols = len(rows[0]) if rows else 0
+def kernel_rows(rows, field, ncols: int) -> list[list[int]]:
+    """Basis of the right kernel {v : M v = 0} of the len(rows) x ncols
+    matrix, as token vectors."""
     ech, pivots = _echelon(rows, field, reduced=True)
     ech = list(ech)
     pivot_set = set(pivots)
@@ -425,9 +425,9 @@ def kernel_rows(rows, field) -> list[list[int]]:
     return basis
 
 
-def solve_rows(rows, rhs: Sequence[int], field) -> list[int] | None:
-    """One solution of M x = rhs, or None when the system is inconsistent."""
-    ncols = len(rows[0]) if rows else 0
+def solve_rows(rows, rhs: Sequence[int], field, ncols: int) -> list[int] | None:
+    """One solution of M x = rhs in ncols unknowns, or None when the system
+    is inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     ech, pivots = _echelon(aug, field, reduced=True)
     if ncols in pivots:
@@ -441,5 +441,6 @@ def solve_rows(rows, rhs: Sequence[int], field) -> list[int] | None:
 def column_space_basis(mat: FieldMatrix) -> FieldMatrix:
     """Canonical basis of the column space: reduced echelon rows of the
     transpose, transposed back, so equal spaces compare equal."""
-    ech, _ = _echelon(mat.transpose().rows, mat.field, reduced=True)
-    return FieldMatrix(mat.field, list(ech), validate=False).transpose()
+    ech = list(_echelon(mat.transpose().rows, mat.field, reduced=True)[0])
+    cols = [[row[i] for row in ech] for i in range(mat.nrows)]
+    return FieldMatrix(mat.field, cols, validate=False)

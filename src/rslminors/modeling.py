@@ -278,15 +278,14 @@ class MacaulayMatrix:
 
     mode "exact": rows are (degree b-1 multiplier) x equation products, with
     formal multiset lambda-monomials and no reduction; columns are all
-    monomials of lambda-degree exactly b.  mode "cumulative": multipliers of
-    degree 0..b-1 and columns of lambda-degree 1..b; over F_2 monomials are
-    squarefree and products reduce by lambda^2 = lambda, for q > 2 the degree
-    bound b < q makes reduction vacuous.
+    monomials of lambda-degree exactly b.  This is the solver's matrix above
+    F_2.  mode "cumulative", over F_2 only: multipliers of degree 0..b-1 and
+    columns of lambda-degree 1..b, squarefree, with products reduced by
+    lambda^2 = lambda.  This is the solver's matrix over F_2.
     """
 
     field: object
     b: int
-    mode: str
     n_lambda: int
     n_cols_R: int
     w: int
@@ -337,13 +336,9 @@ def build_macaulay(system: BilinearSystem, b: int, mode: str = "exact") -> Macau
     if mode not in ("exact", "cumulative"):
         raise ValueError(f"unknown mode {mode!r}")
     f = system.field
-    q = f.q
-    squarefree = False
-    if mode == "cumulative":
-        if q == 2:
-            squarefree = True
-        elif b >= q:
-            raise ValueError(f"cumulative mode needs b < q, got b={b}, q={q}")
+    squarefree = mode == "cumulative"
+    if squarefree and f.q != 2:
+        raise ValueError(f"cumulative mode is for F_2 only, got q={f.q}")
     N = system.n_lambda
     col_degs = [b] if mode == "exact" else list(range(1, b + 1))
     minors = [tuple(T) for T in combinations(range(1, system.n_cols + 1), system.w)]
@@ -379,7 +374,6 @@ def build_macaulay(system: BilinearSystem, b: int, mode: str = "exact") -> Macau
     return MacaulayMatrix(
         field=f,
         b=b,
-        mode=mode,
         n_lambda=N,
         n_cols_R=system.n_cols,
         w=system.w,
@@ -414,7 +408,6 @@ class Syzygy:
     {lambda index -> coefficient}.
     """
 
-    K: tuple[int, ...]
     entries: dict[tuple[int, ...], dict[int, int]]
 
 
@@ -437,7 +430,7 @@ def build_syzygies(inst: RslInstance, w: int) -> list[Syzygy]:
                     continue
                 form[i + 1] = s if positive else ext.neg(s)
             entries[J] = form
-        out.append(Syzygy(K=K, entries=entries))
+        out.append(Syzygy(entries=entries))
     return out
 
 

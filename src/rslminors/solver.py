@@ -1,8 +1,10 @@
 """Solving the bilinear system and recovering the secret support.
 
 Pipeline: shorten the instance per the chosen strategy, build and unfold the
-minor equations, stack the cumulative Macaulay matrix at growing degree b,
-take its right kernel, split the unique projective solution back into
+minor equations, stack the Macaulay matrix at growing degree b (over F_2 the
+squarefree one of lambda-degrees 1..b, above F_2 the one of lambda-degree
+exactly b, the matrices whose shapes ``estimator.make_counts`` counts), take
+its right kernel, split the unique projective solution back into
 (lambda, r_T), invert the Plucker coordinates into an echelon-form matrix,
 then solve a final linear system for the support basis.
 
@@ -61,8 +63,6 @@ class KernelSolution:
     vector: list[int]
     kernel_dim: int
     n_lambda: int
-    w: int
-    n_cols: int
 
     def values(self) -> dict[Monomial, int]:
         return dict(zip(self.col_labels, self.vector))
@@ -70,7 +70,7 @@ class KernelSolution:
 
 def solve_linearized(mac: MacaulayMatrix) -> KernelSolution:
     """Right kernel of the Macaulay matrix, expected one-dimensional."""
-    basis = kernel_rows(mac.dense_rows(), mac.field)
+    basis = kernel_rows(mac.dense_rows(), mac.field, len(mac.col_labels))
     dim = len(basis)
     if dim == 0:
         raise NoSolutionError("no solution at this weight and strategy")
@@ -86,31 +86,35 @@ def solve_linearized(mac: MacaulayMatrix) -> KernelSolution:
         vector=basis[0],
         kernel_dim=dim,
         n_lambda=mac.n_lambda,
-        w=mac.w,
-        n_cols=mac.n_cols_R,
     )
 
 
 def rank1_extract(sol: KernelSolution) -> tuple[list[int], dict[tuple[int, ...], int]]:
-    """Split the bi-degree (1,1) block Z[i, T] = value(lambda_i r_T) into an
-    outer product lambda * rT.
+    """Split the block Z[i, T] = lambda_{i0}^(d-1) lambda_i r_T of the lowest
+    lambda-degree d among the columns into an outer product lambda * rT.
 
-    The first nonzero lambda entry is normalized to 1.  Every entry of Z is
-    re-checked against the product; any mismatch means the block has rank at
-    least 2 (multiple distinct solutions folded into one kernel vector).
+    i0 is any lambda index of a nonzero degree-d column, so lambda_{i0} is
+    nonzero and Z is the bi-degree (1,1) block times one scalar; for d = 1
+    it is that block.  The first nonzero lambda entry is normalized to 1.
+    Every entry of Z is re-checked against the product; any mismatch means
+    the block has rank at least 2 (multiple distinct solutions folded into
+    one kernel vector).
     """
     f = sol.field
-    Z: dict[tuple[int, tuple[int, ...]], int] = {}
-    minors: set = set()
-    for (mu, T), v in zip(sol.col_labels, sol.vector):
-        if len(mu) != 1:
-            continue
-        minors.add(T)
-        if v:
-            Z[(mu[0], T)] = v
-    if not Z:
+    d = min(len(mu) for mu, _ in sol.col_labels)
+    values = sol.values()
+    i0 = next((mu[0] for (mu, _), v in values.items() if len(mu) == d and v), None)
+    if i0 is None:
         raise ExtractionError("no nonzero solution in the bilinear block")
-    T0 = max(T for (_, T) in Z)
+    minors = {T for mu, T in sol.col_labels if len(mu) == d}
+    Z = {
+        (i, T): values.get((tuple(sorted((i0,) * (d - 1) + (i,))), T), 0)
+        for i in range(1, sol.n_lambda + 1)
+        for T in minors
+    }
+    T0 = max((T for (_, T), v in Z.items() if v), default=None)
+    if T0 is None:
+        raise ExtractionError("the block vanishes: the kernel vector is no product")
     pivot_rows = [i for i in range(1, sol.n_lambda + 1) if Z.get((i, T0))]
     i_first = pivot_rows[0]
     inv_p = f.inv(Z[(i_first, T0)])
@@ -227,7 +231,7 @@ def recover_support(
         for jd in range(p.m):
             rows.append([cf[jd] for cf in coeffs])
             rhs.append(tdig[jd])
-    x = solve_rows(rows, rhs, fq)
+    x = solve_rows(rows, rhs, fq, w * p.m)
     if x is None:
         raise ExtractionError(
             "support system inconsistent: extraction was spurious"
@@ -287,13 +291,10 @@ def planted_solution(
         for rho in range(r)
         for j in range(a)
     ]
-    if not rows:
-        lam = [1] + [0] * (Np - 1)
-    else:
-        basis = kernel_rows(rows, fq)
-        if not basis:
-            raise ExtractionError("no combination vanishes on the shortened columns")
-        lam = basis[0]
+    basis = kernel_rows(rows, fq, Np)
+    if not basis:
+        raise ExtractionError("no combination vanishes on the shortened columns")
+    lam = basis[0]
     acc_rows = []
     for rho in range(r):
         row = []
@@ -352,10 +353,11 @@ def _attempt(
     system = build_system(sh, strategy.w)
     unfolded = unfold_system(system)
     fq = unfolded.field
+    mode = "cumulative" if fq.q == 2 else "exact"
     for b in range(1, b_max + 1):
         if fq.q > 2 and b >= fq.q:
-            break  # the cumulative matrix needs b < q above F_2
-        mac = build_macaulay(unfolded, b, "cumulative")
+            break  # mirrors estimator.is_feasible, which calls no b >= q feasible
+        mac = build_macaulay(unfolded, b, mode)
         entry = {
             "offset": offset,
             "b": b,

@@ -254,8 +254,8 @@ def _sample_rank_brackets(rng: random.Random, bs) -> tuple[RslParams, int]:
         m = rng.randrange(6, 13)
         ok = True
         for b in bs:
-            counts = make_counts(n, k, w, N, 0, b)
-            if m * counts.N_leq_b_f2 > counts.M_leq_b_f2 - 2**N:
+            counts = make_counts(2, n, k, w, N, b)
+            if m * counts.N_leq_b > counts.M_leq_b - 2**N:
                 ok = False
                 break
         if ok:
@@ -279,8 +279,8 @@ def run_assumption2(
             for b in bs:
                 mac = build_macaulay(unfolded, b, "cumulative")
                 got = mac.rank()
-                counts = make_counts(params.n, params.k, w, params.N, 0, b)
-                want = min(params.m * counts.N_leq_b_f2, counts.M_leq_b_f2 - 1)
+                counts = make_counts(params.q, params.n, params.k, w, params.N, b)
+                want = min(params.m * counts.N_leq_b, counts.M_leq_b - 1)
                 failure = {
                     "trial": t,
                     "b": b,
@@ -307,7 +307,7 @@ def monte_carlo_codewords(
     count_total = 0
     for _ in range(trials):
         parity = [[rng.randrange(q) for _ in range(rn)] for _ in range(n_parity)]
-        basis = kernel_rows(parity, fq)
+        basis = kernel_rows(parity, fq, rn)
         d = len(basis)
         count = 0
         # enumerate all nonzero combinations of the kernel basis

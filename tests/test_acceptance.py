@@ -200,8 +200,8 @@ def test_criterion_7_end_to_end_attack():
     params, strat, counts = chosen
     assert params.m == 14
     assert strat == StrategyParams(delta=0, w=2, a=4, N_prime=9)
-    assert counts.M_leq_b_f2 == 135
-    assert counts.M_leq_b_f2 <= 10**5
+    assert counts.M_leq_b == 135
+    assert counts.M_leq_b <= 10**5
 
     inst, witness = gen_instance(params, seed=3)
     result = attack(inst, strat, b_max=3)

@@ -158,6 +158,16 @@ def test_attack_shortening_as_wide_as_k_fails_cleanly(capsys):
     assert "no recovery up to b=1" in out and "a=3" in out
 
 
+def test_attack_q3_recovers_at_exact_degree_two(capsys):
+    # above F_2 the attack solves the exact-degree matrix, 1080x675 at b=2
+    rc = main([
+        "attack", "--q", "3", "--m", "12", "--n", "10", "--k", "5", "--r", "2",
+        "--N", "9", "--b-max", "2", "--seed", "0",
+    ])
+    assert rc == EXIT_OK
+    assert "b=2 offset=0 rows=1080 cols=675 kernel_dim=1" in capsys.readouterr().out
+
+
 def test_attack_bad_strategy(toy_file, capsys):
     assert main(["attack", "--instance", str(toy_file), "--delta", "5"]) == EXIT_USAGE
     assert main(["attack", "--instance", str(toy_file), "--a", "99"]) == EXIT_USAGE
@@ -231,6 +241,14 @@ def test_verify_thm1_short_run(tmp_path):
     assert rc == EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["ok"] is True and rep["trials"] >= 2
+
+
+@pytest.mark.parametrize("suite", ["thm1", "prop1"])
+def test_verify_rejects_zero_trials(suite, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--trials", "0"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_bad_suite():

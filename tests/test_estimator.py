@@ -100,14 +100,14 @@ def test_min_b_threshold_is_exact():
     assert rows_b1 == 281 * comb(121, 9)
     assert cols_b1 == comb(152, 8) * 721
     assert rows_b1 < cols_b1 - 1
-    counts = make_counts(152, 31, 8, 721, 90, 1)
+    counts = make_counts(2, 152, 31, 8, 721, 1)
     assert not is_feasible(params, counts, 1)
 
 
 def test_is_feasible_q3_degree_bound():
     params = RslParams(q=3, m=30, n=20, k=10, r=3, N=9)
     strat = strategy_params(params, 0)
-    counts = make_counts(20 - strat.a, 10 - strat.a, 3, strat.N_prime, strat.a, 3)
+    counts = make_counts(3, 20 - strat.a, 10 - strat.a, 3, strat.N_prime, 3)
     assert not is_feasible(params, counts, 3)  # b must stay below q
 
 
@@ -118,7 +118,7 @@ def test_bit_cost_named_algorithms():
     rep_w = bit_cost(params, strat, 1, "wiedemann")
     rep_auto = bit_cost(params, strat, 1)
     assert rep_s.log2_cost == rep_s.log2_strassen == pytest.approx(
-        OMEGA * log2(rep_s.counts.M_leq_b_f2)
+        OMEGA * log2(rep_s.counts.M_leq_b)
     )
     assert rep_w.log2_cost == rep_w.log2_wiedemann
     assert rep_auto.log2_cost == min(rep_s.log2_cost, rep_w.log2_cost)
@@ -137,7 +137,7 @@ def test_bit_cost_reference_points():
     assert abs(rep.log2_cost - 187) <= DELTA_POS_TOL
     weight = strat.N_prime * comb(137 - 86 + 1 + 8, 8)
     assert rep.log2_wiedemann == pytest.approx(
-        log2(3 * weight) + 2 * log2(rep.counts.M_leq_b_f2)
+        log2(3 * weight) + 2 * log2(rep.counts.M_leq_b)
     )
 
 
@@ -147,7 +147,7 @@ def test_guessing_multiplies_cost():
     base = bit_cost(params, strat, 1, "strassen")
     guessed = bit_cost(params, strat, 1, "strassen", alpha_lambda=3)
     assert guessed.counts.N_eff == base.counts.N_eff - 3
-    shrink = OMEGA * (log2(base.counts.M_leq_b_f2) - log2(guessed.counts.M_leq_b_f2))
+    shrink = OMEGA * (log2(base.counts.M_leq_b) - log2(guessed.counts.M_leq_b))
     assert guessed.log2_cost == pytest.approx(base.log2_cost + 3 - shrink)
 
 

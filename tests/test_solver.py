@@ -3,12 +3,12 @@ attack pipeline on small planted instances."""
 
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from rslminors import solver
-from rslminors.estimator import make_counts
+from rslminors.estimator import bit_cost, make_counts
 from rslminors.fields import prime_field
 from rslminors.instance import (
     RslParams,
@@ -108,8 +108,7 @@ def test_rank1_extract_normalizes_outer_product():
     labels = bilinear_labels(4, 4, 2) + [((1, 2), (1, 2))]
     vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels[:-1]] + [2]
     sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, kernel_dim=1,
-        n_lambda=4, w=2, n_cols=4,
+        field=f, col_labels=labels, vector=vec, kernel_dim=1, n_lambda=4,
     )
     lam_out, rT_out = rank1_extract(sol)
     assert lam_out == [0, 1, 2, 0]
@@ -126,17 +125,41 @@ def test_rank1_extract_rejects_mixed_solutions():
     vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels]
     vec[1] = f.add(vec[1], 1)  # now Z has rank 2
     sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, kernel_dim=1,
-        n_lambda=3, w=2, n_cols=3,
+        field=f, col_labels=labels, vector=vec, kernel_dim=1, n_lambda=3,
     )
     with pytest.raises(ExtractionError):
         rank1_extract(sol)
     zero = KernelSolution(
-        field=f, col_labels=labels, vector=[0] * len(labels), kernel_dim=1,
-        n_lambda=3, w=2, n_cols=3,
+        field=f, col_labels=labels, vector=[0] * len(labels), kernel_dim=1, n_lambda=3,
     )
     with pytest.raises(ExtractionError):
         rank1_extract(zero)
+
+
+def test_rank1_extract_reads_the_exact_degree_block():
+    # exact degree 2 with lambda_1 = 0: the block is read through i0 = 2
+    f = prime_field(3)
+    lam = [0, 2, 1]
+    rT = {(1, 2): 1, (1, 3): 2, (2, 3): 0}
+    labels = [
+        (mu, T) for mu in combinations_with_replacement(range(1, 4), 2) for T in rT
+    ]
+    vec = [f.mul(f.mul(lam[i - 1], lam[j - 1]), rT[T]) for (i, j), T in labels]
+    sol = KernelSolution(
+        field=f, col_labels=labels, vector=vec, kernel_dim=1, n_lambda=3,
+    )
+    lam_out, rT_out = rank1_extract(sol)
+    assert lam_out == [0, 1, 2]
+    assert rT_out == rT  # scaled by lambda_2^2 = 1
+    mixed = list(vec)
+    mixed[labels.index(((2, 3), (1, 3)))] = 0
+    with pytest.raises(ExtractionError):
+        rank1_extract(replace(sol, vector=mixed))
+    # degree 3, nonzero only at lambda_1 lambda_2 lambda_3: no product point
+    cubic = [(mu, (1, 2)) for mu in combinations_with_replacement(range(1, 4), 3)]
+    lone = [1 if mu == (1, 2, 3) else 0 for mu, _ in cubic]
+    with pytest.raises(ExtractionError):
+        rank1_extract(replace(sol, col_labels=cubic, vector=lone))
 
 
 def test_solve_linearized_dense(toy_macaulay):
@@ -291,20 +314,31 @@ def test_attack_failure_quotes_the_counts_of_its_field():
     strat = strategy_params(params, 0)
     result = attack(inst, strat, b_max=2)
     assert not result.success
-    counts = make_counts(params.n - strat.a, params.k - strat.a, strat.w,
-                         strat.N_prime, strat.a, 2)
-    assert (counts.N_b, counts.M_b) == (11, 126)
-    assert counts.N_leq_b_f2 == 15  # the F_2 count differs here
+    shape = (params.n - strat.a, params.k - strat.a, strat.w, strat.N_prime, 2)
+    counts = make_counts(3, *shape)
+    assert (counts.N_leq_b, counts.M_leq_b) == (11, 126)
+    assert make_counts(2, *shape).N_leq_b == 15  # the F_2 count differs here
     assert result.message.endswith("N_leq_b=11, M_leq_b=126")
 
 
 def test_attack_q3_stops_below_b_equal_q():
-    # above F_2 the cumulative Macaulay matrix exists only for b < q
+    # above F_2 the attack, like estimator.is_feasible, stops below b = q
     params = RslParams(q=3, m=6, n=6, k=3, r=2, N=3)
     inst, _ = gen_instance(params, 0)
     result = attack(inst, strategy_params(params, 0), b_max=4)
     assert result.b_history
     assert max(h["b"] for h in result.b_history) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_attack_solves_the_matrix_the_estimator_counts(q):
+    params = RslParams(q=q, m=12, n=10, k=5, r=2, N=9)
+    inst, _ = gen_instance(params, 0)
+    strat = strategy_params(params, 0)
+    result = attack(inst, strat, b_max=2)
+    assert [h["b"] for h in result.b_history] == [1, 2]
+    for h in result.b_history:
+        assert h["cols"] == bit_cost(params, strat, h["b"]).to_dict()["M_leq_b"]
 
 
 def test_attack_does_not_swallow_macaulay_errors(toy, monkeypatch):

@@ -157,6 +157,58 @@ def unreferenced_definitions(sources: dict[str, str], defining: list[str]) -> li
     return [f"{label}:{line} {name}" for label, line, name in sorted(found)]
 
 
+def unread_dataclass_fields(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Fields of the ``@dataclass`` classes in the ``defining`` sources that
+    no source (label -> text) reads as an attribute."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for label in defining:
+        for cls in ast.walk(trees[label]):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+                for d in cls.decorator_list
+            ):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)
+                    and node.target.id not in read
+                ):
+                    found.append(f"{label}:{node.lineno} {cls.name}.{node.target.id}")
+    return found
+
+
+def test_unread_dataclass_fields_check_sees_an_unread_field():
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "class B:\n"
+        "    plain: int\n"
+    )
+    sources = {"a.py": module, "b.py": "a = A(read=1, written=2)\na.written = a.read\n"}
+    assert unread_dataclass_fields(sources, ["a.py"]) == ["a.py:5 A.written"]
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("src", "tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    defining = [label for label in sources if label.startswith("src/rslminors/")]
+    assert unread_dataclass_fields(sources, defining) == []
+
+
 def test_unreferenced_definitions_check_sees_a_dead_name():
     module = (
         "import argparse\n"
