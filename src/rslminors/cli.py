@@ -308,7 +308,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         alpha_C=args.alpha_c,
         alpha_lambda=args.alpha_lambda,
     )
-    ghpt = ghpt_cost(params.m, params.n, params.k, params.r, params.N, params.r, q=params.q)
+    ghpt = ghpt_cost(params.m, params.n, params.k, params.N, params.r, q=params.q)
     report.update(
         {
             "params": {"q": params.q, "m": params.m, "n": params.n, "k": params.k,

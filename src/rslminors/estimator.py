@@ -2,12 +2,14 @@
 
 Everything here is exact big-integer combinatorics until the final log2.  The
 counts mirror the structure of the equation system: count_Nb is the number of
-independent rows of the Macaulay matrix at bi-degree (b,1), count_Mb the number
-of its columns.  ``make_counts`` keeps one pair, N_leq_b and M_leq_b, for the
-matrix the solver builds over the instance's field: over F_2 the squarefree
-matrix of lambda-degrees 1..b, above F_2 the matrix of lambda-degree exactly
-b.  Linearization is feasible once the independent rows reach the column
-count minus one (the solution is projective).
+independent rows of the Macaulay matrix at exact bi-degree (b,1), count_Mb the
+number of its columns, each with an f2 flag that keeps squarefree
+lambda-monomials only.  The field picks the matrix, and ``make_counts`` keeps
+one pair, N_leq_b and M_leq_b, for the matrix the solver builds over it: over
+F_2 the squarefree matrix of lambda-degrees 1..b, whose counts it sums over
+the degrees j = 1..b, above F_2 the matrix of lambda-degree exactly b.
+Linearization is feasible once the independent rows reach the column count
+minus one (the solution is projective).
 
 Cost calibration: Strassen-style elimination is charged (M_leq_b)^omega with
 omega = 2.807 after discarding surplus rows, and Wiedemann is charged
@@ -69,16 +71,11 @@ def count_Nb(n: int, k: int, w: int, N: int, b: int, f2: bool = False) -> int:
 
 
 @lru_cache(maxsize=None)
-def count_Mb(n_eff: int, w: int, N_eff: int, b: int, variant: str = "general") -> int:
-    """Macaulay column count; parameters already strategy-adjusted."""
-    base = _comb(n_eff, w)
-    if variant == "general":
-        return base * _comb(N_eff + b - 1, b)
-    if variant == "f2":
-        return base * _comb(N_eff, b)
-    if variant == "cumulative_f2":
-        return base * sum(_comb(N_eff, j) for j in range(1, b + 1))
-    raise ValueError(f"unknown variant {variant!r}")
+def count_Mb(n_eff: int, w: int, N_eff: int, b: int, f2: bool = False) -> int:
+    """Macaulay columns of lambda-degree exactly b, parameters already
+    strategy-adjusted; f2 counts squarefree lambda-monomials only."""
+    lam = _comb(N_eff, b) if f2 else _comb(N_eff + b - 1, b)
+    return _comb(n_eff, w) * lam
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,12 @@ def make_counts(q: int, n_eff: int, k_eff: int, w: int, N_eff: int, b: int) -> C
     """Counts of the matrix the solver builds over F_q: the squarefree
     matrix of lambda-degrees 1..b over F_2, the exact-degree-b one above."""
     if q == 2:
-        N_leq_b = sum(count_Nb(n_eff, k_eff, w, N_eff, j, f2=True) for j in range(1, b + 1))
-        M_leq_b = count_Mb(n_eff, w, N_eff, b, "cumulative_f2")
+        degrees = range(1, b + 1)
+        N_leq_b = sum(count_Nb(n_eff, k_eff, w, N_eff, j, f2=True) for j in degrees)
+        M_leq_b = sum(count_Mb(n_eff, w, N_eff, j, f2=True) for j in degrees)
     else:
         N_leq_b = count_Nb(n_eff, k_eff, w, N_eff, b)
-        M_leq_b = count_Mb(n_eff, w, N_eff, b, "general")
+        M_leq_b = count_Mb(n_eff, w, N_eff, b)
     return CountSet(
         k_eff=k_eff,
         N_eff=N_eff,
@@ -142,12 +140,6 @@ def min_b(
 
 @dataclass(frozen=True)
 class CostReport:
-    q: int
-    m: int
-    n: int
-    k: int
-    r: int
-    N: int
     delta: int
     w: int
     a: int
@@ -182,7 +174,6 @@ def bit_cost(
     strategy: StrategyParams,
     b: int,
     algorithm: Optional[str] = None,
-    counts: Optional[CountSet] = None,
     alpha_C: int = 0,
     alpha_lambda: int = 0,
 ) -> CostReport:
@@ -194,8 +185,7 @@ def bit_cost(
     """
     if algorithm not in (None, "strassen", "wiedemann"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if counts is None:
-        counts = _counts_for(params, strategy, b, alpha_C, alpha_lambda)
+    counts = _counts_for(params, strategy, b, alpha_C, alpha_lambda)
     M = max(counts.M_leq_b, 2)
     guess_bits = (strategy.w * alpha_C + alpha_lambda) * math.log2(params.q)
     log2_M = math.log2(M)
@@ -205,12 +195,6 @@ def bit_cost(
     if algorithm is None:
         algorithm = "strassen" if strassen <= wiedemann else "wiedemann"
     return CostReport(
-        q=params.q,
-        m=params.m,
-        n=params.n,
-        k=params.k,
-        r=params.r,
-        N=params.N,
         delta=strategy.delta,
         w=strategy.w,
         a=strategy.a,
@@ -230,16 +214,9 @@ def bit_cost(
 class CodewordStats:
     """Moments of the number of weight-w words in the error-span code."""
 
-    q: int
-    r: int
-    n: int
-    N: int
-    w: int
     sphere: int
     expectation: Fraction
     variance: Fraction
-    delta: int
-    feasible: bool
 
 
 def codeword_stats(q: int, r: int, n: int, N: int, w: int) -> CodewordStats:
@@ -249,18 +226,10 @@ def codeword_stats(q: int, r: int, n: int, N: int, w: int) -> CodewordStats:
     scale = Fraction(q) ** (N - r * n)
     expectation = S * scale
     variance = S * (q - 1) * (scale - scale * scale)
-    delta = r - w
     return CodewordStats(
-        q=q,
-        r=r,
-        n=n,
-        N=N,
-        w=w,
         sphere=S,
         expectation=expectation,
         variance=variance,
-        delta=delta,
-        feasible=N >= delta * (n - r + delta),
     )
 
 
@@ -282,7 +251,7 @@ class GhptCost:
     degenerate: bool
 
 
-def ghpt_cost(m: int, n: int, k: int, r: int, N: int, w: int, q: int = 2) -> GhptCost:
+def ghpt_cost(m: int, n: int, k: int, N: int, w: int, q: int = 2) -> GhptCost:
     """Combinatorial baseline: q^min(e-, e+) with K = km + N."""
     K = k * m + N
     t = N // n
@@ -340,9 +309,8 @@ def optimize(
             found = min_b(params, strat, b_max, alpha_C, alpha_lambda)
             if found is None:
                 continue
-            b, counts = found
             rows.append(
-                bit_cost(params, strat, b, algorithm, counts, alpha_C, alpha_lambda)
+                bit_cost(params, strat, found[0], algorithm, alpha_C, alpha_lambda)
             )
     best = min(rows, key=lambda r: r.log2_cost) if rows else None
     return OptimizeResult(best=best, rows=rows)
@@ -388,8 +356,8 @@ def run_table2(b_max: int = 4) -> dict:
             row["delta0"] = {"feasible": False, "ok": False}
             all0 = False
         else:
-            b, counts = found
-            rep = bit_cost(params, strat0, b, "strassen", counts)
+            b = found[0]
+            rep = bit_cost(params, strat0, b, "strassen")
             exp_bits, exp_b = ref0
             ok = abs(rep.log2_cost - exp_bits) <= DELTA0_TOL and b == exp_b
             all0 = all0 and ok

@@ -61,11 +61,6 @@ class PrimeField:
     zero = 0
     one = 1
 
-    def validate(self, x: int) -> int:
-        if not isinstance(x, int) or not 0 <= x < self.q:
-            raise ValueError(f"{x!r} is not an element token of GF({self.q})")
-        return x
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
@@ -223,15 +218,14 @@ def default_modulus(q: int, m: int) -> tuple[int, ...]:
 class _Tables:
     """Exponent, logarithm and Zech logarithm tables of a small field."""
 
-    __slots__ = ("exp", "log", "zech", "exp_list", "log_list", "generator")
+    __slots__ = ("exp", "log", "zech", "exp_list", "log_list")
 
-    def __init__(self, exp, log, zech, generator):
+    def __init__(self, exp, log, zech):
         self.exp = exp
         self.log = log
         self.zech = zech
         self.exp_list = exp.tolist()
         self.log_list = log.tolist()
-        self.generator = generator
 
 
 class ExtensionField:
@@ -261,13 +255,6 @@ class ExtensionField:
     one = 1
 
     # -- encoding ----------------------------------------------------------
-
-    def validate(self, x: int) -> int:
-        if not isinstance(x, int) or not 0 <= x < self.order:
-            raise ValueError(
-                f"{x!r} is not an element token of GF({self.q}^{self.m})"
-            )
-        return x
 
     def unfold(self, x: int) -> tuple[int, ...]:
         """Base-q digits of x, least significant first: the coordinates of
@@ -429,7 +416,7 @@ class ExtensionField:
             low = exp % q
             plus_one = exp - low + (low + 1) % q
             zech = log[plus_one]
-            self._tables = _Tables(exp, log, zech, g)
+            self._tables = _Tables(exp, log, zech)
         return self._tables
 
     def np_tables(self) -> _Tables | None:

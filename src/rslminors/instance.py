@@ -179,7 +179,7 @@ def gen_instance(params: RslParams, seed: int) -> tuple[RslInstance, SecretWitne
     for i in range(params.N):
         e = witness.error_vector(ext, i)
         syn_cols.append(H.matvec(e))
-    S = FieldMatrix(ext, [[syn_cols[i][u] for i in range(params.N)] for u in range(nk)], validate=False)
+    S = FieldMatrix(ext, [[syn_cols[i][u] for i in range(params.N)] for u in range(nk)])
     return RslInstance(params=params, field=ext, H=H, S=S), witness
 
 
@@ -217,27 +217,22 @@ def shorten(inst: RslInstance, a: int) -> RslInstance:
     )
 
 
-def truncate_syndromes(
-    inst: RslInstance, n_keep: int, witness: Optional[SecretWitness] = None
-) -> tuple[RslInstance, Optional[SecretWitness]]:
-    """Keep only the first n_keep syndromes (and witness coordinates)."""
+def truncate_syndromes(inst: RslInstance, n_keep: int) -> RslInstance:
+    """Keep only the first n_keep syndromes."""
     p = inst.params
     if not 0 < n_keep <= p.N:
         raise ValueError(f"cannot keep {n_keep} of {p.N} syndromes")
     if n_keep == p.N:
-        return inst, witness
+        return inst
     new_params = RslParams(q=p.q, m=p.m, n=p.n, k=p.k, r=p.r, N=n_keep)
     S = inst.S.submatrix(range(p.n - p.k), range(n_keep))
-    out = RslInstance(
+    return RslInstance(
         params=new_params,
         field=inst.field,
         H=inst.H,
         S=S,
         shortened_by=inst.shortened_by,
     )
-    if witness is None:
-        return out, None
-    return out, SecretWitness(C=witness.C, R_list=witness.R_list[:n_keep])
 
 
 def verify_support(inst: RslInstance, v_basis: FieldMatrix) -> bool:

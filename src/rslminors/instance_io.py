@@ -106,7 +106,7 @@ def _parse_matrix(rd: _LineReader, nrows: int, ncols: int, what: str, upper: int
     for i in range(nrows):
         line_no, text = rd.next(f"{what} row {i + 1}")
         rows.append(_parse_ints(line_no, text, ncols, f"{what} row {i + 1}", upper))
-    return FieldMatrix(field, rows, validate=False)
+    return FieldMatrix(field, rows)
 
 
 def read_instance(fh: TextIO) -> tuple[RslInstance, Optional[SecretWitness]]:

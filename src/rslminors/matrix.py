@@ -25,15 +25,11 @@ from .fields import ExtensionField, PrimeField
 class FieldMatrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field, rows: Sequence[Sequence[int]], validate: bool = True):
+    def __init__(self, field, rows: Sequence[Sequence[int]]):
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        if validate:
-            for r in rows:
-                for x in r:
-                    field.validate(x)
         self.field = field
         self.rows = rows
         self.nrows = len(rows)
@@ -41,21 +37,20 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)], validate=False)
+        return cls(field, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n: int) -> "FieldMatrix":
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = 1
-        return cls(field, rows, validate=False)
+        return cls(field, rows)
 
     @classmethod
     def random(cls, field, nrows: int, ncols: int, rng) -> "FieldMatrix":
         return cls(
             field,
             [[field.random_element(rng) for _ in range(ncols)] for _ in range(nrows)],
-            validate=False,
         )
 
     def __getitem__(self, key) -> int:
@@ -73,14 +68,12 @@ class FieldMatrix:
         return FieldMatrix(
             self.field,
             [[self.rows[i][j] for j in col_idx] for i in row_idx],
-            validate=False,
         )
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(
             self.field,
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            validate=False,
         )
 
     def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -89,7 +82,6 @@ class FieldMatrix:
         return FieldMatrix(
             self.field,
             [self.rows[i] + other.rows[i] for i in range(self.nrows)],
-            validate=False,
         )
 
     def mul(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -109,7 +101,7 @@ class FieldMatrix:
                     b = orow[j]
                     if b:
                         acc[j] = f.add(acc[j], f.mul(a, b))
-        return FieldMatrix(f, out, validate=False)
+        return FieldMatrix(f, out)
 
     def matvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.ncols:
@@ -195,7 +187,7 @@ def rref_rows(rows: Sequence[Sequence[int]], field) -> RrefResult:
             m[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return RrefResult(FieldMatrix(f, m, validate=False), r, pivots)
+    return RrefResult(FieldMatrix(f, m), r, pivots)
 
 
 # -- determinants ------------------------------------------------------------
@@ -443,4 +435,4 @@ def column_space_basis(mat: FieldMatrix) -> FieldMatrix:
     transpose, transposed back, so equal spaces compare equal."""
     ech = list(_echelon(mat.transpose().rows, mat.field, reduced=True)[0])
     cols = [[row[i] for row in ech] for i in range(mat.nrows)]
-    return FieldMatrix(mat.field, cols, validate=False)
+    return FieldMatrix(mat.field, cols)

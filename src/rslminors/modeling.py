@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Optional
 
 from .fields import prime_field
 from .instance import RslInstance
@@ -276,12 +276,12 @@ def lambda_monomials(n_lambda: int, degree: int, squarefree: bool) -> list[LamMo
 class MacaulayMatrix:
     """Sparse matrix of all multiples of the equations at bi-degree (b,1).
 
-    mode "exact": rows are (degree b-1 multiplier) x equation products, with
-    formal multiset lambda-monomials and no reduction; columns are all
-    monomials of lambda-degree exactly b.  This is the solver's matrix above
-    F_2.  mode "cumulative", over F_2 only: multipliers of degree 0..b-1 and
-    columns of lambda-degree 1..b, squarefree, with products reduced by
-    lambda^2 = lambda.  This is the solver's matrix over F_2.
+    The field of the system picks the matrix.  Over F_2 the multipliers have
+    degree 0..b-1 and the columns lambda-degree 1..b, squarefree, with
+    products reduced by lambda^2 = lambda.  Over any other field the rows are
+    (degree b-1 multiplier) x equation products, with formal multiset
+    lambda-monomials and no reduction, and the columns are all monomials of
+    lambda-degree exactly b.
     """
 
     field: object
@@ -324,8 +324,10 @@ class MacaulayMatrix:
         return out
 
 
-def build_macaulay(system: BilinearSystem, b: int, mode: str = "exact") -> MacaulayMatrix:
-    """Stack all (lambda-multiplier) x equation products at bi-degree (b,1).
+def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
+    """Stack all (lambda-multiplier) x equation products at bi-degree (b,1):
+    the squarefree matrix of lambda-degrees 1..b over F_2, the matrix of
+    lambda-degree exactly b over any other field (F_{2^m} included).
 
     Rows are grouped by equation, multipliers in descending monomial order;
     columns are sorted descending.  Column sets are enumerated in full from
@@ -333,14 +335,10 @@ def build_macaulay(system: BilinearSystem, b: int, mode: str = "exact") -> Macau
     """
     if b < 1:
         raise ValueError("b must be at least 1")
-    if mode not in ("exact", "cumulative"):
-        raise ValueError(f"unknown mode {mode!r}")
     f = system.field
-    squarefree = mode == "cumulative"
-    if squarefree and f.q != 2:
-        raise ValueError(f"cumulative mode is for F_2 only, got q={f.q}")
+    squarefree = f == prime_field(2)
     N = system.n_lambda
-    col_degs = [b] if mode == "exact" else list(range(1, b + 1))
+    col_degs = list(range(1, b + 1)) if squarefree else [b]
     minors = [tuple(T) for T in combinations(range(1, system.n_cols + 1), system.w)]
     col_labels: list[Monomial] = [
         (mu, T)
@@ -350,7 +348,7 @@ def build_macaulay(system: BilinearSystem, b: int, mode: str = "exact") -> Macau
     ]
     col_labels.sort(key=lambda mono: monomial_key(mono, N), reverse=True)
     col_idx = {mono: i for i, mono in enumerate(col_labels)}
-    mult_degs = [b - 1] if mode == "exact" else list(range(b))
+    mult_degs = list(range(b)) if squarefree else [b - 1]
     multipliers = [mu for d in mult_degs for mu in lambda_monomials(N, d, squarefree)]
     multipliers.sort(key=lambda mu: (len(mu), grevlex_subkey(mu, N)), reverse=True)
     rows: list[dict[int, int]] = []
@@ -473,24 +471,3 @@ def syzygy_stack_rows(
                 row[index[(J, i)]] = c
         rows.append(row)
     return rows
-
-
-def dump_system(system: BilinearSystem, fh: TextIO) -> None:
-    """One equation per line: J=<indices> : <coeff>*l<i>^<e>*..*r{T} + ...
-
-    Terms in descending monomial order; coefficients as integer tokens."""
-    N = system.n_lambda
-    for eq in system.equations:
-        label = ",".join(str(j) for j in eq.J) if eq.J else "-"
-        parts = []
-        for mono in sorted(eq.terms, key=lambda mn: monomial_key(mn, N), reverse=True):
-            mu, T = mono
-            factors = [str(eq.terms[mono])]
-            exps: dict[int, int] = {}
-            for i in mu:
-                exps[i] = exps.get(i, 0) + 1
-            for i in sorted(exps):
-                factors.append(f"l{i}^{exps[i]}")
-            factors.append("r{" + ",".join(str(t) for t in T) + "}")
-            parts.append("*".join(factors))
-        fh.write(f"J={label} : " + (" + ".join(parts) if parts else "0") + "\n")

@@ -61,7 +61,6 @@ class KernelSolution:
     field: object
     col_labels: list[Monomial]
     vector: list[int]
-    kernel_dim: int
     n_lambda: int
 
     def values(self) -> dict[Monomial, int]:
@@ -84,7 +83,6 @@ def solve_linearized(mac: MacaulayMatrix) -> KernelSolution:
         field=mac.field,
         col_labels=list(mac.col_labels),
         vector=basis[0],
-        kernel_dim=dim,
         n_lambda=mac.n_lambda,
     )
 
@@ -167,7 +165,7 @@ def plucker_reconstruct(
             if (u + c) % 2 == 1:
                 x = field.neg(x)
             rows[u - 1][j - 1] = x
-    M = FieldMatrix(field, rows, validate=False)
+    M = FieldMatrix(field, rows)
     for T0b, v in M.maximal_minors().items():
         T = tuple(t + 1 for t in T0b)
         if v != field.mul(rT.get(T, 0), inv0):
@@ -179,12 +177,10 @@ def plucker_reconstruct(
 
 @dataclass
 class RecoveredSupport:
-    """Candidate support subspace with provenance."""
+    """Candidate support subspace."""
 
     C: FieldMatrix  # m x d canonical column basis over F_q
     d: int
-    strategy: Optional[StrategyParams]
-    b: Optional[int]
     verified: bool
 
 
@@ -193,8 +189,6 @@ def recover_support(
     lam_values: list[int],
     Rt: FieldMatrix,
     verify_on: Optional[RslInstance] = None,
-    strategy: Optional[StrategyParams] = None,
-    b: Optional[int] = None,
 ) -> RecoveredSupport:
     """Solve for the support basis C from the identity
     Sum_i lambda_i s_i = beta C (Rt H^T), beta = (1, z, .., z^(m-1)).
@@ -217,7 +211,7 @@ def recover_support(
             if li:
                 acc = ext.add(acc, ext.mul(li, inst.S[u, i]))
         target.append(acc)
-    P = FieldMatrix(ext, Rt.rows, validate=False).mul(inst.H.transpose())
+    P = FieldMatrix(ext, Rt.rows).mul(inst.H.transpose())
     zpow = [pow(p.q, ell) for ell in range(p.m)]  # z^ell as element tokens
     rows: list[list[int]] = []
     rhs: list[int] = []
@@ -237,7 +231,7 @@ def recover_support(
             "support system inconsistent: extraction was spurious"
         )
     C = FieldMatrix(
-        fq, [[x[c * p.m + ell] for c in range(w)] for ell in range(p.m)], validate=False
+        fq, [[x[c * p.m + ell] for c in range(w)] for ell in range(p.m)]
     )
     basis = column_space_basis(C)
     d = basis.ncols
@@ -247,8 +241,6 @@ def recover_support(
     return RecoveredSupport(
         C=basis,
         d=d,
-        strategy=strategy,
-        b=b,
         verified=verify_support(check_inst, basis),
     )
 
@@ -305,7 +297,7 @@ def planted_solution(
                     s = fq.add(s, fq.mul(li, R_list[i][rho, j]))
             row.append(s)
         acc_rows.append(row)
-    Rt = FieldMatrix(fq, acc_rows, validate=False)
+    Rt = FieldMatrix(fq, acc_rows)
     rT = {tuple(t + 1 for t in T): v for T, v in Rt.maximal_minors().items()}
     return lam, rT, Rt
 
@@ -349,15 +341,14 @@ def _attempt(
 ) -> Optional[RecoveredSupport]:
     rotated = rotate_information_columns(inst, offset)
     sh = shorten(rotated, strategy.a)
-    sh, _ = truncate_syndromes(sh, strategy.N_prime)
+    sh = truncate_syndromes(sh, strategy.N_prime)
     system = build_system(sh, strategy.w)
     unfolded = unfold_system(system)
     fq = unfolded.field
-    mode = "cumulative" if fq.q == 2 else "exact"
     for b in range(1, b_max + 1):
         if fq.q > 2 and b >= fq.q:
             break  # mirrors estimator.is_feasible, which calls no b >= q feasible
-        mac = build_macaulay(unfolded, b, mode)
+        mac = build_macaulay(unfolded, b)
         entry = {
             "offset": offset,
             "b": b,
@@ -374,13 +365,11 @@ def _attempt(
             entry["kernel_dim"] = 0
             history.append(entry)
             return None
-        entry["kernel_dim"] = sol.kernel_dim
+        entry["kernel_dim"] = 1
         try:
             lam, rT = rank1_extract(sol)
             Rt = plucker_reconstruct(rT, strategy.w, sh.params.n, fq)
-            rec = recover_support(
-                sh, lam, Rt, verify_on=inst, strategy=strategy, b=b
-            )
+            rec = recover_support(sh, lam, Rt, verify_on=inst)
         except ExtractionError as exc:
             entry["extraction_error"] = str(exc)
             history.append(entry)
@@ -405,7 +394,6 @@ def attack(
         max_attempts = 1 if strategy.delta == 0 else max(4, 2 * p.r)
     history: list[dict] = []
     union: Optional[FieldMatrix] = None
-    last_b = None
     attempts = 0
     # rotating the information columns by t makes shortening drop a different
     # column window; k rotations exhaust the distinct windows
@@ -414,7 +402,6 @@ def attack(
         rec = _attempt(inst, strategy, b_max, offset, history)
         if rec is None:
             continue
-        last_b = rec.b
         union = rec.C if union is None else column_space_basis(union.hstack(rec.C))
         if union.ncols >= p.r:
             break
@@ -438,9 +425,7 @@ def attack(
             elapsed_s=elapsed,
         )
     verified = verify_support(inst, union)
-    support = RecoveredSupport(
-        C=union, d=union.ncols, strategy=strategy, b=last_b, verified=verified
-    )
+    support = RecoveredSupport(C=union, d=union.ncols, verified=verified)
     success = verified and union.ncols == p.r
     message = "support recovered" if success else (
         f"partial support of dimension {union.ncols}"

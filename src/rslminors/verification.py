@@ -35,6 +35,10 @@ from .modeling import (
     unfold_system,
 )
 
+# Seeds _gen_passing tries after the first before it gives up.
+MAX_REGEN = 25
+
+
 def sample_family(rng: random.Random, q: int) -> tuple[RslParams, int]:
     """Small random instance shape: 6 <= m <= 12, 8 <= n <= 14 (<= 11 when
     w = 3 to bound Macaulay width at b = 3), w + 2 <= n - k <= w + 3,
@@ -51,18 +55,16 @@ def sample_family(rng: random.Random, q: int) -> tuple[RslParams, int]:
 
 
 def _gen_passing(
-    params: RslParams, w: int, seed: int, max_regen: int = 25
-) -> tuple[RslInstance, SecretWitness, int, int]:
+    params: RslParams, w: int, seed: int
+) -> tuple[RslInstance, SecretWitness, int]:
     """Generate an instance satisfying the full-rank syndrome assumption,
-    bumping the seed on failure.  Returns (inst, witness, seed_used, retries)."""
-    s = seed
-    for retry in range(max_regen + 1):
+    bumping the seed on failure.  Returns (inst, witness, seed_used)."""
+    for s in range(seed, seed + MAX_REGEN + 1):
         inst, wit = gen_instance(params, s)
         if check_assumption1(inst, w):
-            return inst, wit, s, retry
-        s += 1
+            return inst, wit, s
     raise RuntimeError(
-        f"no instance satisfying the rank assumption after {max_regen} retries "
+        f"no instance satisfying the rank assumption after {MAX_REGEN} retries "
         f"(params {params})"
     )
 
@@ -140,9 +142,9 @@ def run_thm1(
         for q in qs:
             for t in range(trials):
                 params, w = sample_family(rng, q)
-                inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
+                inst, wit, used_seed = _gen_passing(params, w, rng.randrange(2**30))
                 system = build_system(inst, w)
-                mac = build_macaulay(system, 1, "exact")
+                mac = build_macaulay(system, 1)
                 got = mac.rank()
                 want = math.comb(params.n - params.k, w + 1)
                 ech, leads = echelonize_tildeQ(system, inst, w)
@@ -183,10 +185,10 @@ def run_thm2(
         for q in qs:
             for t in range(trials):
                 params, w = sample_family(rng, q)
-                inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
+                inst, wit, used_seed = _gen_passing(params, w, rng.randrange(2**30))
                 system = build_system(inst, w)
                 for b in bs:
-                    mac = build_macaulay(system, b, "exact")
+                    mac = build_macaulay(system, b)
                     got = mac.rank()
                     want = count_Nb(params.n, params.k, w, params.N, b)
                     failure = {
@@ -219,7 +221,7 @@ def run_lemma3(
             for t in range(trials):
                 params, w = sample_family(rng, q)
                 nk = params.n - params.k
-                inst, wit, used_seed, _ = _gen_passing(params, w, rng.randrange(2**30))
+                inst, wit, used_seed = _gen_passing(params, w, rng.randrange(2**30))
                 system = build_system(inst, w)
                 syzygies = build_syzygies(inst, w)
                 residues = [len(apply_syzygy(s, system)) for s in syzygies]
@@ -277,7 +279,7 @@ def run_assumption2(
             system = build_system(inst, w)
             unfolded = unfold_system(system)
             for b in bs:
-                mac = build_macaulay(unfolded, b, "cumulative")
+                mac = build_macaulay(unfolded, b)
                 got = mac.rank()
                 counts = make_counts(params.q, params.n, params.k, w, params.N, b)
                 want = min(params.m * counts.N_leq_b, counts.M_leq_b - 1)

@@ -220,9 +220,9 @@ def test_criterion_7_end_to_end_attack():
     for entry in result.b_history:
         rotated = rotate_information_columns(inst, entry["offset"])
         sh = shorten(rotated, strat.a)
-        sh, _ = truncate_syndromes(sh, strat.N_prime)
+        sh = truncate_syndromes(sh, strat.N_prime)
         unfolded = unfold_system(build_system(sh, strat.w))
-        mac = build_macaulay(unfolded, entry["b"], "cumulative")
+        mac = build_macaulay(unfolded, entry["b"])
         assert mac.shape == (entry["rows"], entry["cols"])
         lam, rT, _ = planted_solution(witness, strat, params.n, params.q)
         image = mac.apply(point_vector(mac, lam, rT))

@@ -79,13 +79,13 @@ def test_degree_two_count_closed_form():
 
 
 def test_count_mb():
-    assert count_Mb(6, 1, 3, 2, "general") == 36
-    assert count_Mb(6, 1, 3, 2, "f2") == 18
-    assert count_Mb(6, 1, 3, 3, "cumulative_f2") == 6 * (3 + 3 + 1)
+    assert count_Mb(6, 1, 3, 2) == 36
+    assert count_Mb(6, 1, 3, 2, f2=True) == 18
+    # over F_2 make_counts sums the squarefree columns of degrees 1..b
+    assert make_counts(2, 6, 3, 1, 3, 3).M_leq_b == 6 * (3 + 3 + 1)
+    assert make_counts(3, 6, 3, 1, 3, 3).M_leq_b == count_Mb(6, 1, 3, 3) == 6 * 10
     for n, w, N in ((6, 1, 3), (9, 2, 5)):
-        assert count_Mb(n, w, N, 1, "general") == count_Mb(n, w, N, 1, "f2") == comb(n, w) * N
-    with pytest.raises(ValueError):
-        count_Mb(6, 1, 3, 2, "exact")
+        assert count_Mb(n, w, N, 1) == count_Mb(n, w, N, 1, f2=True) == comb(n, w) * N
 
 
 def test_min_b_threshold_is_exact():
@@ -96,7 +96,7 @@ def test_min_b_threshold_is_exact():
     assert found is not None and found[0] == 2
     # the b=1 comparison fails by big-integer arithmetic, not rounding
     rows_b1 = 281 * count_Nb(242 - 90, 121 - 90, 8, 721, 1, f2=True)
-    cols_b1 = count_Mb(242 - 90, 8, 721, 1, "cumulative_f2")
+    cols_b1 = count_Mb(242 - 90, 8, 721, 1, f2=True)
     assert rows_b1 == 281 * comb(121, 9)
     assert cols_b1 == comb(152, 8) * 721
     assert rows_b1 < cols_b1 - 1
@@ -225,8 +225,8 @@ def test_delta_max_frozen():
 
 
 def test_ghpt_cost_oracle():
-    m, n, k, r, N, w = 277, 358, 179, 7, 895, 7
-    g = ghpt_cost(m, n, k, r, N, w)
+    m, n, k, N, w = 277, 358, 179, 895, 7
+    g = ghpt_cost(m, n, k, N, w)
     K = k * m + N
     t, T = N // n, K // n
     assert g.e_minus == (w - t) * (T - t) == 695
@@ -236,11 +236,11 @@ def test_ghpt_cost_oracle():
 
 
 def test_ghpt_degenerate_and_monotone():
-    g = ghpt_cost(20, 10, 5, 3, 35, 3)  # N >= w n collapses the exponent
+    g = ghpt_cost(20, 10, 5, 35, 3)  # N >= w n collapses the exponent
     assert g.degenerate and g.log2_cost == 0
     last = None
     for N in range(10, 200, 10):
-        e = ghpt_cost(50, 20, 10, 5, N, 5).e_minus
+        e = ghpt_cost(50, 20, 10, N, 5).e_minus
         if last is not None:
             assert e <= last
         last = e

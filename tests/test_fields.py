@@ -158,13 +158,3 @@ def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         ExtensionField(2, 3, modulus=(1, 1))  # wrong degree
 
-
-def test_validate_rejects_out_of_range():
-    ext = extension_field(2, 4)
-    assert ext.validate(15) == 15
-    for bad in (-1, 16, 100):
-        with pytest.raises(ValueError):
-            ext.validate(bad)
-    f = prime_field(5)
-    with pytest.raises(ValueError):
-        f.validate(5)

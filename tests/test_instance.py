@@ -162,13 +162,11 @@ def test_shorten():
 
 
 def test_truncate_syndromes():
-    inst, witness = gen_instance(TOY, 4)
-    cut, wit = truncate_syndromes(inst, 3, witness)
+    inst, _ = gen_instance(TOY, 4)
+    cut = truncate_syndromes(inst, 3)
     assert cut.params.N == 3
     assert cut.S.rows == [row[:3] for row in inst.S.rows]
-    assert len(wit.R_list) == 3
-    same, _ = truncate_syndromes(inst, TOY.N, witness)
-    assert same is inst
+    assert truncate_syndromes(inst, TOY.N) is inst
     with pytest.raises(ValueError):
         truncate_syndromes(inst, 0)
     with pytest.raises(ValueError):
@@ -219,3 +217,10 @@ def test_instance_file_rejects_garbage():
     truncated = "".join(text.splitlines(keepends=True)[:4])
     with pytest.raises(InstanceFormatError):
         read_instance(io.StringIO(truncated))
+    # element tokens are range-checked here, where they enter the program
+    lines = text.splitlines(keepends=True)
+    h_row = lines.index("H:\n") + 1
+    tokens = lines[h_row].split()
+    lines[h_row] = " ".join([str(TOY.q**TOY.m)] + tokens[1:]) + "\n"
+    with pytest.raises(InstanceFormatError, match="outside"):
+        read_instance(io.StringIO("".join(lines)))

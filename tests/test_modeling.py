@@ -2,15 +2,13 @@
 evaluation, the monomial order, Macaulay shapes and ranks, and the
 structural relations."""
 
-import io
 import random
-import re
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from rslminors.estimator import count_Mb, count_Nb
+from rslminors.estimator import count_Mb, count_Nb, make_counts
 from rslminors.fields import prime_field
 from rslminors.instance import RslInstance, RslParams, check_assumption1, gen_instance
 from rslminors.matrix import FieldMatrix, det_rows, rank_rows
@@ -21,7 +19,6 @@ from rslminors.modeling import (
     build_syzygies,
     build_system,
     apply_syzygy,
-    dump_system,
     echelonize_tildeQ,
     grevlex_subkey,
     lambda_monomials,
@@ -135,9 +132,9 @@ def test_macaulay_exact_shapes_and_ranks():
     assert len(system.equations) == comb(4, 3)
     expected_rank = {1: 4, 2: 19, 3: 55}
     for b in (1, 2, 3):
-        mac = build_macaulay(system, b, "exact")
+        mac = build_macaulay(system, b)
         n_rows = comb(4, 3) * comb(5 + b - 2, b - 1)
-        assert mac.shape == (n_rows, count_Mb(10, 2, 5, b, "general"))
+        assert mac.shape == (n_rows, count_Mb(10, 2, 5, b))
         assert mac.rank() == expected_rank[b] == count_Nb(10, 6, 2, 5, b)
 
 
@@ -147,11 +144,10 @@ def test_macaulay_cumulative_unfolded_ranks():
     assert len(unfolded.equations) == comb(4, 3) * 6
     expected = {1: 24, 2: 138}
     for b in (1, 2):
-        mac = build_macaulay(unfolded, b, "cumulative")
-        assert mac.shape[1] == count_Mb(10, 2, 5, b, "cumulative_f2")
-        n_leq = sum(count_Nb(10, 6, 2, 5, j, f2=True) for j in range(1, b + 1))
-        m_leq = count_Mb(10, 2, 5, b, "cumulative_f2")
-        assert mac.rank() == expected[b] == min(6 * n_leq, m_leq - 1)
+        mac = build_macaulay(unfolded, b)
+        counts = make_counts(2, 10, 6, 2, 5, b)
+        assert mac.shape[1] == counts.M_leq_b
+        assert mac.rank() == expected[b] == min(6 * counts.N_leq_b, counts.M_leq_b - 1)
 
 
 def test_macaulay_apply_matches_equation_evaluation():
@@ -160,14 +156,9 @@ def test_macaulay_apply_matches_equation_evaluation():
         p = RslParams(q=q, m=5, n=8, k=4, r=2, N=3)
         inst, _ = gen_instance(p, 21)
         system = build_system(inst, 2)
-        for mode, b in (("exact", 2), ("cumulative", 1)):
-            if mode == "cumulative" and q == 2:
-                sys_b = unfold_system(system)
-            elif mode == "cumulative":
-                continue  # cumulative is F_2-only
-            else:
-                sys_b = system
-            mac = build_macaulay(sys_b, b, mode)
+        # over F_{q^m} and over F_q; over F_2 the matrix is the squarefree one
+        for sys_b in (system, unfold_system(system)):
+            mac = build_macaulay(sys_b, 2)
             for _ in range(5):
                 lam, _, rT = random_point(p, 2, rng)
                 vec = monomial_vector(mac.col_labels, lam, rT, mac.field)
@@ -185,17 +176,43 @@ def test_macaulay_apply_matches_equation_evaluation():
 
 
 def test_macaulay_cumulative_q3_degree_bound():
-    # the cumulative matrix is F_2-only: above F_2 it raises at every degree
+    # the cumulative matrix is F_2-only: above F_2 every degree is exact
     p = RslParams(q=3, m=5, n=8, k=4, r=2, N=3)
     inst, _ = gen_instance(p, 2)
     system = unfold_system(build_system(inst, 2))
     for b in (1, 2, 3):
-        with pytest.raises(ValueError, match="F_2 only"):
-            build_macaulay(system, b, "cumulative")
+        assert {len(mu) for mu, _ in build_macaulay(system, b).col_labels} == {b}
     with pytest.raises(ValueError):
-        build_macaulay(system, 0, "exact")
-    with pytest.raises(ValueError):
-        build_macaulay(system, 1, "sparse")
+        build_macaulay(system, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_build_macaulay_follows_the_field(q):
+    # squarefree lambda-degrees 1..b over F_2; exact degree b over F_3 and
+    # over F_{2^m}, whose q is 2 as well
+    p = RslParams(q=q, m=5, n=8, k=4, r=2, N=3)
+    inst, _ = gen_instance(p, 21)
+    system = build_system(inst, 2)
+    unfolded = unfold_system(system)
+    n_eqs = len(unfolded.equations)
+    for b in (1, 2, 3):
+        mac = build_macaulay(unfolded, b)
+        degrees = {len(mu) for mu, _ in mac.col_labels}
+        squarefree = all(len(set(mu)) == len(mu) for mu, _ in mac.col_labels)
+        if q == 2:
+            assert degrees == set(range(1, b + 1)) and squarefree
+            assert len(mac.rows) == n_eqs * sum(comb(p.N, d) for d in range(b))
+        else:
+            assert degrees == {b} and squarefree == (b == 1)
+            assert len(mac.rows) == n_eqs * comb(p.N + b - 2, b - 1)
+        assert mac.shape[1] == make_counts(q, p.n, p.k, 2, p.N, b).M_leq_b
+        if q == 2:
+            ext_mac = build_macaulay(system, b)
+            assert {len(mu) for mu, _ in ext_mac.col_labels} == {b}
+            assert ext_mac.shape == (
+                len(system.equations) * comb(p.N + b - 2, b - 1),
+                count_Mb(p.n, 2, p.N, b),
+            )
 
 
 def test_echelonized_leads_distinct_and_recorded():
@@ -252,15 +269,3 @@ def test_syzygies_annihilate_and_are_independent():
     with pytest.raises(ValueError):
         build_syzygies(inst, 3)  # w + 2 exceeds n - k
 
-
-def test_dump_system_format():
-    inst, _ = frozen_instance()
-    system = build_system(inst, 2)
-    buf = io.StringIO()
-    dump_system(system, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == len(system.equations)
-    term = r"\d+(\*l\d+(\^\d+)?)*\*r\{\d+(,\d+)*\}"
-    pattern = re.compile(rf"^J=\d+(,\d+)* : ({term}( \+ {term})*|0)$")
-    for line in lines:
-        assert pattern.match(line), line

@@ -55,7 +55,7 @@ def toy_macaulay(toy):
     strat = strategy_params(TOY, 0)
     sh = shorten(inst, strat.a)
     system = unfold_system(build_system(sh, strat.w))
-    return build_macaulay(system, 1, "cumulative"), strat
+    return build_macaulay(system, 1), strat
 
 
 def random_full_rank(field, w, n, rng):
@@ -108,7 +108,7 @@ def test_rank1_extract_normalizes_outer_product():
     labels = bilinear_labels(4, 4, 2) + [((1, 2), (1, 2))]
     vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels[:-1]] + [2]
     sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, kernel_dim=1, n_lambda=4,
+        field=f, col_labels=labels, vector=vec, n_lambda=4,
     )
     lam_out, rT_out = rank1_extract(sol)
     assert lam_out == [0, 1, 2, 0]
@@ -125,12 +125,12 @@ def test_rank1_extract_rejects_mixed_solutions():
     vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels]
     vec[1] = f.add(vec[1], 1)  # now Z has rank 2
     sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, kernel_dim=1, n_lambda=3,
+        field=f, col_labels=labels, vector=vec, n_lambda=3,
     )
     with pytest.raises(ExtractionError):
         rank1_extract(sol)
     zero = KernelSolution(
-        field=f, col_labels=labels, vector=[0] * len(labels), kernel_dim=1, n_lambda=3,
+        field=f, col_labels=labels, vector=[0] * len(labels), n_lambda=3,
     )
     with pytest.raises(ExtractionError):
         rank1_extract(zero)
@@ -146,7 +146,7 @@ def test_rank1_extract_reads_the_exact_degree_block():
     ]
     vec = [f.mul(f.mul(lam[i - 1], lam[j - 1]), rT[T]) for (i, j), T in labels]
     sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, kernel_dim=1, n_lambda=3,
+        field=f, col_labels=labels, vector=vec, n_lambda=3,
     )
     lam_out, rT_out = rank1_extract(sol)
     assert lam_out == [0, 1, 2]
@@ -166,7 +166,6 @@ def test_solve_linearized_dense(toy_macaulay):
     mac, _ = toy_macaulay
     assert mac.shape == (140, 135)
     sol = solve_linearized(mac)
-    assert sol.kernel_dim == 1
     assert any(sol.vector)
     assert not any(mac.apply(sol.vector))
 
@@ -174,7 +173,7 @@ def test_solve_linearized_dense(toy_macaulay):
 def test_solve_linearized_no_solution(toy):
     inst, _ = toy
     sh = shorten(inst, 4)
-    mac = build_macaulay(unfold_system(build_system(sh, 1)), 1, "cumulative")
+    mac = build_macaulay(unfold_system(build_system(sh, 1)), 1)
     with pytest.raises(NoSolutionError):
         solve_linearized(mac)
 
@@ -208,11 +207,11 @@ def test_planted_point_solves_system(toy):
         assert eq.evaluate(lam, rT) == 0
     unfolded = unfold_system(build_system(sh, strat.w))
     for b in (1, 2):
-        mac = build_macaulay(unfolded, b, "cumulative")
+        mac = build_macaulay(unfolded, b)
         vec = point_vector(mac, lam, rT)
         assert any(vec)
         assert not any(mac.apply(vec))
-    rec = recover_support(sh, lam, Rt, verify_on=inst, strategy=strat, b=1)
+    rec = recover_support(sh, lam, Rt, verify_on=inst)
     assert rec.verified and rec.d == TOY.r
     assert rec.C == witness.support_basis()
 
@@ -223,11 +222,10 @@ def test_toy_kernel_at_b3_is_the_planted_point(toy):
     inst, witness = toy
     strat = strategy_params(TOY, 0)
     sh = shorten(rotate_information_columns(inst, 0), strat.a)
-    sh, _ = truncate_syndromes(sh, strat.N_prime)
-    mac = build_macaulay(unfold_system(build_system(sh, strat.w)), 3, "cumulative")
+    sh = truncate_syndromes(sh, strat.N_prime)
+    mac = build_macaulay(unfold_system(build_system(sh, strat.w)), 3)
     assert mac.shape == (6440, 1935)
     sol = solve_linearized(mac)
-    assert sol.kernel_dim == 1
     lam, rT, _ = planted_solution(witness, strat, TOY.n, TOY.q)
     assert sol.vector == monomial_vector(mac.col_labels, lam, rT, mac.field)
 

@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer still finds every name it wraps, and a
 traced attack still reaches the kernel through those names.  No toolkit
-module imports a name it never uses, and every function, method and class
-it defines is named somewhere else."""
+module imports a name it never uses, every function, method and class it
+defines is named somewhere else, and every function reads every parameter
+it takes."""
 
 import ast
 import builtins
@@ -237,3 +238,62 @@ def test_every_toolkit_definition_is_named_somewhere():
     }
     defining = [label for label in sources if label.startswith("src/rslminors/")]
     assert unreferenced_definitions(sources, defining) == []
+
+
+def _functions(node: ast.AST, in_class: bool = False):
+    """Every function under ``node`` that is not a method: module-level
+    functions and functions nested in a function or a method body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_class:
+            yield child
+        yield from _functions(child, isinstance(child, ast.ClassDef))
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters of the functions in the sources (label -> text) that the
+    function's body never reads.  Methods are exempt: the representations
+    of one protocol share a signature whether or not each reads every
+    argument."""
+    found = []
+    for label, source in sources.items():
+        for fn in _functions(ast.parse(source)):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            found += [
+                f"{label}:{fn.lineno} {fn.name} {a.arg}" for a in params if a.arg not in read
+            ]
+    return found
+
+
+def test_unread_parameters_check_sees_an_unread_parameter():
+    module = (
+        "def f(a, b, *rest, c=1, **kw):\n"
+        "    def inner(x, y):\n"
+        "        return x\n"
+        "    return a + c + len(rest) + len(kw)\n"
+        "class K:\n"
+        "    def method(self, unused):\n"
+        "        def nested(z):\n"
+        "            return 0\n"
+        "        return nested\n"
+    )
+    assert unread_parameters({"a.py": module}) == [
+        "a.py:1 f b",
+        "a.py:2 inner y",
+        "a.py:7 nested z",
+    ]
+
+
+def test_every_function_parameter_is_read():
+    sources = {
+        path.name: path.read_text()
+        for path in sorted((ROOT / "src" / "rslminors").glob("*.py"))
+    }
+    assert unread_parameters(sources) == []
