@@ -5,9 +5,10 @@ tokens of an attached field.  The generic routines (reduced row echelon form,
 determinant, maximal minors) are pure Python and work for any field object.
 Rank, kernel, solve and column-space basis all run on one elimination core,
 ``_echelon``, which picks one of three representations once per call: rows
-bit-packed into uint64 words for F_2, int64 residues for the other prime
-fields, and Zech logarithms for extension fields with tabulated logarithms.
-Any other field goes through the generic ``rref_rows``.
+bit-packed into uint64 words for F_2, residues in the narrowest unsigned
+dtype for the other prime fields below 2^32, and Zech logarithms for
+extension fields with tabulated logarithms.  Any other field goes through
+the generic ``rref_rows``.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -25,9 +26,11 @@ from .fields import ExtensionField, PrimeField
 class FieldMatrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field, rows: Sequence[Sequence[int]]):
+    def __init__(self, field, rows: Sequence[Sequence[int]], ncols: int | None = None):
+        """``ncols`` is needed only when there are no rows to take it from."""
         rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         self.field = field
@@ -37,20 +40,21 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)])
+        return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "FieldMatrix":
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = 1
-        return cls(field, rows)
+        return cls(field, rows, n)
 
     @classmethod
     def random(cls, field, nrows: int, ncols: int, rng) -> "FieldMatrix":
         return cls(
             field,
             [[field.random_element(rng) for _ in range(ncols)] for _ in range(nrows)],
+            ncols,
         )
 
     def __getitem__(self, key) -> int:
@@ -68,12 +72,14 @@ class FieldMatrix:
         return FieldMatrix(
             self.field,
             [[self.rows[i][j] for j in col_idx] for i in row_idx],
+            len(col_idx),
         )
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(
             self.field,
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
+            self.nrows,
         )
 
     def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -82,6 +88,7 @@ class FieldMatrix:
         return FieldMatrix(
             self.field,
             [self.rows[i] + other.rows[i] for i in range(self.nrows)],
+            self.ncols + other.ncols,
         )
 
     def mul(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -101,7 +108,7 @@ class FieldMatrix:
                     b = orow[j]
                     if b:
                         acc[j] = f.add(acc[j], f.mul(a, b))
-        return FieldMatrix(f, out)
+        return FieldMatrix(f, out, other.ncols)
 
     def matvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.ncols:
@@ -255,14 +262,14 @@ class _PackedF2:
     c % 64 of word c // 64.  Every pivot is 1, and a row update is an XOR."""
 
     def encode(self, rows) -> np.ndarray:
-        self.ncols = len(rows[0])
+        ncols = len(rows[0])
         bits = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1, bitorder="little")
-        words = np.zeros((len(rows), (self.ncols + 63) // 64 * 8), dtype=np.uint8)
+        words = np.zeros((len(rows), (ncols + 63) // 64 * 8), dtype=np.uint8)
         words[:, : bits.shape[1]] = bits
         return words.view("<u8")
 
-    def decode(self, row: np.ndarray) -> list[int]:
-        return np.unpackbits(row.view(np.uint8), count=self.ncols, bitorder="little").tolist()
+    def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (a[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
 
     def column(self, a: np.ndarray, c: int) -> np.ndarray:
         return a[:, c >> 6] & np.uint64(1 << (c & 63))
@@ -271,33 +278,42 @@ class _PackedF2:
         pass
 
     def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
-        a[targets] ^= a[r]
+        a[targets, c >> 6 :] ^= a[r, c >> 6 :]
 
 
 class _ModP:
-    """F_p elements as int64 residues; zero is 0."""
+    """F_p elements as residues in ``dtype``, an unsigned type that holds
+    (p-1)^2 + p - 1, the largest value a row update forms; zero is 0.  Every
+    operand is a ``dtype`` scalar or array, so no step leaves the dtype."""
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self, p: int, dtype: np.dtype):
+        self.dtype = dtype
+        self.p = dtype.type(p)
 
     def encode(self, rows) -> np.ndarray:
-        return np.asarray(rows, dtype=np.int64) % self.p
+        # np.array copies even an array already in the dtype, which the
+        # pivot loop then changes in place; np.asarray would not
+        return np.array(rows, dtype=self.dtype)
 
-    def decode(self, row: np.ndarray) -> list[int]:
-        return row.tolist()
+    def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return a[:, cols]
 
     def column(self, a: np.ndarray, c: int) -> np.ndarray:
         return a[:, c] != 0
 
     def normalise(self, a: np.ndarray, r: int, c: int) -> None:
-        p = self.p
+        p = int(self.p)
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
+            a[r, c:] = a[r, c:] * self.dtype.type(inv) % self.p
 
     def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
+        # row - factor * pivot row, as row + (p - factor) * pivot row
         p = self.p
-        a[targets] = (a[targets] - np.outer(a[targets, c], a[r])) % p
+        out = np.multiply.outer(p - a[targets, c], a[r, c:])
+        out += a[targets, c:]
+        out %= p
+        a[targets, c:] = out
 
 
 class _ZechLog:
@@ -312,8 +328,9 @@ class _ZechLog:
     def encode(self, rows) -> np.ndarray:
         return self.t.log[np.asarray(rows, dtype=np.int64)]
 
-    def decode(self, row: np.ndarray) -> list[int]:
-        return np.where(row == -1, 0, self.t.exp[np.where(row == -1, 0, row)]).tolist()
+    def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        logs = a[:, cols]
+        return np.where(logs == -1, 0, self.t.exp[np.where(logs == -1, 0, logs)])
 
     def column(self, a: np.ndarray, c: int) -> np.ndarray:
         return a[:, c] != -1
@@ -321,28 +338,33 @@ class _ZechLog:
     def normalise(self, a: np.ndarray, r: int, c: int) -> None:
         piv = int(a[r, c])
         if piv != 0:
-            row_nz = a[r] != -1
-            a[r, row_nz] = (a[r, row_nz] - piv) % self.qm1
+            row = a[r, c:]
+            row_nz = row != -1
+            row[row_nz] = (row[row_nz] - piv) % self.qm1
 
     def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
         qm1 = self.qm1
-        prow = a[r][None, :]
+        prow = a[r, c:][None, :]
         # log of -(factor * pivot row), then log of target + that product
         prod = np.where(prow == -1, -1, (prow + a[targets, c][:, None] + self.log_m1) % qm1)
-        cur = a[targets]
+        cur = a[targets, c:]
         out = np.where(cur == -1, prod, cur)
         both = (cur != -1) & (prod != -1)
         if np.any(both):
             av = cur[both]
             z = self.t.zech[(prod[both] - av) % qm1]
             out[both] = np.where(z == -1, -1, (av + z) % qm1)
-        a[targets] = out
+        a[targets, c:] = out
 
 
 def _representation(field):
     """The numpy representation the field eliminates in, or None."""
     if isinstance(field, PrimeField):
-        return _PackedF2() if field.q == 2 else _ModP(field.q)
+        if field.q == 2:
+            return _PackedF2()
+        # an object dtype, for p above 2^32, has no fixed width
+        dtype = np.min_scalar_type((field.q - 1) ** 2 + field.q - 1)
+        return _ModP(field.q, dtype) if dtype.kind == "u" else None
     if isinstance(field, ExtensionField):
         tables = field.np_tables()
         if tables is not None:
@@ -352,23 +374,29 @@ def _representation(field):
 
 def _echelon(rows, field, reduced: bool):
     """Row echelon form of ``rows`` over ``field``; reduced (every pivot
-    column a unit vector) when ``reduced`` is set.
+    column a unit vector) when ``reduced`` is set.  ``rows`` is left as it
+    was.
 
-    Returns the nonzero echelon rows and their pivot columns.  The rows come
-    as a lazy iterator of token lists, so a caller that wants only the rank
-    never decodes them.  F_2, the other prime fields and tabulated extension
-    fields share the numpy pivot loop below; each representation supplies the
-    nonzero test of a column, the pivot normalisation and the row update.  Any
-    other field goes through ``rref_rows``.
+    Returns ``read`` and the pivot columns.  ``read(cols)`` gives the nonzero
+    echelon rows restricted to the columns ``cols``, as token lists, so a
+    caller that wants only the rank reads nothing and a kernel reads only
+    the free columns.  F_2, the other prime fields below 2^32 and tabulated
+    extension fields share the numpy pivot loop below; each representation
+    supplies the nonzero test of a column, the pivot normalisation, the row
+    update and the column read.  Normalisation and update touch only the
+    pivot column and those right of it, where the pivot row is nonzero, so
+    they are exact in the reduced form too.  Any other field goes through
+    ``rref_rows``.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if ncols == 0:
-        return iter(()), []
+        return lambda cols: [], []
     rep = _representation(field)
     if rep is None:
         res = rref_rows(rows, field)
-        return iter(res.matrix.rows[: res.rank]), res.pivots
+        ech = res.matrix.rows[: res.rank]
+        return lambda cols: [[row[c] for c in cols] for row in ech], res.pivots
     a = rep.encode(rows)
     pivots: list[int] = []
     r = 0
@@ -391,7 +419,7 @@ def _echelon(rows, field, reduced: bool):
             rep.update(a, targets, r, c)
         pivots.append(c)
         r += 1
-    return map(rep.decode, a[:r]), pivots
+    return lambda cols: rep.read(a[:r], np.asarray(cols, dtype=np.intp)).tolist(), pivots
 
 
 def rank_rows(rows, field) -> int:
@@ -402,17 +430,16 @@ def rank_rows(rows, field) -> int:
 def kernel_rows(rows, field, ncols: int) -> list[list[int]]:
     """Basis of the right kernel {v : M v = 0} of the len(rows) x ncols
     matrix, as token vectors."""
-    ech, pivots = _echelon(rows, field, reduced=True)
-    ech = list(ech)
+    read, pivots = _echelon(rows, field, reduced=True)
     pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    ech = read(free)
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
+    for j, fc in enumerate(free):
         v = [0] * ncols
         v[fc] = 1
         for row, pc in zip(ech, pivots):
-            v[pc] = field.neg(row[fc])
+            v[pc] = field.neg(row[j])
         basis.append(v)
     return basis
 
@@ -421,18 +448,19 @@ def solve_rows(rows, rhs: Sequence[int], field, ncols: int) -> list[int] | None:
     """One solution of M x = rhs in ncols unknowns, or None when the system
     is inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ech, pivots = _echelon(aug, field, reduced=True)
+    read, pivots = _echelon(aug, field, reduced=True)
     if ncols in pivots:
         return None
     x = [0] * ncols
-    for row, pc in zip(ech, pivots):
-        x[pc] = row[ncols]
+    for (b,), pc in zip(read([ncols]), pivots):
+        x[pc] = b
     return x
 
 
 def column_space_basis(mat: FieldMatrix) -> FieldMatrix:
     """Canonical basis of the column space: reduced echelon rows of the
     transpose, transposed back, so equal spaces compare equal."""
-    ech = list(_echelon(mat.transpose().rows, mat.field, reduced=True)[0])
+    read, pivots = _echelon(mat.transpose().rows, mat.field, reduced=True)
+    ech = read(range(mat.nrows))
     cols = [[row[i] for row in ech] for i in range(mat.nrows)]
-    return FieldMatrix(mat.field, cols)
+    return FieldMatrix(mat.field, cols, len(pivots))

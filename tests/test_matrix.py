@@ -5,6 +5,7 @@ elimination core against the plain ``rref_rows`` oracle."""
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from rslminors.fields import extension_field, prime_field
@@ -138,7 +139,8 @@ def planted_rank(field, nr, nc, rank, rng):
 
 
 # (rows, columns, planted rank); a planted rank of None keeps the matrix random.
-# The last four cross the 64-column words that F_2 rows are packed into.
+# The last four before MINUS_ONES cross the 64-column words that F_2 rows are
+# packed into.
 SHAPES = [
     (0, 5, None),
     (3, 0, None),
@@ -155,6 +157,25 @@ SHAPES = [
     (130, 70, None),
     (90, 129, 50),
 ]
+# Entries -1 apart from 1s in column 0 and on the leading diagonal of the
+# first `rank` rows, which span the row space.  Over F_p the first update
+# forms (p-1) + (p-1)^2, the largest value the residue dtype must hold.
+MINUS_ONES = (24, 30, 6)
+SHAPES.append(MINUS_ONES)
+
+
+def minus_ones(field, nr, nc, rank):
+    m1 = field.neg(field.one)
+    return [
+        [1 if j == 0 or i == j < rank else m1 for j in range(nc)] for i in range(nr)
+    ]
+
+
+# The elimination core keeps F_p residues in the narrowest unsigned dtype that
+# holds (p-1)^2 + p - 1: 13 is the largest prime in uint8, 17 the smallest in
+# uint16 and 257 the smallest in uint32.
+ORACLE_FIELDS = FIELDS + [prime_field(13), prime_field(17), prime_field(257)]
+ORACLE_IDS = IDS + ["gf13", "gf17", "gf257"]
 
 
 def oracle_kernel(rows, ncols, field):
@@ -171,22 +192,24 @@ def oracle_kernel(rows, ncols, field):
     return basis
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=ORACLE_IDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c, _ in SHAPES])
 def test_elimination_core_matches_rref_oracle(field, shape):
     nr, nc, rank = shape
     rng = random.Random(61 * nr + nc)
     for _ in range(2):
-        if rank is None:
+        if shape == MINUS_ONES:
+            rows = minus_ones(field, nr, nc, rank)
+        elif rank is None:
             rows = FieldMatrix.random(field, nr, nc, rng).rows
         else:
             rows = planted_rank(field, nr, nc, rank, rng)
         res = rref_rows(rows, field)
-        reduced, pivots = _echelon(rows, field, reduced=True)
+        read, pivots = _echelon(rows, field, reduced=True)
         assert pivots == res.pivots
-        assert list(reduced) == res.matrix.rows[: res.rank]
-        echelon, pivots = _echelon(rows, field, reduced=False)
-        echelon = list(echelon)
+        assert read(range(nc)) == res.matrix.rows[: res.rank]
+        read, pivots = _echelon(rows, field, reduced=False)
+        echelon = read(range(nc))
         assert pivots == res.pivots
         # an echelon form of the same row space: unit pivots, zeros below
         # and to the left of each pivot, and the oracle's reduced form
@@ -203,17 +226,56 @@ def test_elimination_core_matches_rref_oracle(field, shape):
         aug = [row + [b] for row, b in zip(rows, rhs)]
         aug_res = rref_rows(aug, field)
         x = solve_rows(rows, rhs, field, nc)
+        m = FieldMatrix(field, rows, nc)
         if nc in aug_res.pivots:
             assert x is None
         else:
             assert x is not None and len(x) == nc
-            if nr:
-                assert FieldMatrix(field, rows).matvec(x) == rhs
-        m = FieldMatrix(field, rows)
+            assert m.matvec(x) == rhs
         want = rref_rows(m.transpose().rows, field)
         basis = column_space_basis(m)
         assert (basis.nrows, basis.ncols) == (nr, want.rank)
         assert basis.transpose().rows == want.matrix.rows[: want.rank]
+
+
+@pytest.mark.parametrize("p", [4294967291, 4294967311])
+def test_large_primes_match_rref_oracle(p):
+    # the largest prime below 2^32 eliminates in uint64, the smallest above
+    # it goes through rref_rows; int64 residues overflowed on both
+    field = prime_field(p)
+    rng = random.Random(p)
+    for _ in range(20):
+        rows = planted_rank(field, 6, 6, 5, rng)
+        assert rank_rows(rows, field) == rref_rows(rows, field).rank
+        assert kernel_rows(rows, field, 6) == oracle_kernel(rows, 6, field)
+
+
+@pytest.mark.parametrize(
+    "field, dtype",
+    [
+        (prime_field(2), np.uint8),
+        (prime_field(3), np.uint8),
+        (prime_field(17), np.uint16),
+        (prime_field(257), np.uint32),
+        (extension_field(3, 2), np.int64),
+    ],
+    ids=["gf2", "gf3", "gf17", "gf257", "gf9"],
+)
+def test_elimination_leaves_the_callers_rows_alone(field, dtype):
+    # an ndarray already in the elimination dtype is the case np.asarray
+    # would hand to the pivot loop without a copy
+    rng = random.Random(71)
+    rows = planted_rank(field, 10, 12, 6, rng)
+    rhs = [field.random_element(rng) for _ in range(10)]
+    want = [list(r) for r in rows]
+    arr = np.array(rows, dtype=dtype)
+    for given in (rows, arr):
+        _echelon(given, field, reduced=True)
+        _echelon(given, field, reduced=False)
+        kernel_rows(given, field, 12)
+        solve_rows(given, rhs, field, 12)
+    assert rows == want
+    assert arr.tolist() == want
 
 
 def test_maximal_minors_match_oracle():
