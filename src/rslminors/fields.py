@@ -15,8 +15,11 @@ monic irreducible modulus can be supplied explicitly.
 
 Fields with at most 2**20 elements build exponent/logarithm/Zech tables on
 first use; these back both scalar arithmetic and the vectorized elimination
-kernels in :mod:`rslminors.matrix`.  Larger fields fall back to polynomial
-arithmetic, which is slower but has no size limit.
+kernels in :mod:`rslminors.matrix`.  With tables every operation is O(1): a
+product adds logarithms, a sum a + b = a * (1 + b/a) adds 1 to the lowest
+digit of b/a, and -a multiplies by -1 = g**((Q-1)/2).  Larger fields fall
+back to digit-wise sums and polynomial products, which are slower but have no
+size limit.
 """
 
 from __future__ import annotations
@@ -229,7 +232,13 @@ class _Tables:
 
 
 class ExtensionField:
-    """The field F_{q^m} = GF(q)[z] / (modulus)."""
+    """The field F_{q^m} = GF(q)[z] / (modulus).
+
+    Up to TABLE_LIMIT elements, add, neg, sub, mul and inv are a few lookups
+    in the exponent and logarithm tables (over q = 2, add and sub are XOR and
+    neg is the identity); above it, add and neg loop over the base-q digits
+    and mul multiplies polynomials.
+    """
 
     def __init__(self, q: int, m: int, modulus: Sequence[int] | None = None):
         if m < 1:
@@ -281,6 +290,16 @@ class ExtensionField:
         if self.q == 2:
             return a ^ b
         q = self.q
+        t = self._tables or self.np_tables()
+        if t is not None:
+            if a == 0 or b == 0:
+                return a or b
+            # a + b = a * (1 + b/a), and 1 + x adds 1 mod q to the lowest digit of x
+            log, exp = t.log_list, t.exp_list
+            la = log[a]
+            x = exp[(log[b] - la) % (self.order - 1)]
+            x += 1 - q if x % q == q - 1 else 1
+            return exp[(la + log[x]) % (self.order - 1)] if x else 0
         out = 0
         shift = 1
         while a or b:
@@ -291,8 +310,12 @@ class ExtensionField:
         return out
 
     def neg(self, a: int) -> int:
-        if self.q == 2:
+        if self.q == 2 or a == 0:
             return a
+        t = self._tables or self.np_tables()
+        if t is not None:
+            # -1 = g**((Q-1)/2) for odd Q
+            return t.exp_list[(t.log_list[a] + (self.order - 1) // 2) % (self.order - 1)]
         q = self.q
         out = 0
         shift = 1
@@ -308,9 +331,7 @@ class ExtensionField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        t = self._tables
-        if t is None and self.order <= TABLE_LIMIT:
-            t = self._ensure_tables()
+        t = self._tables or self.np_tables()
         if t is not None:
             if a == 0 or b == 0:
                 return 0
@@ -328,9 +349,7 @@ class ExtensionField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        t = self._tables
-        if t is None and self.order <= TABLE_LIMIT:
-            t = self._ensure_tables()
+        t = self._tables or self.np_tables()
         if t is not None:
             return t.exp_list[(self.order - 1 - t.log_list[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
@@ -420,8 +439,8 @@ class ExtensionField:
         return self._tables
 
     def np_tables(self) -> _Tables | None:
-        """Tables for the vectorized elimination kernels, or None when the
-        field is too large to tabulate."""
+        """Tables for scalar arithmetic and the vectorized elimination
+        kernels, or None when the field is too large to tabulate."""
         if self.order > TABLE_LIMIT:
             return None
         return self._ensure_tables()

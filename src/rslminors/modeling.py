@@ -22,13 +22,14 @@ grevlex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
 from .fields import prime_field
 from .instance import RslInstance
-from .matrix import det_rows, rank_rows
+from .matrix import rank_rows
 
 LamMono = tuple[int, ...]
 MinorIndex = tuple[int, ...]
@@ -107,39 +108,7 @@ def build_QJ(inst: RslInstance, J: Iterable[int], w: int) -> BilinearEquation:
     y_i[t] * (-1)^(1+pos(t)) * |H|_{J, T u {t}} over the choices of the extra
     column t.
     """
-    p = inst.params
-    ext = inst.field
-    k, nk = p.k, p.n - p.k
-    J = tuple(sorted(J))
-    if len(J) != w + 1 or J[0] < 1 or J[-1] > nk:
-        raise ValueError(f"J must be a (w+1)-subset of 1..{nk}, got {J}")
-    if not 0 < w <= p.r:
-        raise ValueError(f"weight must be in 1..r, got {w}")
-    rows0 = [j - 1 for j in J]
-    ground = list(range(1, k + 1)) + [j + k for j in J]
-    y = [inst.y_vector(i) for i in range(p.N)]
-    terms: dict[Monomial, int] = {}
-    for T0 in combinations(ground, w + 1):
-        minor = det_rows([[inst.H[u, t - 1] for t in T0] for u in rows0], ext)
-        if minor == 0:
-            continue
-        neg_minor = ext.neg(minor)
-        for u, t in enumerate(T0, start=1):
-            if t <= k:
-                continue  # y_i is zero on the first k coordinates
-            coeff = minor if u % 2 == 1 else neg_minor
-            T = T0[:u - 1] + T0[u:]
-            for i in range(p.N):
-                yv = y[i][t - 1]
-                if yv == 0:
-                    continue
-                key = ((i + 1,), T)
-                acc = ext.add(terms.get(key, ext.zero), ext.mul(yv, coeff))
-                if acc:
-                    terms[key] = acc
-                elif key in terms:
-                    del terms[key]
-    return BilinearEquation(field=ext, terms=terms, J=J)
+    return _minor_equations(inst, [J], w)[0]
 
 
 def build_system(inst: RslInstance, w: int) -> BilinearSystem:
@@ -148,10 +117,56 @@ def build_system(inst: RslInstance, w: int) -> BilinearSystem:
     nk = p.n - p.k
     if not 0 < w < nk:
         raise ValueError(f"need 0 < w < n-k, got w={w}")
-    eqs = [build_QJ(inst, J, w) for J in combinations(range(1, nk + 1), w + 1)]
-    return BilinearSystem(
-        field=inst.field, n_cols=p.n, n_lambda=p.N, w=w, equations=eqs
-    )
+    eqs = _minor_equations(inst, combinations(range(1, nk + 1), w + 1), w)
+    return BilinearSystem(field=inst.field, n_cols=p.n, n_lambda=p.N, w=w, equations=eqs)
+
+
+def _minor_equations(inst: RslInstance, Js: Iterable, w: int) -> list[BilinearEquation]:
+    """build_QJ for every J, with one memo of the minors of H: each is a
+    Laplace expansion along its first row, so the sub-minors on rows J[1:]
+    are shared by every J with that tail.  For t > k, y_i[t] = S[t-k, i]."""
+    p = inst.params
+    ext, H, S = inst.field, inst.H.rows, inst.S.rows
+    k, nk = p.k, p.n - p.k
+    if not 0 < w <= p.r:
+        raise ValueError(f"weight must be in 1..r, got {w}")
+
+    @functools.cache
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        top = H[rows[0] - 1]
+        if len(rows) == 1:
+            return top[cols[0] - 1]
+        d = ext.zero
+        for u, c in enumerate(cols):
+            if top[c - 1]:
+                term = ext.mul(top[c - 1], minor(rows[1:], cols[:u] + cols[u + 1:]))
+                d = ext.add(d, ext.neg(term) if u % 2 else term)
+        return d
+
+    out = []
+    for J in Js:
+        J = tuple(sorted(J))
+        if len(J) != w + 1 or J[0] < 1 or J[-1] > nk:
+            raise ValueError(f"J must be a (w+1)-subset of 1..{nk}, got {J}")
+        coeffs: dict[MinorIndex, list[int]] = {}
+        for T0 in combinations(list(range(1, k + 1)) + [j + k for j in J], w + 1):
+            if T0[-1] <= k:
+                continue  # y_i is zero on the first k coordinates
+            d = minor(J, T0)
+            if d == 0:
+                continue
+            neg_d = ext.neg(d)
+            for u, t in enumerate(T0):
+                if t <= k:
+                    continue
+                coeff = neg_d if u % 2 else d
+                acc = coeffs.setdefault(T0[:u] + T0[u + 1:], [ext.zero] * p.N)
+                for i, s in enumerate(S[t - k - 1]):
+                    if s:
+                        acc[i] = ext.add(acc[i], ext.mul(s, coeff))
+        terms = {((i + 1,), T): c for T, cs in coeffs.items() for i, c in enumerate(cs) if c}
+        out.append(BilinearEquation(field=ext, terms=terms, J=J))
+    return out
 
 
 def unfold_system(system: BilinearSystem) -> BilinearSystem:
@@ -170,13 +185,7 @@ def unfold_system(system: BilinearSystem) -> BilinearSystem:
                     digit_terms[jd][key] = d
         for jd in range(ext.m):
             out.append(BilinearEquation(field=fq, terms=digit_terms[jd], J=eq.J))
-    return BilinearSystem(
-        field=fq,
-        n_cols=system.n_cols,
-        n_lambda=system.n_lambda,
-        w=system.w,
-        equations=out,
-    )
+    return replace(system, field=fq, equations=out)
 
 
 def _sequential_elim(rows: list[list[int]], field) -> tuple[list[list[int]], list[int]]:
@@ -254,14 +263,7 @@ def echelonize_tildeQ(
                     del terms[key]
         out_eqs.append(BilinearEquation(field=ext, terms=terms, J=J))
         leads.append(((lead[j1 - 1] + 1,), tuple(t + p.k for t in I)))
-    transformed = BilinearSystem(
-        field=ext,
-        n_cols=system.n_cols,
-        n_lambda=system.n_lambda,
-        w=system.w,
-        equations=out_eqs,
-    )
-    return transformed, leads
+    return replace(system, equations=out_eqs), leads
 
 
 def lambda_monomials(n_lambda: int, degree: int, squarefree: bool) -> list[LamMono]:
@@ -329,55 +331,53 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     the squarefree matrix of lambda-degrees 1..b over F_2, the matrix of
     lambda-degree exactly b over any other field (F_{2^m} included).
 
-    Rows are grouped by equation, multipliers in descending monomial order;
-    columns are sorted descending.  Column sets are enumerated in full from
-    (n_cols, n_lambda, w), independent of which monomials actually occur.
+    Rows are grouped by equation, multipliers in descending monomial order.
+    Columns are enumerated in full from (n_cols, n_lambda, w), descending:
+    by degree d, then minor T, then grevlex, so (mu, T) sits at column
+    off[d] + tpos[T] * (number of degree-d mu) + (position of mu), read from
+    a table of multiplier x lambda_i products without hashing a monomial.
+    The equations must be bilinear.  Above F_2 the products of one multiplier
+    with distinct terms are distinct; over F_2 lambda_i * mu = mu for i in
+    mu, and colliding terms add (XOR).
     """
     if b < 1:
         raise ValueError("b must be at least 1")
     f = system.field
     squarefree = f == prime_field(2)
     N = system.n_lambda
-    col_degs = list(range(1, b + 1)) if squarefree else [b]
-    minors = [tuple(T) for T in combinations(range(1, system.n_cols + 1), system.w)]
-    col_labels: list[Monomial] = [
-        (mu, T)
-        for d in col_degs
-        for mu in lambda_monomials(N, d, squarefree)
-        for T in minors
+    mus = [
+        sorted(lambda_monomials(N, d, squarefree), key=lambda mu: grevlex_subkey(mu, N))[::-1]
+        for d in range(b + 1)
     ]
-    col_labels.sort(key=lambda mono: monomial_key(mono, N), reverse=True)
-    col_idx = {mono: i for i, mono in enumerate(col_labels)}
-    mult_degs = list(range(b)) if squarefree else [b - 1]
-    multipliers = [mu for d in mult_degs for mu in lambda_monomials(N, d, squarefree)]
-    multipliers.sort(key=lambda mu: (len(mu), grevlex_subkey(mu, N)), reverse=True)
+    mupos = {mu: i for ms in mus for i, mu in enumerate(ms)}
+    minors = list(combinations(range(1, system.n_cols + 1), system.w))[::-1]
+    tpos = {T: i for i, T in enumerate(minors)}
+    degs = range(b, 0 if squarefree else b - 1, -1)
+    col_labels = [(mu, T) for d in degs for T in minors for mu in mus[d]]
+    off = [len(minors) * sum(map(len, mus[d + 1:])) for d in range(b + 1)]
+    multipliers = [mu for d in degs for mu in mus[d - 1]]
+    places = []  # places[row][i - 1]: first column and T-stride of lambda_i * multiplier
+    for mu in multipliers:
+        prods = [sorted(set(mu) | {i} if squarefree else mu + (i,)) for i in range(1, N + 1)]
+        places.append([(off[len(pr)] + mupos[tuple(pr)], len(mus[len(pr)])) for pr in prods])
     rows: list[dict[int, int]] = []
-    row_labels: list[tuple[LamMono, Optional[tuple[int, ...]]]] = []
     for eq in system.equations:
-        for mu in multipliers:
-            row: dict[int, int] = {}
-            for (lam, T), c in eq.terms.items():
-                if squarefree:
-                    prod = tuple(sorted(set(mu) | set(lam)))
-                else:
-                    prod = tuple(sorted(mu + lam))
-                idx = col_idx[(prod, T)]
-                acc = f.add(row.get(idx, f.zero), c)
-                if acc:
-                    row[idx] = acc
-                elif idx in row:
-                    del row[idx]
+        terms = [(i - 1, tpos[T], c) for ((i,), T), c in eq.terms.items()]
+        for place in places:
+            if squarefree:
+                row: dict[int, int] = {}
+                for i, tp, c in terms:
+                    idx = place[i][0] + tp * place[i][1]
+                    acc = row.pop(idx, 0) ^ c
+                    if acc:
+                        row[idx] = acc
+            else:
+                row = {place[i][0] + tp * place[i][1]: c for i, tp, c in terms}
             rows.append(row)
-            row_labels.append((mu, eq.J))
     return MacaulayMatrix(
-        field=f,
-        b=b,
-        n_lambda=N,
-        n_cols_R=system.n_cols,
-        w=system.w,
-        row_labels=row_labels,
-        col_labels=col_labels,
-        rows=rows,
+        field=f, b=b, n_lambda=N, n_cols_R=system.n_cols, w=system.w,
+        row_labels=[(mu, eq.J) for eq in system.equations for mu in multipliers],
+        col_labels=col_labels, rows=rows,
     )
 
 

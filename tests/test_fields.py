@@ -1,11 +1,13 @@
 """Field arithmetic: exhaustive axioms on tiny fields, a schoolbook
-polynomial oracle for the extension arithmetic, and encoding round trips."""
+polynomial oracle for the extension products, a digit-wise oracle for the
+extension sums and negations, and encoding round trips."""
 
 import random
 
 import pytest
 
 from rslminors.fields import (
+    TABLE_LIMIT,
     ExtensionField,
     default_modulus,
     extension_field,
@@ -87,6 +89,56 @@ def test_extension_mul_matches_oracle_untabled():
         assert ext.mul(a, b) == want
         if a:
             assert ext.mul(a, ext.inv(a)) == 1
+
+
+def digitwise_add(ext, a, b):
+    """Oracle: a + b coordinate by coordinate over F_q."""
+    return ext.fold(tuple((x + y) % ext.q for x, y in zip(ext.unfold(a), ext.unfold(b))))
+
+
+def digitwise_neg(ext, a):
+    return ext.fold(tuple(-x % ext.q for x in ext.unfold(a)))
+
+
+def check_add_neg_sub(ext, a, b):
+    want = digitwise_add(ext, a, b)
+    assert ext.add(a, b) == want
+    assert ext.neg(b) == digitwise_neg(ext, b)
+    assert ext.sub(a, b) == digitwise_add(ext, a, digitwise_neg(ext, b))
+    return want
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_table_sums_match_digitwise_oracle_on_all_pairs(q, m):
+    # every pair, so b = -a, where 1 + b/a is zero, is covered for every a
+    ext = extension_field(q, m)
+    assert ext.np_tables() is not None
+    zeros = 0
+    for a in range(ext.order):
+        for b in range(ext.order):
+            zeros += check_add_neg_sub(ext, a, b) == 0
+    assert zeros == ext.order
+
+
+def test_table_sums_match_digitwise_oracle_on_f3_12():
+    ext = extension_field(3, 12)
+    assert ext.np_tables() is not None
+    rng = random.Random(312)
+    for _ in range(10**4):
+        a = rng.randrange(ext.order)
+        check_add_neg_sub(ext, a, rng.randrange(ext.order))
+        check_add_neg_sub(ext, a, digitwise_neg(ext, a))
+
+
+def test_untabulated_sums_match_digitwise_oracle():
+    # 3^13 exceeds the lookup-table limit, so sums and negations loop over digits
+    ext = extension_field(3, 13)
+    assert ext.order > TABLE_LIMIT and ext.np_tables() is None
+    rng = random.Random(313)
+    for _ in range(500):
+        a = rng.randrange(ext.order)
+        check_add_neg_sub(ext, a, rng.randrange(ext.order))
+        assert ext.add(a, digitwise_neg(ext, a)) == 0
 
 
 @pytest.mark.parametrize("q,m", [(2, 6), (3, 4)])

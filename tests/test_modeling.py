@@ -1,6 +1,7 @@
 """Bilinear system construction checked against direct determinant
-evaluation, the monomial order, Macaulay shapes and ranks, and the
-structural relations."""
+evaluation and term by term against per-minor determinants, the monomial
+order, Macaulay matrices against a dict-of-tuples reference build, Macaulay
+shapes and ranks, and the structural relations."""
 
 import random
 from itertools import combinations
@@ -10,7 +11,15 @@ import pytest
 
 from rslminors.estimator import count_Mb, count_Nb, make_counts
 from rslminors.fields import prime_field
-from rslminors.instance import RslInstance, RslParams, check_assumption1, gen_instance
+from rslminors.instance import (
+    RslInstance,
+    RslParams,
+    check_assumption1,
+    gen_instance,
+    shorten,
+    strategy_params,
+    truncate_syndromes,
+)
 from rslminors.matrix import FieldMatrix, det_rows, rank_rows
 from rslminors.modeling import (
     RankAssumptionError,
@@ -27,6 +36,7 @@ from rslminors.modeling import (
     syzygy_stack_rows,
     unfold_system,
 )
+from rslminors.verification import sample_family
 
 
 def minor_direct(inst, J, w, lam_values, R):
@@ -78,6 +88,34 @@ def test_minor_equations_match_direct_determinants(q):
         for _ in range(3):
             lam, R, rT = random_point(p, w, rng)
             assert eq.evaluate(lam, rT) == minor_direct(inst, J, w, lam, R)
+
+
+def minor_terms_reference(inst, J, w):
+    """Oracle: Q_J summed term by term over every (w+1)-subset T0 of all n
+    columns, each minor |H|_{J,T0} from det_rows."""
+    p, ext = inst.params, inst.field
+    ys = [inst.y_vector(i) for i in range(p.N)]
+    terms = {}
+    for T0 in combinations(range(1, p.n + 1), w + 1):
+        minor = det_rows([[inst.H[j - 1, t - 1] for t in T0] for j in J], ext)
+        for u, t in enumerate(T0):
+            coeff = ext.neg(minor) if u % 2 else minor
+            for i in range(p.N):
+                key = ((i + 1,), T0[:u] + T0[u + 1:])
+                terms[key] = ext.add(terms.get(key, ext.zero), ext.mul(ys[i][t - 1], coeff))
+    return {key: c for key, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_minor_equations_match_per_minor_determinants_exactly(q):
+    p = RslParams(q=q, m=5, n=8, k=4, r=3, N=4)
+    for w in (1, 2, 3):
+        inst, _ = gen_instance(p, 50 + w)
+        system = build_system(inst, w)
+        assert [eq.J for eq in system.equations] == list(combinations(range(1, 5), w + 1))
+        for eq in system.equations:
+            assert eq.terms == minor_terms_reference(inst, eq.J, w)
+            assert build_QJ(inst, eq.J, w).terms == eq.terms
 
 
 def test_build_qj_validation():
@@ -213,6 +251,87 @@ def test_build_macaulay_follows_the_field(q):
                 len(system.equations) * comb(p.N + b - 2, b - 1),
                 count_Mb(p.n, 2, p.N, b),
             )
+
+
+def macaulay_reference(system, b):
+    """Oracle: the Macaulay build with every column label sorted by
+    monomial_key and every entry looked up in a dict keyed by (mu, T).
+    Returns (col_labels, row_labels, rows)."""
+    f = system.field
+    squarefree = f == prime_field(2)
+    N = system.n_lambda
+    col_degs = list(range(1, b + 1)) if squarefree else [b]
+    minors = list(combinations(range(1, system.n_cols + 1), system.w))
+    col_labels = [
+        (mu, T) for d in col_degs for mu in lambda_monomials(N, d, squarefree) for T in minors
+    ]
+    col_labels.sort(key=lambda mono: monomial_key(mono, N), reverse=True)
+    col_idx = {mono: i for i, mono in enumerate(col_labels)}
+    mult_degs = list(range(b)) if squarefree else [b - 1]
+    multipliers = [mu for d in mult_degs for mu in lambda_monomials(N, d, squarefree)]
+    multipliers.sort(key=lambda mu: (len(mu), grevlex_subkey(mu, N)), reverse=True)
+    rows, row_labels = [], []
+    for eq in system.equations:
+        for mu in multipliers:
+            row = {}
+            for (lam, T), c in eq.terms.items():
+                prod = tuple(sorted(set(mu) | set(lam))) if squarefree else tuple(sorted(mu + lam))
+                idx = col_idx[(prod, T)]
+                acc = f.add(row.get(idx, f.zero), c)
+                if acc:
+                    row[idx] = acc
+                else:
+                    row.pop(idx, None)
+            rows.append(row)
+            row_labels.append((mu, eq.J))
+    return col_labels, row_labels, rows
+
+
+def assert_macaulay_matches_reference(system, b):
+    mac = build_macaulay(system, b)
+    col_labels, row_labels, rows = macaulay_reference(system, b)
+    assert mac.col_labels == col_labels
+    assert mac.row_labels == row_labels
+    assert mac.rows == rows
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_macaulay_matches_reference_over_f_q(q):
+    # squarefree degrees 1..b over F_2, where lambda_i * mu = mu for i in mu
+    # makes terms collide; exact degree b over F_3
+    p = RslParams(q=q, m=5, n=8, k=4, r=3, N=4)
+    for w in (1, 2):
+        inst, _ = gen_instance(p, 60 + w)
+        unfolded = unfold_system(build_system(inst, w))
+        for b in (1, 2, 3):
+            assert_macaulay_matches_reference(unfolded, b)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_macaulay_matches_reference_over_extension_fields(q):
+    rng = random.Random(70 + q)
+    for _ in range(4):
+        params, w = sample_family(rng, q)
+        inst, _ = gen_instance(params, rng.randrange(1000))
+        system = build_system(inst, w)
+        for b in (2, 3):
+            assert_macaulay_matches_reference(system, b)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [dict(q=2, m=12, n=10, k=5, r=2, N=9), dict(q=3, m=12, n=17, k=7, r=2, N=13)],
+    ids=["attack_f2", "attack_f3"],
+)
+def test_macaulay_matches_reference_on_attack_shapes(shape):
+    # the system the attack builds: shortened, truncated, unfolded
+    p = RslParams(**shape)
+    strategy = strategy_params(p, 0)
+    inst, _ = gen_instance(p, 0)
+    sh = truncate_syndromes(shorten(inst, strategy.a), strategy.N_prime)
+    unfolded = unfold_system(build_system(sh, strategy.w))
+    for b in (1, 2):
+        assert_macaulay_matches_reference(unfolded, b)
 
 
 def test_echelonized_leads_distinct_and_recorded():
