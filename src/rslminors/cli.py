@@ -9,13 +9,16 @@ attack that ends without a verified support; 64 usage error.
 from __future__ import annotations
 
 import argparse
+import ast
 import inspect
 import json
+import operator
 import re
 import sys
 from typing import Optional
 
 from .estimator import delta_max, ghpt_cost, optimize, run_table2
+from .fields import is_prime
 from .instance import RslParams, gen_instance, strategy_params
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .solver import attack
@@ -36,11 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 _TOKEN = re.compile(r"\s*(\d+|[kr()+*-])")
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
 def eval_n_expression(text: str, k: int, r: int) -> int:
     """Evaluate an expression over {k, r, integers, +, -, *} with parentheses,
-    e.g. "k*(r-1)"."""
+    e.g. "k*(r-1)".  The lexer admits only those tokens, so Python's parser
+    never sees "0x10", "1_0" or a newline; a number token is read in decimal,
+    so "09" is nine."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -51,60 +57,22 @@ def eval_n_expression(text: str, k: int, r: int) -> int:
             break
         tokens.append(mo.group(1))
         pos = mo.end()
-    if not tokens:
-        raise ValueError("empty expression")
-    idx = 0
+    source = " ".join(str(int(t)) if t.isdigit() else t for t in tokens)
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError:
+        raise ValueError(f"not an expression: {text.strip()!r}") from None
 
-    def peek() -> Optional[str]:
-        return tokens[idx] if idx < len(tokens) else None
+    def value(node: ast.AST) -> int:
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            return _OPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.Name) and node.id in ("k", "r"):
+            return k if node.id == "k" else r
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        raise ValueError(f"unexpected {ast.unparse(node)!r} in {text.strip()!r}")
 
-    def take() -> str:
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def atom() -> int:
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok == "(":
-            take()
-            v = expr()
-            if peek() != ")":
-                raise ValueError("missing closing parenthesis")
-            take()
-            return v
-        if tok == "k":
-            take()
-            return k
-        if tok == "r":
-            take()
-            return r
-        if tok.isdigit():
-            return int(take())
-        raise ValueError(f"unexpected token {tok!r}")
-
-    def term() -> int:
-        v = atom()
-        while peek() == "*":
-            take()
-            v *= atom()
-        return v
-
-    def expr() -> int:
-        v = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                v += term()
-            else:
-                v -= term()
-        return v
-
-    value = expr()
-    if idx != len(tokens):
-        raise ValueError(f"trailing tokens from {tokens[idx]!r}")
-    return value
+    return value(tree.body)
 
 
 def _emit(report: dict, fmt: str, out_path: Optional[str], text_lines: list[str]) -> None:
@@ -137,6 +105,12 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
+
+
+def _prime(text: str) -> int:
+    if not text.isdigit() or not is_prime(int(text)):
+        raise argparse.ArgumentTypeError(f"must be prime, got {text!r}")
     return int(text)
 
 
@@ -454,8 +428,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("suite", choices=tuple(SUITES))
     p_ver.add_argument("--trials", type=_positive_int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--q", type=int, default=None, help="restrict to one base field")
-    p_ver.add_argument("--b", type=int, default=None, help="restrict to one degree")
+    p_ver.add_argument("--q", type=_prime, default=None, help="restrict to one base field")
+    p_ver.add_argument("--b", type=_positive_int, default=None, help="restrict to one degree")
     p_ver.add_argument(
         "--quarantine-dir",
         default=".",

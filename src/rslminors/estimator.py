@@ -147,8 +147,6 @@ class CostReport:
     alpha_C: int
     alpha_lambda: int
     algorithm: str
-    log2_strassen: float
-    log2_wiedemann: float
     log2_cost: float
     feasible: bool
     counts: CountSet
@@ -202,8 +200,6 @@ def bit_cost(
         alpha_C=alpha_C,
         alpha_lambda=alpha_lambda,
         algorithm=algorithm,
-        log2_strassen=strassen,
-        log2_wiedemann=wiedemann,
         log2_cost=strassen if algorithm == "strassen" else wiedemann,
         feasible=is_feasible(params, counts, b),
         counts=counts,
@@ -214,7 +210,6 @@ def bit_cost(
 class CodewordStats:
     """Moments of the number of weight-w words in the error-span code."""
 
-    sphere: int
     expectation: Fraction
     variance: Fraction
 
@@ -226,11 +221,7 @@ def codeword_stats(q: int, r: int, n: int, N: int, w: int) -> CodewordStats:
     scale = Fraction(q) ** (N - r * n)
     expectation = S * scale
     variance = S * (q - 1) * (scale - scale * scale)
-    return CodewordStats(
-        sphere=S,
-        expectation=expectation,
-        variance=variance,
-    )
+    return CodewordStats(expectation=expectation, variance=variance)
 
 
 def delta_max(params: RslParams) -> int:
@@ -271,10 +262,6 @@ def ghpt_cost(m: int, n: int, k: int, N: int, w: int, q: int = 2) -> GhptCost:
 class OptimizeResult:
     best: Optional[CostReport]
     rows: list[CostReport]
-
-    def best_for_delta(self, delta: int) -> Optional[CostReport]:
-        picks = [r for r in self.rows if r.delta == delta]
-        return min(picks, key=lambda r: r.log2_cost) if picks else None
 
 
 def optimize(

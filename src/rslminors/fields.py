@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ import numpy as np
 TABLE_LIMIT = 1 << 20
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < 4:
@@ -56,7 +56,7 @@ class PrimeField:
     __slots__ = ("q", "order")
 
     def __init__(self, q: int):
-        if not _is_prime(q):
+        if not is_prime(q):
             raise ValueError(f"field characteristic must be prime, got {q}")
         self.q = q
         self.order = q
@@ -81,14 +81,8 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.q - 2, self.q)
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.q)
-
     def random_element(self, rng) -> int:
         return rng.randrange(self.q)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q

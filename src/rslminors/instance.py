@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .fields import ExtensionField, extension_field, prime_field
+from .fields import ExtensionField, extension_field, is_prime, prime_field
 from .matrix import FieldMatrix, column_space_basis, rank_rows
 
 
@@ -32,8 +32,8 @@ class RslParams:
     N: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("q must be at least 2")
+        if not is_prime(self.q):
+            raise ValueError(f"q must be prime, got {self.q}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not 0 < self.k < self.n:

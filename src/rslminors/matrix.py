@@ -1,8 +1,9 @@
 """Dense exact linear algebra over the fields in :mod:`rslminors.fields`.
 
 ``FieldMatrix`` is a small row-major dense matrix whose entries are element
-tokens of an attached field.  The generic routines (reduced row echelon form,
-determinant, maximal minors) are pure Python and work for any field object.
+tokens of an attached field.  The generic routines are pure Python and work
+for any field object: the reduced row echelon form, and ``minors_of``, the
+one minor routine behind the maximal minors and the minor equations.
 Rank, kernel, solve and column-space basis all run on one elimination core,
 ``_echelon``, which picks one of three representations once per call: rows
 bit-packed into uint64 words for F_2, residues in the narrowest unsigned
@@ -14,6 +15,7 @@ Matrices are immutable by convention; all operations return fresh objects.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -39,10 +41,6 @@ class FieldMatrix:
         self.ncols = ncols
 
     @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, field, n: int) -> "FieldMatrix":
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -60,9 +58,6 @@ class FieldMatrix:
     def __getitem__(self, key) -> int:
         i, j = key
         return self.rows[i][j]
-
-    def row(self, i: int) -> list[int]:
-        return list(self.rows[i])
 
     def col(self, j: int) -> list[int]:
         return [r[j] for r in self.rows]
@@ -133,29 +128,17 @@ class FieldMatrix:
     def __repr__(self) -> str:
         return f"FieldMatrix({self.nrows}x{self.ncols} over {self.field!r})"
 
-    # -- exact elimination ---------------------------------------------------
-
-    def rref(self) -> "RrefResult":
-        return rref_rows(self.rows, self.field)
-
-    def rank(self) -> int:
-        return rank_rows(self.rows, self.field)
-
-    def det(self) -> int:
-        return det_rows(self.rows, self.field)
-
     def maximal_minors(self) -> dict[tuple[int, ...], int]:
         """All maximal minors, keyed by the sorted column subset.
 
         Requires nrows <= ncols; the minor at subset T is the determinant of
-        the columns T taken in increasing order.
+        the columns T taken in increasing order.  One memo serves them all.
         """
         if self.nrows > self.ncols:
             raise ValueError("maximal minors need nrows <= ncols")
-        out = {}
-        for T in combinations(range(self.ncols), self.nrows):
-            out[T] = det_rows([[r[j] for j in T] for r in self.rows], self.field)
-        return out
+        minor = minors_of(self.rows, self.field)
+        ri = tuple(range(self.nrows))
+        return {T: minor(ri, T) for T in combinations(range(self.ncols), self.nrows)}
 
 
 @dataclass
@@ -197,61 +180,33 @@ def rref_rows(rows: Sequence[Sequence[int]], field) -> RrefResult:
     return RrefResult(FieldMatrix(f, m), r, pivots)
 
 
-# -- determinants ------------------------------------------------------------
+# -- minors ------------------------------------------------------------------
 
 
-def _det_cofactor(rows, field) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
+def minors_of(rows: Sequence[Sequence[int]], field):
+    """``minor(ri, cs)``: the minor of ``rows`` on the row indices ``ri`` and
+    the column indices ``cs``, equal-length 0-based tuples taken in the given
+    order; the empty minor is 1.
+
+    Each minor is a Laplace expansion along its first row, and one cache
+    holds every minor computed, so the sub-minors on rows ``ri[1:]`` are
+    shared by every minor with that tail of rows.
+    """
     f = field
-    if n == 2:
-        return f.sub(f.mul(rows[0][0], rows[1][1]), f.mul(rows[0][1], rows[1][0]))
-    acc = 0
-    for j in range(n):
-        a = rows[0][j]
-        if a == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = f.mul(a, _det_cofactor(minor, f))
-        acc = f.add(acc, term if j % 2 == 0 else f.neg(term))
-    return acc
 
+    @functools.cache
+    def minor(ri: tuple[int, ...], cs: tuple[int, ...]) -> int:
+        if not ri:
+            return f.one
+        top = rows[ri[0]]
+        d = f.zero
+        for u, c in enumerate(cs):
+            if top[c]:
+                term = f.mul(top[c], minor(ri[1:], cs[:u] + cs[u + 1 :]))
+                d = f.add(d, f.neg(term) if u % 2 else term)
+        return d
 
-def _det_bareiss(rows, field) -> int:
-    # fraction-free elimination; every division is exact in a field anyway
-    f = field
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if p is None:
-                return 0
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        inv_prev = f.inv(prev)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = f.sub(f.mul(m[i][j], m[k][k]), f.mul(m[i][k], m[k][j]))
-                m[i][j] = f.mul(num, inv_prev)
-            m[i][k] = 0
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else f.neg(d)
-
-
-def det_rows(rows: Sequence[Sequence[int]], field) -> int:
-    n = len(rows)
-    if n and len(rows[0]) != n:
-        raise ValueError("determinant of a non-square matrix")
-    if n <= 4:
-        return _det_cofactor([list(r) for r in rows], field)
-    return _det_bareiss(rows, field)
+    return minor
 
 
 # -- the elimination core ----------------------------------------------------

@@ -22,14 +22,13 @@ grevlex.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
 from .fields import prime_field
 from .instance import RslInstance
-from .matrix import rank_rows
+from .matrix import minors_of, rank_rows
 
 LamMono = tuple[int, ...]
 MinorIndex = tuple[int, ...]
@@ -122,37 +121,30 @@ def build_system(inst: RslInstance, w: int) -> BilinearSystem:
 
 
 def _minor_equations(inst: RslInstance, Js: Iterable, w: int) -> list[BilinearEquation]:
-    """build_QJ for every J, with one memo of the minors of H: each is a
-    Laplace expansion along its first row, so the sub-minors on rows J[1:]
-    are shared by every J with that tail.  For t > k, y_i[t] = S[t-k, i]."""
+    """build_QJ for every J, with one memo of the minors of H, so the
+    sub-minors on rows J[1:] are shared by every J with that tail.  For
+    t > k, y_i[t] = S[t-k, i]."""
     p = inst.params
-    ext, H, S = inst.field, inst.H.rows, inst.S.rows
+    ext, S = inst.field, inst.S.rows
     k, nk = p.k, p.n - p.k
     if not 0 < w <= p.r:
         raise ValueError(f"weight must be in 1..r, got {w}")
-
-    @functools.cache
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        top = H[rows[0] - 1]
-        if len(rows) == 1:
-            return top[cols[0] - 1]
-        d = ext.zero
-        for u, c in enumerate(cols):
-            if top[c - 1]:
-                term = ext.mul(top[c - 1], minor(rows[1:], cols[:u] + cols[u + 1:]))
-                d = ext.add(d, ext.neg(term) if u % 2 else term)
-        return d
-
+    minor = minors_of(inst.H.rows, ext)
     out = []
     for J in Js:
         J = tuple(sorted(J))
         if len(J) != w + 1 or J[0] < 1 or J[-1] > nk:
             raise ValueError(f"J must be a (w+1)-subset of 1..{nk}, got {J}")
+        rows = tuple(j - 1 for j in J)
+        cols = list(range(1, k + 1)) + [j + k for j in J]
         coeffs: dict[MinorIndex, list[int]] = {}
-        for T0 in combinations(list(range(1, k + 1)) + [j + k for j in J], w + 1):
+        # each 1-based T0 beside its 0-based twin, in the same order
+        for T0, cs in zip(
+            combinations(cols, w + 1), combinations([c - 1 for c in cols], w + 1)
+        ):
             if T0[-1] <= k:
                 continue  # y_i is zero on the first k coordinates
-            d = minor(J, T0)
+            d = minor(rows, cs)
             if d == 0:
                 continue
             neg_d = ext.neg(d)

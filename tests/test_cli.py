@@ -37,7 +37,12 @@ def test_eval_n_expression():
     assert eval_n_expression("10-2-3", 0, 0) == 5
     assert eval_n_expression("(k+r)*(k-r)", 5, 2) == 21
     assert eval_n_expression(" 42 ", 0, 0) == 42
-    for bad in ("k*(x+1)", "", "k*", "(k", "k)", "3 4"):
+    assert eval_n_expression("09", 4, 3) == 9
+    assert eval_n_expression("k\n+1", 4, 3) == 5
+    for bad in (
+        "k*(x+1)", "", "k*", "(k", "k)", "3 4",
+        "1_0", "0x10", "-k", "k**2", "k/2", "2(3)",
+    ):
         with pytest.raises(ValueError):
             eval_n_expression(bad, 4, 3)
 
@@ -74,6 +79,28 @@ def test_gen_bad_expression(tmp_path, capsys):
     ])
     assert rc == EXIT_USAGE
     assert "gen:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "attack", "estimate"])
+def test_non_prime_q_is_a_usage_error(command, tmp_path, capsys):
+    argv = [command, "--q", "4", "--m", "6", "--n", "6", "--k", "2", "--r", "2", "--N", "3"]
+    if command == "gen":
+        argv += ["-o", str(tmp_path / "x.rsl")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "q must be prime, got 4" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--q", "4", "--q: must be prime, got '4'"), ("--b", "0", "--b: must be at least 1")],
+    ids=["q4", "b0"],
+)
+def test_verify_rejects_a_non_prime_q_and_b_below_1(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm2", flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_gen_missing_flag(tmp_path):

@@ -98,7 +98,7 @@ def test_verify_support_accepts_plant_rejects_random():
             rejected += 1
     assert rejected >= 4
     with pytest.raises(ValueError):
-        verify_support(inst, FieldMatrix.zeros(fq, TOY.m + 1, 1))
+        verify_support(inst, FieldMatrix(fq, [[0]] * (TOY.m + 1)))
 
 
 def test_strategy_params_specialized():
@@ -153,7 +153,7 @@ def test_shorten():
     assert sh.S.rows == inst.S.rows
     assert sh.is_systematic()
     for u in range(TOY.n - TOY.k):
-        assert sh.H.row(u) == inst.H.row(u)[2:]
+        assert sh.H.rows[u] == inst.H.rows[u][2:]
     twice = shorten(shorten(inst, 1), 1)
     assert twice.H.rows == sh.H.rows and twice.shortened_by == 2
     assert shorten(inst, 0) is inst
@@ -177,7 +177,7 @@ def test_check_assumption1():
     inst, _ = gen_instance(TOY, 7)
     assert check_assumption1(inst, 2)
     # duplicate syndrome rows break the pivot block
-    bad_S = FieldMatrix(inst.field, [inst.S.row(0)] * inst.S.nrows)
+    bad_S = FieldMatrix(inst.field, [inst.S.rows[0]] * inst.S.nrows)
     bad = RslInstance(params=inst.params, field=inst.field, H=inst.H, S=bad_S)
     assert not check_assumption1(bad, 2)
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from rslminors.instance import (
     strategy_params,
     truncate_syndromes,
 )
-from rslminors.matrix import FieldMatrix, det_rows, rank_rows
+from rslminors.matrix import FieldMatrix, rank_rows
 from rslminors.modeling import (
     RankAssumptionError,
     build_QJ,
@@ -37,6 +37,8 @@ from rslminors.modeling import (
     unfold_system,
 )
 from rslminors.verification import sample_family
+
+from test_matrix import det_leibniz
 
 
 def minor_direct(inst, J, w, lam_values, R):
@@ -61,7 +63,7 @@ def minor_direct(inst, J, w, lam_values, R):
                     acc = ext.add(acc, ext.mul(row[t], inst.H[u, t]))
             out_row.append(acc)
         prod.append(out_row)
-    return det_rows([[prod[v][j - 1] for j in J] for v in range(w + 1)], ext)
+    return det_leibniz([[prod[v][j - 1] for j in J] for v in range(w + 1)], ext)
 
 
 def random_point(p, w, rng):
@@ -69,7 +71,7 @@ def random_point(p, w, rng):
     lam = [rng.randrange(p.q) for _ in range(p.N)]
     R = FieldMatrix.random(fq, w, p.n, rng)
     rT = {
-        tuple(t + 1 for t in T): det_rows([[row[t] for t in T] for row in R.rows], fq)
+        tuple(t + 1 for t in T): det_leibniz([[row[t] for t in T] for row in R.rows], fq)
         for T in combinations(range(p.n), w)
     }
     return lam, R, rT
@@ -92,12 +94,12 @@ def test_minor_equations_match_direct_determinants(q):
 
 def minor_terms_reference(inst, J, w):
     """Oracle: Q_J summed term by term over every (w+1)-subset T0 of all n
-    columns, each minor |H|_{J,T0} from det_rows."""
+    columns, each minor |H|_{J,T0} from the Leibniz formula."""
     p, ext = inst.params, inst.field
     ys = [inst.y_vector(i) for i in range(p.N)]
     terms = {}
     for T0 in combinations(range(1, p.n + 1), w + 1):
-        minor = det_rows([[inst.H[j - 1, t - 1] for t in T0] for j in J], ext)
+        minor = det_leibniz([[inst.H[j - 1, t - 1] for t in T0] for j in J], ext)
         for u, t in enumerate(T0):
             coeff = ext.neg(minor) if u % 2 else minor
             for i in range(p.N):
@@ -349,7 +351,7 @@ def test_echelonized_leads_distinct_and_recorded():
 
 def test_echelonization_needs_full_rank_pivot_block():
     inst, _ = frozen_instance()
-    bad_S = FieldMatrix(inst.field, [inst.S.row(0)] * inst.S.nrows)
+    bad_S = FieldMatrix(inst.field, [inst.S.rows[0]] * inst.S.nrows)
     bad = RslInstance(params=inst.params, field=inst.field, H=inst.H, S=bad_S)
     system = build_system(bad, 2)
     with pytest.raises(RankAssumptionError):
