@@ -60,9 +60,7 @@ from .modeling import (
 from .solver import (
     AttackResult,
     ExtractionError,
-    NoSolutionError,
     RecoveredSupport,
-    UnderdeterminedError,
     attack,
     planted_solution,
     plucker_reconstruct,
@@ -82,7 +80,6 @@ __all__ = [
     "FieldMatrix",
     "InstanceFormatError",
     "MacaulayMatrix",
-    "NoSolutionError",
     "PrimeField",
     "RankAssumptionError",
     "RecoveredSupport",
@@ -90,7 +87,6 @@ __all__ = [
     "RslParams",
     "SecretWitness",
     "StrategyParams",
-    "UnderdeterminedError",
     "attack",
     "bit_cost",
     "build_QJ",

@@ -102,10 +102,17 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
     return {"version": _version(), "command": command, "config": config}
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _prime(text: str) -> int:
@@ -114,10 +121,11 @@ def _prime(text: str) -> int:
     return int(text)
 
 
-def _params_from_args(args: argparse.Namespace) -> RslParams:
+def _params_from_args(args: argparse.Namespace, missing_hint: str = "") -> RslParams:
     missing = [f for f in ("m", "n", "k", "r", "N") if getattr(args, f) is None]
     if missing:
-        raise ValueError(f"missing parameter flags: {', '.join('--' + f for f in missing)}")
+        flags = ", ".join("--" + f for f in missing)
+        raise ValueError(f"missing parameter flags: {flags}{missing_hint}")
     N = eval_n_expression(args.N, args.k, args.r)
     if N < 1:
         raise ValueError(f"N expression evaluates to {N}, need at least 1")
@@ -197,9 +205,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
             return EXIT_FAIL
     else:
         try:
-            params = _params_from_args(args)
+            params = _params_from_args(args, " (give --instance or full parameters)")
         except ValueError as exc:
-            print(f"attack: {exc} (give --instance or full parameters)", file=sys.stderr)
+            print(f"attack: {exc}", file=sys.stderr)
             return EXIT_USAGE
         inst, witness = gen_instance(params, args.seed)
     p = inst.params
@@ -224,7 +232,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         f"attack: {result.message}",
         f"  strategy delta={strategy.delta} w={strategy.w} a={strategy.a} "
         f"N'={strategy.N_prime}, b_max={args.b_max}",
-        f"  verified={result.verified} dim={result.support.d if result.support else 0}"
+        f"  verified={result.verified} dim={result.support.C.ncols if result.support else 0}"
         + ("" if planted_match is None else f" planted_match={planted_match}"),
         f"  elapsed={result.elapsed_s:.2f}s",
     ]
@@ -406,7 +414,9 @@ def build_parser() -> _Parser:
     p_att.add_argument("--delta", type=int, default=0, help="weight reduction r - w")
     p_att.add_argument("--a", type=int, default=None, help="shortening length override")
     p_att.add_argument("--b-max", type=int, default=3, dest="b_max")
-    p_att.add_argument("--max-attempts", type=int, default=None, dest="max_attempts")
+    p_att.add_argument(
+        "--max-attempts", type=_positive_int, default=None, dest="max_attempts"
+    )
     add_report(p_att)
     p_att.set_defaults(func=cmd_attack)
 
@@ -414,8 +424,10 @@ def build_parser() -> _Parser:
     add_params(p_est, require=False)
     p_est.add_argument("--b-max", type=int, default=None, dest="b_max")
     p_est.add_argument("--deltas", type=str, default=None, help="comma list, e.g. 0,1,2")
-    p_est.add_argument("--alpha-c", type=int, default=0, dest="alpha_c")
-    p_est.add_argument("--alpha-lambda", type=int, default=0, dest="alpha_lambda")
+    p_est.add_argument("--alpha-c", type=_non_negative_int, default=0, dest="alpha_c")
+    p_est.add_argument(
+        "--alpha-lambda", type=_non_negative_int, default=0, dest="alpha_lambda"
+    )
     p_est.add_argument(
         "--table2",
         action="store_true",

@@ -117,8 +117,9 @@ def _counts_for(params: RslParams, strategy: StrategyParams, b: int,
 def is_feasible(params: RslParams, counts: CountSet, b: int) -> bool:
     """Linearization condition: enough independent rows to leave a line.
     Above F_2 no b >= q is called feasible, and the attack stops below that
-    degree too."""
-    if 2 < params.q <= b:
+    degree too.  Shortening and guessing that leave no information column
+    (k_eff < 1) or no syndrome (N_eff < 1) leave no system to solve."""
+    if 2 < params.q <= b or counts.k_eff < 1 or counts.N_eff < 1:
         return False
     return params.m * counts.N_leq_b >= counts.M_leq_b - 1
 

@@ -4,14 +4,16 @@ Pipeline: shorten the instance per the chosen strategy, build and unfold the
 minor equations, stack the Macaulay matrix at growing degree b (over F_2 the
 squarefree one of lambda-degrees 1..b, above F_2 the one of lambda-degree
 exactly b, the matrices whose shapes ``estimator.make_counts`` counts), take
-its right kernel, split the unique projective solution back into
-(lambda, r_T), invert the Plucker coordinates into an echelon-form matrix,
-then solve a final linear system for the support basis.
+the basis of its right kernel, and branch on its length: none ends the
+attempt, several raise b, and one is the projective solution.  That vector
+splits back into (lambda, r_T), the Plucker coordinates invert into an
+echelon-form matrix, and one linear solve over F_{q^m} gives the support
+basis.
 
-Verification caveat: a support candidate is checked against the original
-instance, never the shortened view.  Shortening drops coordinates that the
-individual error vectors do need, so the per-syndrome solvability test is
-meaningless on the view.
+Verification caveat: ``attack`` checks the union of the recovered bases once,
+against the original instance, never the shortened view.  Shortening drops
+coordinates that the individual error vectors do need, so the per-syndrome
+solvability test is meaningless on the view.
 """
 
 from __future__ import annotations
@@ -33,63 +35,28 @@ from .instance import (
 from .matrix import FieldMatrix, column_space_basis, kernel_rows, solve_rows
 from .modeling import (
     MacaulayMatrix,
-    Monomial,
     build_macaulay,
     build_system,
     unfold_system,
 )
 
 
-class NoSolutionError(RuntimeError):
-    """The Macaulay matrix has a trivial kernel: no word of this weight."""
-
-
-class UnderdeterminedError(RuntimeError):
-    """Kernel dimension above 1: not enough equations at this degree."""
-
-    def __init__(self, message: str, kernel_dim: int):
-        super().__init__(message)
-        self.kernel_dim = kernel_dim
-
-
 class ExtractionError(RuntimeError):
     """Kernel vector does not decompose into a single (lambda, R) pair."""
 
 
-@dataclass
-class KernelSolution:
-    field: object
-    col_labels: list[Monomial]
-    vector: list[int]
-    n_lambda: int
-
-    def values(self) -> dict[Monomial, int]:
-        return dict(zip(self.col_labels, self.vector))
+def solve_linearized(mac: MacaulayMatrix) -> list[list[int]]:
+    """Basis of the right kernel of the Macaulay matrix.  Its own function
+    so that a trace can tell the attack's kernels from any other."""
+    return kernel_rows(mac.dense_rows(), mac.field, len(mac.col_labels))
 
 
-def solve_linearized(mac: MacaulayMatrix) -> KernelSolution:
-    """Right kernel of the Macaulay matrix, expected one-dimensional."""
-    basis = kernel_rows(mac.dense_rows(), mac.field, len(mac.col_labels))
-    dim = len(basis)
-    if dim == 0:
-        raise NoSolutionError("no solution at this weight and strategy")
-    if dim > 1:
-        raise UnderdeterminedError(
-            f"kernel dimension {dim}: insufficient equations, "
-            "increase b or shorten more",
-            dim,
-        )
-    return KernelSolution(
-        field=mac.field,
-        col_labels=list(mac.col_labels),
-        vector=basis[0],
-        n_lambda=mac.n_lambda,
-    )
-
-
-def rank1_extract(sol: KernelSolution) -> tuple[list[int], dict[tuple[int, ...], int]]:
-    """Split the block Z[i, T] = lambda_{i0}^(d-1) lambda_i r_T of the lowest
-    lambda-degree d among the columns into an outer product lambda * rT.
+def rank1_extract(
+    mac: MacaulayMatrix, vector: list[int]
+) -> tuple[list[int], dict[tuple[int, ...], int]]:
+    """Split the block Z[i, T] = lambda_{i0}^(d-1) lambda_i r_T of a kernel
+    vector, read at the lowest lambda-degree d among the matrix's columns,
+    into an outer product lambda * rT.
 
     i0 is any lambda index of a nonzero degree-d column, so lambda_{i0} is
     nonzero and Z is the bi-degree (1,1) block times one scalar; for d = 1
@@ -98,27 +65,27 @@ def rank1_extract(sol: KernelSolution) -> tuple[list[int], dict[tuple[int, ...],
     the block has rank at least 2 (multiple distinct solutions folded into
     one kernel vector).
     """
-    f = sol.field
-    d = min(len(mu) for mu, _ in sol.col_labels)
-    values = sol.values()
+    f = mac.field
+    d = min(len(mu) for mu, _ in mac.col_labels)
+    values = dict(zip(mac.col_labels, vector))
     i0 = next((mu[0] for (mu, _), v in values.items() if len(mu) == d and v), None)
     if i0 is None:
         raise ExtractionError("no nonzero solution in the bilinear block")
-    minors = {T for mu, T in sol.col_labels if len(mu) == d}
+    minors = {T for mu, T in mac.col_labels if len(mu) == d}
     Z = {
         (i, T): values.get((tuple(sorted((i0,) * (d - 1) + (i,))), T), 0)
-        for i in range(1, sol.n_lambda + 1)
+        for i in range(1, mac.n_lambda + 1)
         for T in minors
     }
     T0 = max((T for (_, T), v in Z.items() if v), default=None)
     if T0 is None:
         raise ExtractionError("the block vanishes: the kernel vector is no product")
-    pivot_rows = [i for i in range(1, sol.n_lambda + 1) if Z.get((i, T0))]
+    pivot_rows = [i for i in range(1, mac.n_lambda + 1) if Z.get((i, T0))]
     i_first = pivot_rows[0]
     inv_p = f.inv(Z[(i_first, T0)])
-    lam = [f.mul(Z.get((i, T0), 0), inv_p) for i in range(1, sol.n_lambda + 1)]
+    lam = [f.mul(Z.get((i, T0), 0), inv_p) for i in range(1, mac.n_lambda + 1)]
     rT = {T: Z.get((i_first, T), 0) for T in minors}
-    for i in range(1, sol.n_lambda + 1):
+    for i in range(1, mac.n_lambda + 1):
         li = lam[i - 1]
         for T in minors:
             if Z.get((i, T), 0) != f.mul(li, rT[T]):
@@ -177,72 +144,38 @@ def plucker_reconstruct(
 
 @dataclass
 class RecoveredSupport:
-    """Candidate support subspace."""
+    """Support subspace an attack recovered, checked on the original instance."""
 
     C: FieldMatrix  # m x d canonical column basis over F_q
-    d: int
     verified: bool
 
 
 def recover_support(
-    inst: RslInstance,
-    lam_values: list[int],
-    Rt: FieldMatrix,
-    verify_on: Optional[RslInstance] = None,
-) -> RecoveredSupport:
-    """Solve for the support basis C from the identity
-    Sum_i lambda_i s_i = beta C (Rt H^T), beta = (1, z, .., z^(m-1)).
+    inst: RslInstance, lam_values: list[int], Rt: FieldMatrix
+) -> FieldMatrix:
+    """Canonical basis of the support read off one solution point.
 
-    inst is the (shortened) instance the extraction ran on; verification runs
-    against verify_on when given (the attack passes the original instance,
-    where per-syndrome preimages actually exist).
+    The point's word satisfies Sum_i lambda_i s_i = gamma (Rt H^T) for some
+    gamma in F_{q^m}^w, whose entries span the support.  One solve over the
+    extension field gives gamma; its coordinates on (1, z, .., z^(m-1)) are
+    the columns of C.  inst is the (shortened) instance the extraction ran
+    on; the caller verifies the basis against the original instance.
     """
-    p = inst.params
     ext = inst.field
-    fq = prime_field(p.q)
     if not any(lam_values):
         raise ExtractionError("zero lambda vector")
-    w = Rt.nrows
-    nk = p.n - p.k
-    target = []
-    for u in range(nk):
-        acc = ext.zero
-        for i, li in enumerate(lam_values):
-            if li:
-                acc = ext.add(acc, ext.mul(li, inst.S[u, i]))
-        target.append(acc)
-    P = FieldMatrix(ext, Rt.rows).mul(inst.H.transpose())
-    zpow = [pow(p.q, ell) for ell in range(p.m)]  # z^ell as element tokens
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for u in range(nk):
-        coeffs = [
-            ext.unfold(ext.mul(zpow[ell], P[c, u]))
-            for c in range(w)
-            for ell in range(p.m)
-        ]
-        tdig = ext.unfold(target[u])
-        for jd in range(p.m):
-            rows.append([cf[jd] for cf in coeffs])
-            rhs.append(tdig[jd])
-    x = solve_rows(rows, rhs, fq, w * p.m)
-    if x is None:
+    target = inst.S.matvec(lam_values)
+    coeffs = inst.H.mul(FieldMatrix(ext, Rt.rows).transpose())  # (Rt H^T)^T
+    gamma = solve_rows(coeffs.rows, target, ext, Rt.nrows)
+    if gamma is None:
         raise ExtractionError(
             "support system inconsistent: extraction was spurious"
         )
-    C = FieldMatrix(
-        fq, [[x[c * p.m + ell] for c in range(w)] for ell in range(p.m)]
-    )
+    C = FieldMatrix(Rt.field, [ext.unfold(g) for g in gamma]).transpose()
     basis = column_space_basis(C)
-    d = basis.ncols
-    if d == 0:
+    if basis.ncols == 0:
         raise ExtractionError("recovered support is zero")
-    check_inst = verify_on if verify_on is not None else inst
-    return RecoveredSupport(
-        C=basis,
-        d=d,
-        verified=verify_support(check_inst, basis),
-    )
+    return basis
 
 
 def rotate_information_columns(inst: RslInstance, offset: int) -> RslInstance:
@@ -306,12 +239,15 @@ def planted_solution(
 class AttackResult:
     success: bool
     support: Optional[RecoveredSupport]
-    verified: bool
     strategy: StrategyParams
     b_history: list[dict]
     attempts: int
     message: str
     elapsed_s: float
+
+    @property
+    def verified(self) -> bool:
+        return self.support is not None and self.support.verified
 
     def to_dict(self) -> dict:
         return {
@@ -323,7 +259,7 @@ class AttackResult:
                 "a": self.strategy.a,
                 "N_prime": self.strategy.N_prime,
             },
-            "support_dim": self.support.d if self.support else 0,
+            "support_dim": self.support.C.ncols if self.support else 0,
             "support_basis": self.support.C.rows if self.support else [],
             "b_history": self.b_history,
             "attempts": self.attempts,
@@ -338,7 +274,7 @@ def _attempt(
     b_max: int,
     offset: int,
     history: list[dict],
-) -> Optional[RecoveredSupport]:
+) -> Optional[FieldMatrix]:
     rotated = rotate_information_columns(inst, offset)
     sh = shorten(rotated, strategy.a)
     sh = truncate_syndromes(sh, strategy.N_prime)
@@ -349,33 +285,25 @@ def _attempt(
         if fq.q > 2 and b >= fq.q:
             break  # mirrors estimator.is_feasible, which calls no b >= q feasible
         mac = build_macaulay(unfolded, b)
+        basis = solve_linearized(mac)
         entry = {
             "offset": offset,
             "b": b,
             "rows": mac.shape[0],
             "cols": mac.shape[1],
+            "kernel_dim": len(basis),
         }
+        history.append(entry)
+        if not basis:
+            return None  # no word of this weight under this strategy
+        if len(basis) > 1:
+            continue  # too few equations at this degree
         try:
-            sol = solve_linearized(mac)
-        except UnderdeterminedError as exc:
-            entry["kernel_dim"] = exc.kernel_dim
-            history.append(entry)
-            continue
-        except NoSolutionError:
-            entry["kernel_dim"] = 0
-            history.append(entry)
-            return None
-        entry["kernel_dim"] = 1
-        try:
-            lam, rT = rank1_extract(sol)
+            lam, rT = rank1_extract(mac, basis[0])
             Rt = plucker_reconstruct(rT, strategy.w, sh.params.n, fq)
-            rec = recover_support(sh, lam, Rt, verify_on=inst)
+            return recover_support(sh, lam, Rt)
         except ExtractionError as exc:
             entry["extraction_error"] = str(exc)
-            history.append(entry)
-            continue
-        history.append(entry)
-        return rec
     return None
 
 
@@ -399,22 +327,19 @@ def attack(
     # column window; k rotations exhaust the distinct windows
     for offset in range(min(max_attempts, max(p.k, 1))):
         attempts += 1
-        rec = _attempt(inst, strategy, b_max, offset, history)
-        if rec is None:
+        C = _attempt(inst, strategy, b_max, offset, history)
+        if C is None:
             continue
-        union = rec.C if union is None else column_space_basis(union.hstack(rec.C))
+        union = C if union is None else column_space_basis(union.hstack(C))
         if union.ncols >= p.r:
             break
     elapsed = time.monotonic() - started
     if union is None:
         counts = bit_cost(p, strategy, max(b_max, 1)).to_dict()
-        dim_note = next(
-            (h["kernel_dim"] for h in reversed(history) if "kernel_dim" in h), None
-        )
+        dim_note = history[-1]["kernel_dim"] if history else None
         return AttackResult(
             success=False,
             support=None,
-            verified=False,
             strategy=strategy,
             b_history=history,
             attempts=attempts,
@@ -425,7 +350,6 @@ def attack(
             elapsed_s=elapsed,
         )
     verified = verify_support(inst, union)
-    support = RecoveredSupport(C=union, d=union.ncols, verified=verified)
     success = verified and union.ncols == p.r
     message = "support recovered" if success else (
         f"partial support of dimension {union.ncols}"
@@ -433,8 +357,7 @@ def attack(
     )
     return AttackResult(
         success=success,
-        support=support,
-        verified=verified,
+        support=RecoveredSupport(C=union, verified=verified),
         strategy=strategy,
         b_history=history,
         attempts=attempts,

@@ -210,7 +210,7 @@ def test_criterion_7_end_to_end_attack():
         result.success
         and result.verified
         and result.support is not None
-        and result.support.d == params.r
+        and result.support.C.ncols == params.r
         and result.support.C == witness.support_basis()
     )
 

@@ -87,8 +87,8 @@ def test_non_prime_q_is_a_usage_error(command, tmp_path, capsys):
     if command == "gen":
         argv += ["-o", str(tmp_path / "x.rsl")]
     assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "q must be prime, got 4" in err
+    # one line, without attack's hint for missing flags
+    assert capsys.readouterr().err == f"{command}: q must be prime, got 4\n"
 
 
 @pytest.mark.parametrize(
@@ -207,6 +207,15 @@ def test_attack_needs_instance_or_params(capsys):
     assert "give --instance or full parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_attack_rejects_max_attempts_below_1(toy_file, value, capsys):
+    # zero attempts used to run nothing and exit 2 with "last kernel dim None"
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--instance", str(toy_file), "--max-attempts", value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"--max-attempts: must be at least 1, got '{value}'" in capsys.readouterr().err
+
+
 def test_estimate_single_row(tmp_path, capsys):
     out = tmp_path / "est.json"
     args = [
@@ -245,6 +254,20 @@ def test_estimate_usage_errors(capsys):
     ])
     assert rc == EXIT_USAGE
     capsys.readouterr()
+
+
+EST40 = ["estimate", "--m", "40", "--n", "20", "--k", "10", "--r", "3", "--N", "20"]
+
+
+@pytest.mark.parametrize("flag", ["--alpha-c", "--alpha-lambda"])
+def test_estimate_rejects_negative_guess_counts(flag, capsys):
+    # a negative guess count used to subtract guessing bits from the cost
+    assert main([*EST40, flag, "0"]) == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*EST40, flag, "-2"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"{flag}: must be at least 0, got '-2'" in capsys.readouterr().err
 
 
 def test_verify_prop1(tmp_path):

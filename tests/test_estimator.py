@@ -111,6 +111,18 @@ def test_is_feasible_q3_degree_bound():
     assert not is_feasible(params, counts, 3)  # b must stay below q
 
 
+def test_is_feasible_needs_a_column_and_a_syndrome_left():
+    # guessing all columns or all syndromes away leaves an empty matrix,
+    # whose M_leq_b = 0 passed the bare count comparison
+    params = RslParams(q=2, m=4, n=20, k=10, r=3, N=20)
+    strat = strategy_params(params, 0)
+    for alpha_C, alpha_lambda in ((30, 0), (0, strat.N_prime)):
+        cost = bit_cost(params, strat, 1, alpha_C=alpha_C, alpha_lambda=alpha_lambda)
+        assert cost.counts.M_leq_b == 0
+        assert not cost.feasible
+    assert optimize(params, alpha_C=30).rows == []
+
+
 def test_bit_cost_named_algorithms():
     params = RslParams(q=2, m=277, n=358, k=179, r=7, N=895)
     strat = strategy_params(params, 0)

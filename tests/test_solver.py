@@ -19,8 +19,15 @@ from rslminors.instance import (
     truncate_syndromes,
     verify_support,
 )
-from rslminors.matrix import FieldMatrix, rank_rows, rref_rows
+from rslminors.matrix import (
+    FieldMatrix,
+    column_space_basis,
+    rank_rows,
+    rref_rows,
+    solve_rows,
+)
 from rslminors.modeling import (
+    MacaulayMatrix,
     build_macaulay,
     build_system,
     monomial_vector,
@@ -28,9 +35,6 @@ from rslminors.modeling import (
 )
 from rslminors.solver import (
     ExtractionError,
-    KernelSolution,
-    NoSolutionError,
-    UnderdeterminedError,
     attack,
     planted_solution,
     plucker_reconstruct,
@@ -93,6 +97,20 @@ def test_plucker_rejects_bad_input():
         plucker_reconstruct(corrupt, 2, 4, f)
 
 
+def columns_only(field, col_labels, n_lambda):
+    """A Macaulay matrix without rows: rank1_extract reads only its columns."""
+    return MacaulayMatrix(
+        field=field,
+        b=max(len(mu) for mu, _ in col_labels),
+        n_lambda=n_lambda,
+        n_cols_R=max(max(T) for _, T in col_labels),
+        w=len(col_labels[0][1]),
+        row_labels=[],
+        col_labels=col_labels,
+        rows=[],
+    )
+
+
 def bilinear_labels(n_lambda, n_cols, w):
     return [
         ((i,), T)
@@ -107,10 +125,7 @@ def test_rank1_extract_normalizes_outer_product():
     rT = {(1, 2): 1, (1, 3): 2, (1, 4): 1, (2, 3): 2, (2, 4): 0, (3, 4): 1}
     labels = bilinear_labels(4, 4, 2) + [((1, 2), (1, 2))]
     vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels[:-1]] + [2]
-    sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, n_lambda=4,
-    )
-    lam_out, rT_out = rank1_extract(sol)
+    lam_out, rT_out = rank1_extract(columns_only(f, labels, 4), vec)
     assert lam_out == [0, 1, 2, 0]
     assert rT_out == {T: f.mul(2, v) for T, v in rT.items()}
     for (mu, T), v in zip(labels[:-1], vec):
@@ -124,16 +139,11 @@ def test_rank1_extract_rejects_mixed_solutions():
     rT = {(1, 2): 1, (1, 3): 1, (2, 3): 2}
     vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels]
     vec[1] = f.add(vec[1], 1)  # now Z has rank 2
-    sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, n_lambda=3,
-    )
+    mac = columns_only(f, labels, 3)
     with pytest.raises(ExtractionError):
-        rank1_extract(sol)
-    zero = KernelSolution(
-        field=f, col_labels=labels, vector=[0] * len(labels), n_lambda=3,
-    )
+        rank1_extract(mac, vec)
     with pytest.raises(ExtractionError):
-        rank1_extract(zero)
+        rank1_extract(mac, [0] * len(labels))
 
 
 def test_rank1_extract_reads_the_exact_degree_block():
@@ -145,45 +155,43 @@ def test_rank1_extract_reads_the_exact_degree_block():
         (mu, T) for mu in combinations_with_replacement(range(1, 4), 2) for T in rT
     ]
     vec = [f.mul(f.mul(lam[i - 1], lam[j - 1]), rT[T]) for (i, j), T in labels]
-    sol = KernelSolution(
-        field=f, col_labels=labels, vector=vec, n_lambda=3,
-    )
-    lam_out, rT_out = rank1_extract(sol)
+    lam_out, rT_out = rank1_extract(columns_only(f, labels, 3), vec)
     assert lam_out == [0, 1, 2]
     assert rT_out == rT  # scaled by lambda_2^2 = 1
     mixed = list(vec)
     mixed[labels.index(((2, 3), (1, 3)))] = 0
     with pytest.raises(ExtractionError):
-        rank1_extract(replace(sol, vector=mixed))
+        rank1_extract(columns_only(f, labels, 3), mixed)
     # degree 3, nonzero only at lambda_1 lambda_2 lambda_3: no product point
     cubic = [(mu, (1, 2)) for mu in combinations_with_replacement(range(1, 4), 3)]
     lone = [1 if mu == (1, 2, 3) else 0 for mu, _ in cubic]
     with pytest.raises(ExtractionError):
-        rank1_extract(replace(sol, col_labels=cubic, vector=lone))
+        rank1_extract(columns_only(f, cubic, 3), lone)
 
 
 def test_solve_linearized_dense(toy_macaulay):
     mac, _ = toy_macaulay
     assert mac.shape == (140, 135)
-    sol = solve_linearized(mac)
-    assert any(sol.vector)
-    assert not any(mac.apply(sol.vector))
+    basis = solve_linearized(mac)
+    assert len(basis) == 1
+    assert any(basis[0])
+    assert not any(mac.apply(basis[0]))
 
 
 def test_solve_linearized_no_solution(toy):
     inst, _ = toy
     sh = shorten(inst, 4)
     mac = build_macaulay(unfold_system(build_system(sh, 1)), 1)
-    with pytest.raises(NoSolutionError):
-        solve_linearized(mac)
+    assert solve_linearized(mac) == []
 
 
 def test_solve_linearized_underdetermined(toy_macaulay):
     mac, _ = toy_macaulay
     starved = replace(mac, rows=mac.rows[:40], row_labels=mac.row_labels[:40])
-    with pytest.raises(UnderdeterminedError) as exc:
-        solve_linearized(starved)
-    assert exc.value.kernel_dim >= 2
+    basis = solve_linearized(starved)
+    assert len(basis) >= 2
+    for vec in basis:
+        assert not any(starved.apply(vec))
 
 
 def point_vector(mac, lam, rT):
@@ -211,9 +219,9 @@ def test_planted_point_solves_system(toy):
         vec = point_vector(mac, lam, rT)
         assert any(vec)
         assert not any(mac.apply(vec))
-    rec = recover_support(sh, lam, Rt, verify_on=inst)
-    assert rec.verified and rec.d == TOY.r
-    assert rec.C == witness.support_basis()
+    C = recover_support(sh, lam, Rt)
+    assert verify_support(inst, C) and C.ncols == TOY.r
+    assert C == witness.support_basis()
 
 
 def test_toy_kernel_at_b3_is_the_planted_point(toy):
@@ -225,9 +233,9 @@ def test_toy_kernel_at_b3_is_the_planted_point(toy):
     sh = truncate_syndromes(sh, strat.N_prime)
     mac = build_macaulay(unfold_system(build_system(sh, strat.w)), 3)
     assert mac.shape == (6440, 1935)
-    sol = solve_linearized(mac)
+    basis = solve_linearized(mac)
     lam, rT, _ = planted_solution(witness, strat, TOY.n, TOY.q)
-    assert sol.vector == monomial_vector(mac.col_labels, lam, rT, mac.field)
+    assert basis == [monomial_vector(mac.col_labels, lam, rT, mac.field)]
 
 
 def test_recover_support_rejects_garbage(toy):
@@ -242,7 +250,102 @@ def test_recover_support_rejects_garbage(toy):
     Rt = random_full_rank(f2, 2, n_short, rng)
     lam = [1] + [0] * 8
     with pytest.raises(ExtractionError):
-        recover_support(sh, lam, Rt, verify_on=inst)
+        recover_support(sh, lam, Rt)
+
+
+def digit_support_solve(inst, lam_values, Rt):
+    """Oracle: the support solve written out over F_q.
+
+    The unknowns are the w*m coordinates C[ell, c]; equation (u, jd) is
+    digit jd of Sum_i lambda_i s_i[u] = Sum_(c, ell) C[ell, c] z^ell P[c, u]
+    with P = Rt H^T, where z^ell is the element token q^ell.  Returns the
+    canonical basis of C, or raises ExtractionError like recover_support.
+    """
+    p = inst.params
+    ext = inst.field
+    fq = prime_field(p.q)
+    if not any(lam_values):
+        raise ExtractionError("zero lambda vector")
+    w = Rt.nrows
+    nk = p.n - p.k
+    target = []
+    for u in range(nk):
+        acc = 0
+        for i, li in enumerate(lam_values):
+            if li:
+                acc = ext.add(acc, ext.mul(li, inst.S[u, i]))
+        target.append(acc)
+    P = FieldMatrix(ext, Rt.rows).mul(inst.H.transpose())
+    zpow = [pow(p.q, ell) for ell in range(p.m)]
+    rows, rhs = [], []
+    for u in range(nk):
+        coeffs = [
+            ext.unfold(ext.mul(zpow[ell], P[c, u])) for c in range(w) for ell in range(p.m)
+        ]
+        tdig = ext.unfold(target[u])
+        for jd in range(p.m):
+            rows.append([cf[jd] for cf in coeffs])
+            rhs.append(tdig[jd])
+    x = solve_rows(rows, rhs, fq, w * p.m)
+    if x is None:
+        raise ExtractionError("support system inconsistent")
+    C = FieldMatrix(fq, [[x[c * p.m + ell] for c in range(w)] for ell in range(p.m)])
+    basis = column_space_basis(C)
+    if basis.ncols == 0:
+        raise ExtractionError("recovered support is zero")
+    return basis
+
+
+def support_case(q, rng):
+    """A random (inst, lam, Rt).  Rt loses rank a third of the time; half the
+    cases make Sum_i lambda_i s_i = gamma (Rt H^T) hold for a random gamma,
+    whose entries may span fewer than w dimensions, the rest are random."""
+    m, k = rng.randrange(3, 7), rng.randrange(1, 4)
+    n, N, w = k + rng.randrange(2, 5), rng.randrange(1, 5), rng.randrange(1, 4)
+    params = RslParams(q=q, m=m, n=n, k=k, r=min(w, n - k, m), N=N)
+    inst, _ = gen_instance(params, rng.randrange(2**30))
+    ext, fq = inst.field, prime_field(q)
+    Rt = FieldMatrix.random(fq, w, n, rng)
+    if rng.random() < 1 / 3:
+        Rt.rows[-1] = [0] * n if w == 1 else [fq.add(a, b) for a, b in zip(*Rt.rows[:2])]
+    lam = [fq.random_element(rng) for _ in range(N)]
+    if rng.random() < 1 / 2 and any(lam):
+        gamma = [ext.random_element(rng) for _ in range(w)]
+        if w > 1 and rng.random() < 1 / 2:
+            gamma[-1] = gamma[0]
+        target = FieldMatrix(ext, [gamma]).mul(FieldMatrix(ext, Rt.rows)).mul(
+            inst.H.transpose()
+        ).rows[0]
+        i0 = next(i for i, li in enumerate(lam) if li)
+        rest = [li if i != i0 else 0 for i, li in enumerate(lam)]
+        column = [
+            ext.mul(ext.sub(t, s), ext.inv(lam[i0]))
+            for t, s in zip(target, inst.S.matvec(rest))
+        ]
+        S = FieldMatrix(ext, [
+            [column[u] if i == i0 else x for i, x in enumerate(row)]
+            for u, row in enumerate(inst.S.rows)
+        ])
+        inst = replace(inst, S=S)
+    return inst, lam, Rt
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_recover_support_matches_the_digit_solve(q):
+    rng = random.Random(700 + q)
+    outcomes = {"same basis": 0, "both raise": 0}
+    for _ in range(120):
+        inst, lam, Rt = support_case(q, rng)
+        try:
+            expected = digit_support_solve(inst, lam, Rt)
+        except ExtractionError:
+            with pytest.raises(ExtractionError):
+                recover_support(inst, lam, Rt)
+            outcomes["both raise"] += 1
+            continue
+        assert recover_support(inst, lam, Rt) == expected
+        outcomes["same basis"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_rotate_information_columns(toy):
@@ -279,8 +382,24 @@ def test_attack_reduced_weight_recovers_support():
     assert strat == StrategyParams(delta=1, w=2, a=3, N_prime=13)
     result = attack(inst, strat, b_max=2)
     assert result.success and result.verified
-    assert result.support.d == 3
+    assert result.support.C.ncols == 3
     assert result.support.C == witness.support_basis()
+
+
+def test_attack_verifies_the_union_once(monkeypatch):
+    # delta = 1 recovers the support as a union over several attempts
+    params = RslParams(q=2, m=20, n=9, k=4, r=3, N=13)
+    inst, _ = gen_instance(params, 12)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_support(*args)
+
+    monkeypatch.setattr(solver, "verify_support", counted)
+    result = attack(inst, strategy_params(params, 1), b_max=2)
+    assert result.success and result.attempts > 1
+    assert len(calls) == 1 and calls[0][0] is inst
 
 
 def test_attack_reduced_weight_stays_inside_support():
