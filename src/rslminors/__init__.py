@@ -34,7 +34,6 @@ from .instance import (
     gen_instance,
     shorten,
     strategy_params,
-    truncate_syndromes,
     verify_support,
 )
 from .instance_io import (
@@ -51,7 +50,6 @@ from .modeling import (
     MacaulayMatrix,
     RankAssumptionError,
     build_macaulay,
-    build_QJ,
     build_syzygies,
     build_system,
     echelonize_tildeQ,
@@ -89,7 +87,6 @@ __all__ = [
     "StrategyParams",
     "attack",
     "bit_cost",
-    "build_QJ",
     "build_macaulay",
     "build_syzygies",
     "build_system",
@@ -118,7 +115,6 @@ __all__ = [
     "solve_linearized",
     "sphere_size",
     "strategy_params",
-    "truncate_syndromes",
     "unfold_system",
     "verify_support",
     "write_instance",

@@ -342,6 +342,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "quarantine_dir": args.quarantine_dir,
     }
     accepted = inspect.signature(run).parameters
+    for flag, key in (("--q", "qs"), ("--b", "bs")):
+        if options[key] is not None and key not in accepted:
+            print(f"verify: {flag} does not apply to suite {args.suite}", file=sys.stderr)
+            return EXIT_USAGE
     kwargs = {key: v for key, v in options.items() if key in accepted and v is not None}
     report = _base_report("verify", args)
     report.update(run(**kwargs))

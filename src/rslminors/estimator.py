@@ -13,12 +13,15 @@ minus one (the solution is projective).
 
 Cost calibration: Strassen-style elimination is charged (M_leq_b)^omega with
 omega = 2.807 after discarding surplus rows, and Wiedemann is charged
-3 * row_weight * M_leq_b^2 with row_weight = N' * C(k-a+1+w, w); the reported
-cost is the cheaper of the two.  The hybrid knobs (alpha_C columns of R,
-alpha_lambda lambda-variables fixed by exhaustive search) multiply the cost by
-q^(w*alpha_C + alpha_lambda) and shrink the corresponding parameter; this is
-one possible reading of the hybrid approach (interpretation A) and is off by
-default.
+3 * row_weight * M_leq_b^2 with row_weight = N' * C(k-a+1+w, w).  The
+strategy picks the solver, in ``bit_cost`` alone: the fully specialized
+search (delta = 0) is charged the dense solve, as the reference table
+charges it, and a shortened search (delta > 0) the cheaper of the two.
+
+The hybrid knobs (alpha_C columns of R, alpha_lambda lambda-variables fixed
+by exhaustive search) multiply the cost by q^(w*alpha_C + alpha_lambda) and
+shrink the corresponding parameter; this is one possible reading of the
+hybrid approach (interpretation A) and is off by default.
 """
 
 from __future__ import annotations
@@ -172,18 +175,12 @@ def bit_cost(
     params: RslParams,
     strategy: StrategyParams,
     b: int,
-    algorithm: Optional[str] = None,
     alpha_C: int = 0,
     alpha_lambda: int = 0,
 ) -> CostReport:
-    """Bit cost of solving at degree b.
-
-    With algorithm=None the report carries the cheaper of the dense
-    (strassen) and sparse (wiedemann) solve costs; naming an algorithm
-    forces log2_cost to that solver's estimate.
-    """
-    if algorithm not in (None, "strassen", "wiedemann"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    """Bit cost of solving at degree b with the solver the strategy picks:
+    the dense (strassen) solve when delta = 0, the cheaper of dense and
+    sparse (wiedemann) when delta > 0."""
     counts = _counts_for(params, strategy, b, alpha_C, alpha_lambda)
     M = max(counts.M_leq_b, 2)
     guess_bits = (strategy.w * alpha_C + alpha_lambda) * math.log2(params.q)
@@ -191,8 +188,7 @@ def bit_cost(
     row_weight = counts.N_eff * _comb(counts.k_eff + 1 + strategy.w, strategy.w)
     strassen = OMEGA * log2_M + guess_bits
     wiedemann = math.log2(3 * max(row_weight, 1)) + 2.0 * log2_M + guess_bits
-    if algorithm is None:
-        algorithm = "strassen" if strassen <= wiedemann else "wiedemann"
+    dense = strategy.delta == 0 or strassen <= wiedemann
     return CostReport(
         delta=strategy.delta,
         w=strategy.w,
@@ -200,8 +196,8 @@ def bit_cost(
         b=b,
         alpha_C=alpha_C,
         alpha_lambda=alpha_lambda,
-        algorithm=algorithm,
-        log2_cost=strassen if algorithm == "strassen" else wiedemann,
+        algorithm="strassen" if dense else "wiedemann",
+        log2_cost=strassen if dense else wiedemann,
         feasible=is_feasible(params, counts, b),
         counts=counts,
     )
@@ -273,33 +269,23 @@ def optimize(
     alpha_lambda: int = 0,
 ) -> OptimizeResult:
     """Exhaustive sweep over (delta, a, minimal b); returns every feasible
-    strategy's report and the overall cheapest.
-
-    The fully specialized search (delta=0) is costed with the dense solve;
-    shortened searches (delta>0) take the cheaper of dense and sparse.
-    """
+    strategy's report, costed by ``bit_cost``, and the overall cheapest.
+    A delta whose strategy ``strategy_params`` rejects is skipped."""
     if deltas is None:
         deltas = list(range(0, delta_max(params) + 1))
     rows: list[CostReport] = []
     for delta in deltas:
-        if delta == 0:
-            candidates = [strategy_params(params, 0)]
-        else:
-            try:
-                widest = strategy_params(params, delta)
-            except ValueError:
-                continue
-            candidates = [
-                strategy_params(params, delta, a) for a in range(widest.a + 1)
-            ]
-        algorithm = "strassen" if delta == 0 else None
+        try:
+            widest = strategy_params(params, delta)
+        except ValueError:
+            continue
+        candidates = [widest] if delta == 0 else [
+            strategy_params(params, delta, a) for a in range(widest.a + 1)
+        ]
         for strat in candidates:
             found = min_b(params, strat, b_max, alpha_C, alpha_lambda)
-            if found is None:
-                continue
-            rows.append(
-                bit_cost(params, strat, found[0], algorithm, alpha_C, alpha_lambda)
-            )
+            if found is not None:
+                rows.append(bit_cost(params, strat, found[0], alpha_C, alpha_lambda))
     best = min(rows, key=lambda r: r.log2_cost) if rows else None
     return OptimizeResult(best=best, rows=rows)
 
@@ -325,11 +311,35 @@ DELTA0_TOL = 2.0
 DELTA_POS_TOL = 3.0
 
 
+def _table2_cell(rep: Optional[CostReport], expected: tuple, tol: float,
+                 shown: tuple[str, ...]) -> dict:
+    """One column of a table row: the report's bits and ``shown`` fields
+    beside the reference, which holds the bits and then one value for each
+    leading field of ``shown``, and whether the two agree."""
+    if rep is None:
+        return {"feasible": False, "ok": False}
+    exp_bits, *exp_rest = expected
+    compared = dict(zip(shown, exp_rest))
+    return {
+        "expected_bits": exp_bits,
+        **{f"expected_{field}": value for field, value in compared.items()},
+        "bits": round(rep.log2_cost, 2),
+        **{field: getattr(rep, field) for field in shown},
+        "algorithm": rep.algorithm,
+        "delta_bits": round(rep.log2_cost - exp_bits, 2),
+        "ok": abs(rep.log2_cost - exp_bits) <= tol
+        and all(getattr(rep, field) == value for field, value in compared.items()),
+    }
+
+
 def run_table2(b_max: int = 4) -> dict:
     """Re-derive the benchmark table and diff against the reference values.
 
-    delta=0 rows must match within DELTA0_TOL bits with equal b; delta>0 rows
-    (non-hybrid ones) within DELTA_POS_TOL bits with equal (b, w, a).
+    Both columns of a row come from one ``optimize`` sweep, over delta = 0
+    alone when the row has no delta>0 reference.  The delta=0 column is the
+    sweep's delta=0 report, which must match within DELTA0_TOL bits with
+    equal b; the delta>0 column (non-hybrid rows only) is its cheapest
+    delta>0 report, within DELTA_POS_TOL bits with equal (b, w, a).
     """
     started = time.monotonic()
     out_rows = []
@@ -337,58 +347,19 @@ def run_table2(b_max: int = 4) -> dict:
     allpos = True
     for m, n, k, r, label, N, ref0, refpos in TABLE2_ROWS:
         params = RslParams(q=2, m=m, n=n, k=k, r=r, N=N)
-        strat0 = strategy_params(params, 0)
-        found = min_b(params, strat0, b_max)
+        deltas = [0] if refpos is None else list(range(delta_max(params) + 1))
+        reports = optimize(params, b_max=b_max, deltas=deltas).rows
+        rep0 = next((rep for rep in reports if rep.delta == 0), None)
         row: dict = {"m": m, "n": n, "k": k, "r": r, "N": N, "N_label": label}
-        if found is None:
-            row["delta0"] = {"feasible": False, "ok": False}
-            all0 = False
-        else:
-            b = found[0]
-            rep = bit_cost(params, strat0, b, "strassen")
-            exp_bits, exp_b = ref0
-            ok = abs(rep.log2_cost - exp_bits) <= DELTA0_TOL and b == exp_b
-            all0 = all0 and ok
-            row["delta0"] = {
-                "expected_bits": exp_bits,
-                "expected_b": exp_b,
-                "bits": round(rep.log2_cost, 2),
-                "b": b,
-                "a": strat0.a,
-                "algorithm": rep.algorithm,
-                "delta_bits": round(rep.log2_cost - exp_bits, 2),
-                "ok": ok,
-            }
+        row["delta0"] = _table2_cell(rep0, ref0, DELTA0_TOL, ("b", "a"))
+        all0 = all0 and row["delta0"]["ok"]
         if refpos is None:
             row["delta_pos"] = None
         else:
-            exp_bits, exp_b, exp_w, exp_a = refpos
-            res = optimize(params, b_max=b_max, deltas=list(range(1, delta_max(params) + 1)))
-            if res.best is None:
-                row["delta_pos"] = {"feasible": False, "ok": False}
-                allpos = False
-            else:
-                best = res.best
-                ok = (
-                    abs(best.log2_cost - exp_bits) <= DELTA_POS_TOL
-                    and best.b == exp_b
-                    and best.w == exp_w
-                    and best.a == exp_a
-                )
-                allpos = allpos and ok
-                row["delta_pos"] = {
-                    "expected_bits": exp_bits,
-                    "expected_b": exp_b,
-                    "expected_w": exp_w,
-                    "expected_a": exp_a,
-                    "bits": round(best.log2_cost, 2),
-                    "b": best.b,
-                    "w": best.w,
-                    "a": best.a,
-                    "algorithm": best.algorithm,
-                    "delta_bits": round(best.log2_cost - exp_bits, 2),
-                    "ok": ok,
-                }
+            shortened = [rep for rep in reports if rep.delta > 0]
+            best = min(shortened, key=lambda rep: rep.log2_cost) if shortened else None
+            row["delta_pos"] = _table2_cell(best, refpos, DELTA_POS_TOL, ("b", "w", "a"))
+            allpos = allpos and row["delta_pos"]["ok"]
         out_rows.append(row)
     return {
         "rows": out_rows,

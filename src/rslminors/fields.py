@@ -175,6 +175,8 @@ def is_irreducible(modulus: Sequence[int], q: int) -> bool:
     m = len(modulus) - 1
     if m < 1 or modulus[-1] != 1:
         return False
+    if m == 1:
+        return True  # every monic linear polynomial is irreducible
     # x**(q**m) == x mod f, and gcd(x**(q**(m/p)) - x, f) == 1 for primes p|m
     x = (0, 1)
     powers = {m // p for p in _prime_factors(m)}
@@ -237,7 +239,8 @@ class ExtensionField:
     def __init__(self, q: int, m: int, modulus: Sequence[int] | None = None):
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        self.base = PrimeField(q)
+        if not is_prime(q):
+            raise ValueError(f"field characteristic must be prime, got {q}")
         self.q = q
         self.m = m
         self.order = q**m
@@ -394,7 +397,7 @@ class ExtensionField:
     def _find_generator(self) -> int:
         n = self.order - 1
         factors = _prime_factors(n)
-        for g in range(2, self.order):
+        for g in range(1, self.order):  # 1 generates F_2
             if all(self._pow_poly(g, n // p) != 1 for p in factors):
                 return g
         raise RuntimeError("no generator found")  # unreachable for a field

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .fields import ExtensionField, extension_field, is_prime, prime_field
 from .matrix import FieldMatrix, column_space_basis, rank_rows
@@ -73,7 +73,6 @@ class RslInstance:
     field: ExtensionField
     H: FieldMatrix  # (n-k) x n over F_{q^m}, systematic [A | I]
     S: FieldMatrix  # (n-k) x N over F_{q^m}
-    shortened_by: int = 0
 
     def __post_init__(self):
         p = self.params
@@ -129,24 +128,28 @@ def strategy_params(
     shortened code keeps dimension k - a >= 1, and only N' = a r + 1
     syndromes are kept.  delta > 0: w = r - delta,
     N' = delta (n - r + delta) + a (r - delta) with a maximal subject to
-    N' <= N and a <= k - 1 unless overridden.
+    N' <= N, a <= k - 1 and a <= n - r (the shortened code stays at least r
+    long) unless overridden.  Either way the target weight must stay below
+    n - k: the minor system has no equations otherwise.
     """
     n, k, r, N = params.n, params.k, params.r, params.N
     if delta < 0 or delta >= r:
         raise ValueError(f"delta must be in [0, r), got {delta}")
+    w = r - delta
+    if w >= n - k:
+        raise ValueError(f"no minor equations: need w < n-k, got w={w}, n-k={n - k}")
     if delta == 0:
         if a_override is not None:
             raise ValueError("a is determined when delta = 0")
         a = (N + r - 1) // r - 1
         a = min(a, k - 1)
-        return StrategyParams(delta=0, w=r, a=a, N_prime=a * r + 1)
-    w = r - delta
+        return StrategyParams(delta=0, w=w, a=a, N_prime=a * r + 1)
     base = delta * (n - r + delta)
     if N < base:
         raise ValueError(
             f"delta={delta} infeasible: N={N} < delta*(n-r+delta)={base}"
         )
-    a_max = min((N - base) // w, k - 1, n - w - 1)
+    a_max = min((N - base) // w, k - 1, n - r)
     a = a_max if a_override is None else a_override
     if not 0 <= a <= a_max:
         raise ValueError(f"a={a} outside feasible range [0, {a_max}]")
@@ -193,46 +196,27 @@ def check_assumption1(inst: RslInstance, w: int) -> bool:
     return rank_rows(top, inst.field) == nk - w
 
 
-def shorten(inst: RslInstance, a: int) -> RslInstance:
-    """Shortened view on the first a coordinates.
+def shorten(inst: RslInstance, keep: Sequence[int], n_syndromes: int) -> RslInstance:
+    """The view the attack solves: H on the information columns listed in
+    keep (0-based, in that order) followed by its identity block, and the
+    first n_syndromes syndromes.
 
-    Drops the first a columns of H and the first a rows of A's block, i.e.
-    keeps rows as they are (H stays systematic because only code columns are
-    removed) and re-labels n -> n-a, k -> k-a.  Syndromes are unchanged: the
-    canonical preimages are zero on the dropped coordinates.
+    Dropping information columns shortens the code (n -> n-k+len(keep),
+    k -> len(keep)) and leaves H systematic; the syndromes are unchanged,
+    because the canonical preimages are zero on the dropped coordinates.
+    The order of keep relabels coordinates, so the support is unchanged too.
     """
     p = inst.params
-    if not 0 <= a <= p.k:
-        raise ValueError(f"shortening length must be in [0, k], got {a}")
-    if a == 0:
-        return inst
-    new_params = RslParams(q=p.q, m=p.m, n=p.n - a, k=p.k - a, r=p.r, N=p.N)
-    H = inst.H.submatrix(range(p.n - p.k), range(a, p.n))
-    return RslInstance(
-        params=new_params,
-        field=inst.field,
-        H=H,
-        S=inst.S,
-        shortened_by=inst.shortened_by + a,
-    )
-
-
-def truncate_syndromes(inst: RslInstance, n_keep: int) -> RslInstance:
-    """Keep only the first n_keep syndromes."""
-    p = inst.params
-    if not 0 < n_keep <= p.N:
-        raise ValueError(f"cannot keep {n_keep} of {p.N} syndromes")
-    if n_keep == p.N:
-        return inst
-    new_params = RslParams(q=p.q, m=p.m, n=p.n, k=p.k, r=p.r, N=n_keep)
-    S = inst.S.submatrix(range(p.n - p.k), range(n_keep))
-    return RslInstance(
-        params=new_params,
-        field=inst.field,
-        H=inst.H,
-        S=S,
-        shortened_by=inst.shortened_by,
-    )
+    keep = list(keep)
+    if len(set(keep)) != len(keep) or not all(0 <= j < p.k for j in keep):
+        raise ValueError(f"keep must list distinct information columns in [0, {p.k})")
+    if not 0 < n_syndromes <= p.N:
+        raise ValueError(f"cannot keep {n_syndromes} of {p.N} syndromes")
+    nk = p.n - p.k
+    new_params = RslParams(q=p.q, m=p.m, n=len(keep) + nk, k=len(keep), r=p.r, N=n_syndromes)
+    H = inst.H.submatrix(range(nk), keep + list(range(p.k, p.n)))
+    S = inst.S.submatrix(range(nk), range(n_syndromes))
+    return RslInstance(params=new_params, field=inst.field, H=H, S=S)
 
 
 def verify_support(inst: RslInstance, v_basis: FieldMatrix) -> bool:

@@ -35,7 +35,6 @@ class InstanceFormatError(ValueError):
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def write_instance(

@@ -97,19 +97,6 @@ class BilinearSystem:
     equations: list[BilinearEquation]
 
 
-def build_QJ(inst: RslInstance, J: Iterable[int], w: int) -> BilinearEquation:
-    """Maximal minor of Delta on rows J, expanded into bilinear terms.
-
-    Writing the candidate word as (Sum_i lambda_i y_i) and stacking it over R,
-    Delta equals [Sum lambda_i y_i ; R] Ht^T, so the minor expands over column
-    subsets T0 of size w+1; the systematic form of H kills every T0 not inside
-    {1..k} union (J+k).  The coefficient of lambda_i r_T collects
-    y_i[t] * (-1)^(1+pos(t)) * |H|_{J, T u {t}} over the choices of the extra
-    column t.
-    """
-    return _minor_equations(inst, [J], w)[0]
-
-
 def build_system(inst: RslInstance, w: int) -> BilinearSystem:
     """All C(n-k, w+1) minor equations, J in lexicographic order."""
     p = inst.params
@@ -121,20 +108,25 @@ def build_system(inst: RslInstance, w: int) -> BilinearSystem:
 
 
 def _minor_equations(inst: RslInstance, Js: Iterable, w: int) -> list[BilinearEquation]:
-    """build_QJ for every J, with one memo of the minors of H, so the
-    sub-minors on rows J[1:] are shared by every J with that tail.  For
-    t > k, y_i[t] = S[t-k, i]."""
+    """Maximal minor of Delta on each row set J, expanded into bilinear terms.
+
+    Writing the candidate word as (Sum_i lambda_i y_i) and stacking it over R,
+    Delta equals [Sum lambda_i y_i ; R] Ht^T, so the minor expands over column
+    subsets T0 of size w+1; the systematic form of H kills every T0 not inside
+    {1..k} union (J+k).  The coefficient of lambda_i r_T collects
+    y_i[t] * (-1)^(1+pos(t)) * |H|_{J, T u {t}} over the choices of the extra
+    column t, where y_i[t] = S[t-k, i] for t > k.  One memo of the minors of H
+    serves every J, so the sub-minors on rows J[1:] are shared by every J
+    with that tail.
+    """
     p = inst.params
     ext, S = inst.field, inst.S.rows
-    k, nk = p.k, p.n - p.k
+    k = p.k
     if not 0 < w <= p.r:
         raise ValueError(f"weight must be in 1..r, got {w}")
     minor = minors_of(inst.H.rows, ext)
     out = []
     for J in Js:
-        J = tuple(sorted(J))
-        if len(J) != w + 1 or J[0] < 1 or J[-1] > nk:
-            raise ValueError(f"J must be a (w+1)-subset of 1..{nk}, got {J}")
         rows = tuple(j - 1 for j in J)
         cols = list(range(1, k + 1)) + [j + k for j in J]
         coeffs: dict[MinorIndex, list[int]] = {}

@@ -29,7 +29,6 @@ from .instance import (
     SecretWitness,
     StrategyParams,
     shorten,
-    truncate_syndromes,
     verify_support,
 )
 from .matrix import FieldMatrix, column_space_basis, kernel_rows, solve_rows
@@ -178,21 +177,6 @@ def recover_support(
     return basis
 
 
-def rotate_information_columns(inst: RslInstance, offset: int) -> RslInstance:
-    """Cyclically permute the first k columns of H.  The code is the same up
-    to coordinate relabeling and the support is unchanged, but shortening the
-    rotated instance removes a different column set."""
-    p = inst.params
-    if p.k == 0 or offset % p.k == 0:
-        return inst
-    o = offset % p.k
-    perm = list(range(o, p.k)) + list(range(o)) + list(range(p.k, p.n))
-    H = inst.H.submatrix(range(p.n - p.k), perm)
-    return RslInstance(
-        params=p, field=inst.field, H=H, S=inst.S, shortened_by=inst.shortened_by
-    )
-
-
 def planted_solution(
     witness: SecretWitness, strategy: StrategyParams, n: int, q: int
 ) -> tuple[list[int], dict[tuple[int, ...], int], FieldMatrix]:
@@ -275,9 +259,9 @@ def _attempt(
     offset: int,
     history: list[dict],
 ) -> Optional[FieldMatrix]:
-    rotated = rotate_information_columns(inst, offset)
-    sh = shorten(rotated, strategy.a)
-    sh = truncate_syndromes(sh, strategy.N_prime)
+    # the information columns rotated by offset, the first a of them dropped
+    k = inst.params.k
+    sh = shorten(inst, [(offset + j) % k for j in range(strategy.a, k)], strategy.N_prime)
     system = build_system(sh, strategy.w)
     unfolded = unfold_system(system)
     fq = unfolded.field

@@ -185,6 +185,34 @@ def test_attack_shortening_as_wide_as_k_fails_cleanly(capsys):
     assert "no recovery up to b=1" in out and "a=3" in out
 
 
+def test_attack_without_minor_equations_is_a_usage_error(capsys):
+    # w = r = 3 equals n-k: the minor system would have no equations
+    rc = main(["attack", "--q", "2", "--m", "8", "--n", "8", "--k", "5", "--r", "3", "--N", "9"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "attack: no minor equations: need w < n-k, got w=3, n-k=3\n"
+    )
+
+
+def test_attack_shortening_leaves_room_for_the_support(capsys):
+    # delta = 4 used to pick a = 5, leaving n - a = 5 < r = 6 coordinates
+    rc = main([
+        "attack", "--q", "2", "--m", "8", "--n", "10", "--k", "6", "--r", "6",
+        "--N", "50", "--delta", "4", "--b-max", "1",
+    ])
+    assert rc == EXIT_INFEASIBLE
+    out = capsys.readouterr().out
+    assert "strategy delta=4 w=2 a=4 " in out and "no recovery up to b=1" in out
+
+
+def test_attack_runs_on_a_degree_one_field(tmp_path, capsys):
+    path = tmp_path / "m1.rsl"
+    argv = ["--q", "2", "--m", "1", "--n", "6", "--k", "3", "--r", "1", "--N", "2"]
+    assert main(["gen", *argv, "-o", str(path)]) == EXIT_OK
+    assert main(["attack", "--instance", str(path)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == ""
+
+
 def test_attack_q3_recovers_at_exact_degree_two(capsys):
     # above F_2 the attack solves the exact-degree matrix, 1080x675 at b=2
     rc = main([
@@ -256,6 +284,12 @@ def test_estimate_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_estimate_without_minor_equations_lists_no_strategy(capsys):
+    rc = main(["estimate", "--q", "2", "--m", "8", "--n", "8", "--k", "5", "--r", "4", "--N", "11"])
+    assert rc == EXIT_OK
+    assert "no feasible strategy up to b_max" in capsys.readouterr().out
+
+
 EST40 = ["estimate", "--m", "40", "--n", "20", "--k", "10", "--r", "3", "--N", "20"]
 
 
@@ -299,6 +333,16 @@ def test_verify_rejects_zero_trials(suite, capsys):
         main(["verify", suite, "--trials", "0"])
     assert exc.value.code == EXIT_USAGE
     assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["thm1", "--trials", "1", "--b", "7"], "--b"), (["prop1", "--q", "3"], "--q")],
+    ids=["thm1-b", "prop1-q"],
+)
+def test_verify_rejects_a_flag_the_suite_does_not_take(argv, flag, capsys):
+    assert main(["verify", *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"verify: {flag} does not apply to suite {argv[0]}\n"
 
 
 def test_verify_bad_suite():

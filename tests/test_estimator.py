@@ -7,6 +7,7 @@ from math import comb, log2
 
 import pytest
 
+from rslminors import estimator
 from rslminors.counting import sphere_size
 from rslminors.estimator import (
     DELTA0_TOL,
@@ -23,6 +24,7 @@ from rslminors.estimator import (
     make_counts,
     min_b,
     optimize,
+    run_table2,
 )
 from rslminors.instance import RslParams, StrategyParams, strategy_params
 
@@ -123,26 +125,50 @@ def test_is_feasible_needs_a_column_and_a_syndrome_left():
     assert optimize(params, alpha_C=30).rows == []
 
 
+def solver_figures(params, strat, b):
+    """(dense, sparse) bit costs of the model, recomputed from the counts."""
+    counts = bit_cost(params, strat, b).counts
+    log2_M = log2(max(counts.M_leq_b, 2))
+    weight = counts.N_eff * comb(counts.k_eff + 1 + strat.w, strat.w)
+    return OMEGA * log2_M, log2(3 * max(weight, 1)) + 2 * log2_M
+
+
 def test_bit_cost_named_algorithms():
+    # delta > 0 takes the cheaper solver, whichever it is
+    for shape, delta, a, b, name in (
+        (dict(m=40, n=20, k=10, r=3, N=20), 1, 0, 1, "strassen"),
+        (dict(m=307, n=274, k=137, r=9, N=959), 1, 86, 3, "wiedemann"),
+    ):
+        params = RslParams(q=2, **shape)
+        strat = strategy_params(params, delta, a_override=a)
+        rep = bit_cost(params, strat, b)
+        assert rep.algorithm == name
+        assert rep.log2_cost == min(solver_figures(params, strat, b))
+
+
+def test_bit_cost_charges_delta0_the_dense_solve():
+    # the sparse figure, 144.56 bits, is lower here, but the reference table
+    # (and estimate) charge delta = 0 the dense solve
     params = RslParams(q=2, m=277, n=358, k=179, r=7, N=895)
     strat = strategy_params(params, 0)
-    rep_s = bit_cost(params, strat, 1, "strassen")
-    rep_w = bit_cost(params, strat, 1, "wiedemann")
-    rep_auto = bit_cost(params, strat, 1)
-    assert rep_s.log2_cost == pytest.approx(OMEGA * log2(rep_s.counts.M_leq_b))
-    assert rep_auto.log2_cost == min(rep_s.log2_cost, rep_w.log2_cost)
-    assert abs(rep_s.log2_cost - 147) <= DELTA0_TOL
-    with pytest.raises(ValueError):
-        bit_cost(params, strat, 1, "gauss")
+    strassen, wiedemann = solver_figures(params, strat, 1)
+    assert round(wiedemann, 2) == 144.56
+    rep = bit_cost(params, strat, 1)
+    assert rep.algorithm == "strassen" and rep.log2_cost == strassen
+    assert round(rep.log2_cost, 2) == 146.89
+    assert rep.log2_cost == pytest.approx(OMEGA * log2(rep.counts.M_leq_b))
+    assert abs(rep.log2_cost - 147) <= DELTA0_TOL
 
 
 def test_bit_cost_reference_points():
     params = RslParams(q=2, m=281, n=242, k=121, r=8, N=726)
-    rep = bit_cost(params, strategy_params(params, 0), 2, "strassen")
+    rep = bit_cost(params, strategy_params(params, 0), 2)
+    assert rep.algorithm == "strassen"
     assert abs(rep.log2_cost - 170) <= DELTA0_TOL
     params = RslParams(q=2, m=307, n=274, k=137, r=9, N=959)
     strat = strategy_params(params, 1, a_override=86)
-    rep = bit_cost(params, strat, 3, "wiedemann")
+    rep = bit_cost(params, strat, 3)
+    assert rep.algorithm == "wiedemann"
     assert abs(rep.log2_cost - 187) <= DELTA_POS_TOL
     weight = strat.N_prime * comb(137 - 86 + 1 + 8, 8)
     assert rep.log2_cost == pytest.approx(
@@ -153,8 +179,9 @@ def test_bit_cost_reference_points():
 def test_guessing_multiplies_cost():
     params = RslParams(q=2, m=277, n=358, k=179, r=7, N=895)
     strat = strategy_params(params, 0)
-    base = bit_cost(params, strat, 1, "strassen")
-    guessed = bit_cost(params, strat, 1, "strassen", alpha_lambda=3)
+    base = bit_cost(params, strat, 1)
+    guessed = bit_cost(params, strat, 1, alpha_lambda=3)
+    assert base.algorithm == guessed.algorithm == "strassen"
     assert guessed.counts.N_eff == base.counts.N_eff - 3
     shrink = OMEGA * (log2(base.counts.M_leq_b) - log2(guessed.counts.M_leq_b))
     assert guessed.log2_cost == pytest.approx(base.log2_cost + 3 - shrink)
@@ -274,6 +301,40 @@ def test_optimize_reference_points():
     assert (best.b, best.w, best.a) == (3, 6, 60)
     assert best.algorithm == "wiedemann"
     assert abs(best.log2_cost - 174) <= DELTA_POS_TOL
+
+
+def test_table2_cells_are_rows_of_its_optimize_sweeps(monkeypatch):
+    sweeps = []
+
+    def recording(params, *args, **kwargs):
+        res = optimize(params, *args, **kwargs)
+        sweeps.append((params, res.rows))
+        return res
+
+    monkeypatch.setattr(estimator, "optimize", recording)
+    table = run_table2()
+    assert len(sweeps) == len(TABLE2_ROWS) == len(table["rows"])
+    for (params, reports), row in zip(sweeps, table["rows"]):
+        assert [getattr(params, key) for key in "mnkrN"] == [row[key] for key in "mnkrN"]
+        cells = [(row["delta0"], [rep for rep in reports if rep.delta == 0], ("b", "a"))]
+        if row["delta_pos"] is not None:
+            cells.append((row["delta_pos"], [rep for rep in reports if rep.delta > 0],
+                          ("b", "w", "a")))
+        for cell, candidates, fields in cells:
+            rep = min(candidates, key=lambda rep: rep.log2_cost)
+            assert cell["bits"] == round(rep.log2_cost, 2)
+            assert cell["algorithm"] == rep.algorithm
+            assert [cell[field] for field in fields] == [getattr(rep, field) for field in fields]
+
+
+def test_optimize_skips_strategies_without_minor_equations():
+    # w = r = 4 >= n-k = 3 at delta = 0, w = 3 at delta = 1: no equations
+    params = RslParams(q=2, m=8, n=8, k=5, r=4, N=11)
+    assert delta_max(params) == 1
+    for delta in (0, 1):
+        with pytest.raises(ValueError):
+            strategy_params(params, delta)
+    assert optimize(params).rows == []
 
 
 def test_optimize_empty_space():

@@ -193,6 +193,27 @@ def test_default_modulus_irreducible():
             assert is_irreducible(mod, q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_degree_one_field_is_the_prime_field(q):
+    for c in range(q):
+        assert is_irreducible((c, 1), q)
+    assert default_modulus(q, 1) == (0, 1)
+    f, ff = ExtensionField(q, 1), prime_field(q)  # the sums and products use the tables
+    for a in range(q):
+        assert f.neg(a) == ff.neg(a)
+        if a:
+            assert f.inv(a) == ff.inv(a)
+        for b in range(q):
+            assert f.add(a, b) == (a + b) % q
+            assert f.sub(a, b) == (a - b) % q
+            assert f.mul(a, b) == (a * b) % q
+
+
+def test_extension_field_rejects_a_composite_characteristic():
+    with pytest.raises(ValueError, match="field characteristic must be prime, got 4"):
+        ExtensionField(4, 2)
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from rslminors.instance import (
     gen_instance,
     shorten,
     strategy_params,
-    truncate_syndromes,
     verify_support,
 )
 from rslminors.instance_io import (
@@ -128,6 +127,8 @@ def test_strategy_params_leave_a_code_to_shorten():
                         except ValueError:
                             continue
                         assert 0 <= s.a and k - s.a >= 1, (p, s)
+                        # a minor system exists, and the view keeps room for r
+                        assert s.w < n - k and n - s.a >= r, (p, s)
 
 
 def test_strategy_params_shortened():
@@ -145,32 +146,67 @@ def test_strategy_params_shortened():
         strategy_params(tight, 2)  # N < delta*(n-r+delta)
 
 
+def three_step_cut(inst, offset, a, n_keep):
+    """Oracle for ``shorten``: the attack's view built in three steps, each
+    its own instance.  Rotate the first k columns of H left by offset, drop
+    the first a columns, keep the first n_keep syndromes."""
+    p = inst.params
+    nk = p.n - p.k
+    o = offset % p.k
+    perm = list(range(o, p.k)) + list(range(o)) + list(range(p.k, p.n))
+    rotated = RslInstance(params=p, field=inst.field, H=inst.H.submatrix(range(nk), perm), S=inst.S)
+    p1 = RslParams(q=p.q, m=p.m, n=p.n - a, k=p.k - a, r=p.r, N=p.N)
+    short = RslInstance(
+        params=p1, field=inst.field, H=rotated.H.submatrix(range(nk), range(a, p.n)), S=inst.S
+    )
+    p2 = RslParams(q=p.q, m=p.m, n=p1.n, k=p1.k, r=p.r, N=n_keep)
+    return RslInstance(
+        params=p2, field=inst.field, H=short.H, S=inst.S.submatrix(range(nk), range(n_keep))
+    )
+
+
 def test_shorten():
     inst, _ = gen_instance(TOY, 4)
-    sh = shorten(inst, 2)
+    sh = shorten(inst, range(2, TOY.k), TOY.N)
     assert sh.params.n == TOY.n - 2 and sh.params.k == TOY.k - 2
-    assert sh.shortened_by == 2
     assert sh.S.rows == inst.S.rows
     assert sh.is_systematic()
     for u in range(TOY.n - TOY.k):
         assert sh.H.rows[u] == inst.H.rows[u][2:]
-    twice = shorten(shorten(inst, 1), 1)
-    assert twice.H.rows == sh.H.rows and twice.shortened_by == 2
-    assert shorten(inst, 0) is inst
-    with pytest.raises(ValueError):
-        shorten(inst, TOY.k + 1)
+    twice = shorten(shorten(inst, range(1, TOY.k), TOY.N), range(1, TOY.k - 1), TOY.N)
+    assert twice.H.rows == sh.H.rows
+    whole = shorten(inst, range(TOY.k), TOY.N)
+    assert whole.params == inst.params and whole.H == inst.H and whole.S == inst.S
+    for keep in ([], [0, 0, 1], [0, TOY.k]):
+        with pytest.raises(ValueError):
+            shorten(inst, keep, TOY.N)
 
 
 def test_truncate_syndromes():
     inst, _ = gen_instance(TOY, 4)
-    cut = truncate_syndromes(inst, 3)
+    cut = shorten(inst, range(TOY.k), 3)
     assert cut.params.N == 3
     assert cut.S.rows == [row[:3] for row in inst.S.rows]
-    assert truncate_syndromes(inst, TOY.N) is inst
+    assert cut.H == inst.H
     with pytest.raises(ValueError):
-        truncate_syndromes(inst, 0)
+        shorten(inst, range(TOY.k), 0)
     with pytest.raises(ValueError):
-        truncate_syndromes(inst, TOY.N + 1)
+        shorten(inst, range(TOY.k), TOY.N + 1)
+
+
+def test_shorten_matches_the_three_step_cut():
+    rng = random.Random(8)
+    for trial in range(40):
+        q = rng.choice([2, 3])
+        k = rng.randrange(2, 7)
+        n = k + rng.randrange(3, 6)
+        p = RslParams(q=q, m=6, n=n, k=k, r=2, N=rng.randrange(1, 8))
+        inst, _ = gen_instance(p, trial)
+        offset, a, n_keep = rng.randrange(3 * k), rng.randrange(k), rng.randrange(1, p.N + 1)
+        view = shorten(inst, [(offset + j) % k for j in range(a, k)], n_keep)
+        oracle = three_step_cut(inst, offset, a, n_keep)
+        assert view.params == oracle.params
+        assert view.H == oracle.H and view.S == oracle.S
 
 
 def test_check_assumption1():

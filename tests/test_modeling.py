@@ -18,12 +18,10 @@ from rslminors.instance import (
     gen_instance,
     shorten,
     strategy_params,
-    truncate_syndromes,
 )
 from rslminors.matrix import FieldMatrix, rank_rows
 from rslminors.modeling import (
     RankAssumptionError,
-    build_QJ,
     build_macaulay,
     build_syzygies,
     build_system,
@@ -86,7 +84,7 @@ def test_minor_equations_match_direct_determinants(q):
         w = rng.choice([1, 2])
         nk = p.n - p.k
         J = tuple(sorted(rng.sample(range(1, nk + 1), w + 1)))
-        eq = build_QJ(inst, J, w)
+        eq = next(eq for eq in build_system(inst, w).equations if eq.J == J)
         for _ in range(3):
             lam, R, rT = random_point(p, w, rng)
             assert eq.evaluate(lam, rT) == minor_direct(inst, J, w, lam, R)
@@ -117,19 +115,16 @@ def test_minor_equations_match_per_minor_determinants_exactly(q):
         assert [eq.J for eq in system.equations] == list(combinations(range(1, 5), w + 1))
         for eq in system.equations:
             assert eq.terms == minor_terms_reference(inst, eq.J, w)
-            assert build_QJ(inst, eq.J, w).terms == eq.terms
 
 
 def test_build_qj_validation():
     inst, _ = gen_instance(RslParams(q=2, m=6, n=8, k=4, r=2, N=3), 0)
     with pytest.raises(ValueError):
-        build_QJ(inst, (1, 2), 2)  # J too small for w+1
-    with pytest.raises(ValueError):
-        build_QJ(inst, (1, 2, 9), 2)  # row index out of range
-    with pytest.raises(ValueError):
-        build_QJ(inst, (1, 2, 3), 3)  # w beyond r
+        build_system(inst, 3)  # w beyond r
     with pytest.raises(ValueError):
         build_system(inst, 4)  # w must stay below n-k
+    with pytest.raises(ValueError):
+        build_system(inst, 0)
 
 
 def test_monomial_order_frozen():
@@ -330,7 +325,7 @@ def test_macaulay_matches_reference_on_attack_shapes(shape):
     p = RslParams(**shape)
     strategy = strategy_params(p, 0)
     inst, _ = gen_instance(p, 0)
-    sh = truncate_syndromes(shorten(inst, strategy.a), strategy.N_prime)
+    sh = shorten(inst, range(strategy.a, p.k), strategy.N_prime)
     unfolded = unfold_system(build_system(sh, strategy.w))
     for b in (1, 2):
         assert_macaulay_matches_reference(unfolded, b)

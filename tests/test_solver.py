@@ -16,7 +16,6 @@ from rslminors.instance import (
     gen_instance,
     shorten,
     strategy_params,
-    truncate_syndromes,
     verify_support,
 )
 from rslminors.matrix import (
@@ -40,7 +39,6 @@ from rslminors.solver import (
     plucker_reconstruct,
     rank1_extract,
     recover_support,
-    rotate_information_columns,
     solve_linearized,
 )
 
@@ -57,7 +55,7 @@ def toy():
 def toy_macaulay(toy):
     inst, _ = toy
     strat = strategy_params(TOY, 0)
-    sh = shorten(inst, strat.a)
+    sh = shorten(inst, range(strat.a, TOY.k), TOY.N)
     system = unfold_system(build_system(sh, strat.w))
     return build_macaulay(system, 1), strat
 
@@ -180,7 +178,7 @@ def test_solve_linearized_dense(toy_macaulay):
 
 def test_solve_linearized_no_solution(toy):
     inst, _ = toy
-    sh = shorten(inst, 4)
+    sh = shorten(inst, [4], TOY.N)
     mac = build_macaulay(unfold_system(build_system(sh, 1)), 1)
     assert solve_linearized(mac) == []
 
@@ -210,7 +208,7 @@ def test_planted_point_solves_system(toy):
     strat = strategy_params(TOY, 0)
     lam, rT, Rt = planted_solution(witness, strat, TOY.n, TOY.q)
     assert any(lam)
-    sh = shorten(inst, strat.a)
+    sh = shorten(inst, range(strat.a, TOY.k), TOY.N)
     for eq in build_system(sh, strat.w).equations:
         assert eq.evaluate(lam, rT) == 0
     unfolded = unfold_system(build_system(sh, strat.w))
@@ -229,8 +227,7 @@ def test_toy_kernel_at_b3_is_the_planted_point(toy):
     # as its whole kernel
     inst, witness = toy
     strat = strategy_params(TOY, 0)
-    sh = shorten(rotate_information_columns(inst, 0), strat.a)
-    sh = truncate_syndromes(sh, strat.N_prime)
+    sh = shorten(inst, range(strat.a, TOY.k), strat.N_prime)
     mac = build_macaulay(unfold_system(build_system(sh, strat.w)), 3)
     assert mac.shape == (6440, 1935)
     basis = solve_linearized(mac)
@@ -241,7 +238,7 @@ def test_toy_kernel_at_b3_is_the_planted_point(toy):
 def test_recover_support_rejects_garbage(toy):
     inst, _ = toy
     strat = strategy_params(TOY, 0)
-    sh = shorten(inst, strat.a)
+    sh = shorten(inst, range(strat.a, TOY.k), TOY.N)
     f2 = prime_field(2)
     n_short = sh.params.n
     with pytest.raises(ExtractionError):
@@ -349,15 +346,20 @@ def test_recover_support_matches_the_digit_solve(q):
 
 
 def test_rotate_information_columns(toy):
+    # the attack's views keep the information columns in rotated order
     inst, witness = toy
-    assert rotate_information_columns(inst, 0) is inst
-    assert rotate_information_columns(inst, TOY.k) is inst
-    rot = rotate_information_columns(inst, 2)
+
+    def rotated(offset):
+        return shorten(inst, [(offset + j) % TOY.k for j in range(TOY.k)], TOY.N)
+
+    assert rotated(0).H == inst.H
+    assert rotated(TOY.k).H == inst.H
+    rot = rotated(2)
     assert rot.is_systematic()
     assert rot.S == inst.S
-    assert sorted(rot.H.col(j) for j in range(TOY.k)) == sorted(
-        inst.H.col(j) for j in range(TOY.k)
-    )
+    assert [rot.H.col(j) for j in range(TOY.k)] == [
+        inst.H.col((2 + j) % TOY.k) for j in range(TOY.k)
+    ]
     assert verify_support(rot, witness.support_basis())
 
 

@@ -2,10 +2,11 @@
 traced attack still reaches the kernel through those names.  Every source
 file parses as Python 3.10.  No toolkit module imports a name it never
 uses, every function, method and class it defines is named by the toolkit
-or the benchmark, every dataclass field is read there, and every function
-reads every parameter it takes.  Tests do not count as users: a name that
-only tests call is dead, unless it is one of the few oracles listed in
-``TEST_ORACLES``."""
+or the benchmark, every dataclass field and every attribute a class sets on
+``self`` is read there, and every function reads every parameter it takes.
+Neither tests nor the package's ``__init__`` re-exports count as users: a
+name that only tests call is dead, unless it is one of the few oracles
+listed in ``TEST_ORACLES``."""
 
 import ast
 import builtins
@@ -168,16 +169,20 @@ def unreferenced_definitions(sources: dict[str, str], defining: list[str]) -> li
     return [f"{label}:{line} {name}" for label, line, name in sorted(found)]
 
 
+def _attributes_read(trees) -> set[str]:
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unread_dataclass_fields(sources: dict[str, str], defining: list[str]) -> list[str]:
     """Fields of the ``@dataclass`` classes in the ``defining`` sources that
     no source (label -> text) reads as an attribute."""
     trees = {label: ast.parse(source) for label, source in sources.items()}
-    read = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    read = _attributes_read(trees.values())
     found = []
     for label in defining:
         for cls in ast.walk(trees[label]):
@@ -210,10 +215,52 @@ def test_unread_dataclass_fields_check_sees_an_unread_field():
     assert unread_dataclass_fields(sources, ["a.py"]) == ["a.py:5 A.written"]
 
 
+def unread_self_attributes(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Attributes that a class in the ``defining`` sources sets on ``self``
+    and that no source (label -> text) reads as an attribute."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    read = _attributes_read(trees.values())
+    found = set()
+    for label in defining:
+        for cls in ast.walk(trees[label]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in read
+                ):
+                    found.add(f"{label}:{node.lineno} {cls.name}.{node.attr}")
+    return sorted(found)
+
+
+def test_unread_self_attributes_check_sees_an_unread_attribute():
+    module = (
+        "class A:\n"
+        "    def __init__(self, x):\n"
+        "        self.read = x\n"
+        "        self.written = x\n"
+        "        self.written += 1\n"
+        "    def get(self):\n"
+        "        return self.read\n"
+    )
+    sources = {"a.py": module, "b.py": "a = A(1)\na.written = a.get()\n"}
+    assert unread_self_attributes(sources, ["a.py"]) == [
+        "a.py:4 A.written",
+        "a.py:5 A.written",
+    ]
+
+
 def user_sources() -> dict[str, str]:
-    """The sources that count as users of a toolkit name: the package, its
-    ``__init__`` re-exports included, and the benchmark without its tests."""
-    paths = sorted((ROOT / "src").rglob("*.py")) + [
+    """The sources that count as users of a toolkit name: the package
+    without its ``__init__``, whose re-exports use nothing, and the
+    benchmark without its tests."""
+    paths = [
+        path for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "__init__.py"
+    ] + [
         path
         for path in sorted((ROOT / "bench").rglob("*.py"))
         if not path.name.startswith("test_")
@@ -232,6 +279,9 @@ TEST_ORACLES = {
     "at the planted point and match a determinant evaluated directly",
     "y_vector": "RslInstance.y_vector: the canonical syndrome preimage the "
     "minor oracles in the tests expand",
+    "planted_solution": "the planted point of a shortened delta = 0 system, "
+    "built from the secret witness, which the system, its Macaulay matrices "
+    "and the attack's kernels must vanish on or equal",
 }
 
 
@@ -239,6 +289,12 @@ def test_every_dataclass_field_is_read_somewhere():
     sources = user_sources()
     defining = [label for label in sources if label.startswith("src/rslminors/")]
     assert unread_dataclass_fields(sources, defining) == []
+
+
+def test_every_attribute_set_on_self_is_read_somewhere():
+    sources = user_sources()
+    defining = [label for label in sources if label.startswith("src/rslminors/")]
+    assert unread_self_attributes(sources, defining) == []
 
 
 def test_unreferenced_definitions_check_sees_a_dead_name():
