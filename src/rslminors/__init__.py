@@ -48,11 +48,9 @@ from .modeling import (
     BilinearEquation,
     BilinearSystem,
     MacaulayMatrix,
-    RankAssumptionError,
     build_macaulay,
     build_syzygies,
     build_system,
-    echelonize_tildeQ,
     unfold_system,
 )
 from .solver import (
@@ -79,7 +77,6 @@ __all__ = [
     "InstanceFormatError",
     "MacaulayMatrix",
     "PrimeField",
-    "RankAssumptionError",
     "RecoveredSupport",
     "RslInstance",
     "RslParams",
@@ -95,7 +92,6 @@ __all__ = [
     "count_Mb",
     "count_Nb",
     "delta_max",
-    "echelonize_tildeQ",
     "extension_field",
     "gauss_binom",
     "gen_instance",

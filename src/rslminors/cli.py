@@ -348,7 +348,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     kwargs = {key: v for key, v in options.items() if key in accepted and v is not None}
     report = _base_report("verify", args)
-    report.update(run(**kwargs))
+    result = run(**kwargs)
+    report.update(result, config={**report["config"], **result["config"]})
     lines = [
         f"verify {args.suite}: trials={report['trials']} "
         + (

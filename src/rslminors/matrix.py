@@ -4,12 +4,12 @@
 tokens of an attached field.  The generic routines are pure Python and work
 for any field object: the reduced row echelon form, and ``minors_of``, the
 one minor routine behind the maximal minors and the minor equations.
-Rank, kernel, solve and column-space basis all run on one elimination core,
-``_echelon``, which picks one of three representations once per call: rows
-bit-packed into uint64 words for F_2, residues in the narrowest unsigned
-dtype for the other prime fields below 2^32, and Zech logarithms for
-extension fields with tabulated logarithms.  Any other field goes through
-the generic ``rref_rows``.
+Rank, pivot columns, kernel, solve and column-space basis all run on one
+elimination core, ``_echelon``, which picks one of three representations
+once per call: rows bit-packed into uint64 words for F_2, residues in the
+narrowest unsigned dtype for the other prime fields below 2^32, and Zech
+logarithms for extension fields with tabulated logarithms.  Any other field
+goes through the generic ``rref_rows``.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -377,9 +377,16 @@ def _echelon(rows, field, reduced: bool):
     return lambda cols: rep.read(a[:r], np.asarray(cols, dtype=np.intp)).tolist(), pivots
 
 
+def pivot_columns(rows, field) -> list[int]:
+    """Pivot columns of a row echelon form, ascending.  They do not depend on
+    the echelon form: column c is one exactly when some vector of the row
+    space has its first nonzero entry at c."""
+    return _echelon(rows, field, reduced=False)[1]
+
+
 def rank_rows(rows, field) -> int:
     """Rank over the given field."""
-    return len(_echelon(rows, field, reduced=False)[1])
+    return len(pivot_columns(rows, field))
 
 
 def kernel_rows(rows, field, ncols: int) -> list[list[int]]:

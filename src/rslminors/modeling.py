@@ -15,9 +15,11 @@ polynomials, their unfolding over F_q, their Macaulay matrices at bi-degree
 
 Monomials are pairs (mu, T): mu is a sorted tuple of lambda indices (1-based,
 repeats allowed), T a sorted w-tuple of column indices (1-based).  The order
-puts every r_T below every lambda, lambda_N < ... < lambda_1, compares minors
-by tuple lexicography, and breaks ties between lambda parts of equal degree by
-grevlex.
+compares the lambda-degree first, then the minors by tuple lexicography, and
+breaks ties between lambda parts of equal degree by grevlex with
+lambda_N < ... < lambda_1.  The Macaulay matrix lays its columns out in
+descending order, so the pivot columns of its echelon form are the leading
+monomials of the span of its rows; Theorem 1's leads are read off them.
 """
 
 from __future__ import annotations
@@ -28,15 +30,11 @@ from typing import Iterable, Optional
 
 from .fields import prime_field
 from .instance import RslInstance
-from .matrix import minors_of, rank_rows
+from .matrix import minors_of, pivot_columns, rank_rows
 
 LamMono = tuple[int, ...]
 MinorIndex = tuple[int, ...]
 Monomial = tuple[LamMono, MinorIndex]
-
-
-class RankAssumptionError(RuntimeError):
-    """The syndrome block that the echelonization pivots on is rank-deficient."""
 
 
 def grevlex_subkey(mu: LamMono, n_lambda: int) -> tuple[int, ...]:
@@ -46,12 +44,6 @@ def grevlex_subkey(mu: LamMono, n_lambda: int) -> tuple[int, ...]:
     for i in mu:
         exp[i] += 1
     return tuple(-exp[i] for i in range(n_lambda, 0, -1))
-
-
-def monomial_key(mono: Monomial, n_lambda: int) -> tuple:
-    """Sort key; comparing keys realizes the monomial order (ascending)."""
-    mu, T = mono
-    return (len(mu), tuple(T), grevlex_subkey(mu, n_lambda))
 
 
 @dataclass
@@ -65,11 +57,6 @@ class BilinearEquation:
     field: object
     terms: dict[Monomial, int]
     J: Optional[tuple[int, ...]] = None
-
-    def leading_monomial(self, n_lambda: int) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda mono: monomial_key(mono, n_lambda))
 
     def evaluate(self, lam_values: list[int], rT_values: dict[MinorIndex, int]) -> int:
         f = self.field
@@ -170,84 +157,6 @@ def unfold_system(system: BilinearSystem) -> BilinearSystem:
         for jd in range(ext.m):
             out.append(BilinearEquation(field=fq, terms=digit_terms[jd], J=eq.J))
     return replace(system, field=fq, equations=out)
-
-
-def _sequential_elim(rows: list[list[int]], field) -> tuple[list[list[int]], list[int]]:
-    """Reduce each row against the previous ones only, without row swaps.
-
-    Returns (E, lead) with E unit lower triangular, row i of E*M zero at every
-    lead[j] for j < i, and lead[i] the first nonzero column of that row.
-    Needs full row rank; raises RankAssumptionError otherwise.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    E = [[field.one if i == j else field.zero for j in range(nr)] for i in range(nr)]
-    red = [list(r) for r in rows]
-    lead: list[int] = []
-    for i in range(nr):
-        row = red[i]
-        for jprev in range(i):
-            c = row[lead[jprev]]
-            if c == 0:
-                continue
-            piv = red[jprev][lead[jprev]]
-            f = field.neg(field.mul(c, field.inv(piv)))
-            prow = red[jprev]
-            for t in range(nc):
-                if prow[t]:
-                    row[t] = field.add(row[t], field.mul(f, prow[t]))
-            erow = E[jprev]
-            for t in range(jprev + 1):
-                if erow[t]:
-                    E[i][t] = field.add(E[i][t], field.mul(f, erow[t]))
-        li = next((t for t, x in enumerate(row) if x), None)
-        if li is None:
-            raise RankAssumptionError(
-                f"top {nr} syndrome rows have rank {i}, need {nr}"
-            )
-        lead.append(li)
-    return E, lead
-
-
-def echelonize_tildeQ(
-    system: BilinearSystem, inst: RslInstance, w: int
-) -> tuple[BilinearSystem, list[Monomial]]:
-    """Transform the minor equations so their leading monomials are pairwise
-    distinct.
-
-    Group equations by I = J minus its minimum j.  Every equation in the group
-    of I has the same top minor r_{I+k}, with the linear form
-    Sum_i s_{i,j} lambda_i as its coefficient.  Reducing those forms (rows
-    1..n-k-w of S) against each other with a unit lower triangular transform E
-    and combining equations with the same coefficients yields, for each (j, I),
-    a leading monomial lambda_{c_j} r_{I+k} with the c_j pairwise distinct.
-    Requires the top n-k-w rows of S to have full rank.
-    """
-    p = inst.params
-    nk = p.n - p.k
-    ext = inst.field
-    if system.field is not ext:
-        raise ValueError("system must be over the instance's extension field")
-    E, lead = _sequential_elim([list(r) for r in inst.S.rows[: nk - w]], ext)
-    eq_by_J = {eq.J: eq for eq in system.equations}
-    out_eqs: list[BilinearEquation] = []
-    leads: list[Monomial] = []
-    for J in combinations(range(1, nk + 1), w + 1):
-        j1, I = J[0], J[1:]
-        terms: dict[Monomial, int] = {}
-        for jp in range(1, j1 + 1):
-            c = E[j1 - 1][jp - 1]
-            if c == 0:
-                continue
-            for key, v in eq_by_J[(jp,) + I].terms.items():
-                acc = ext.add(terms.get(key, ext.zero), ext.mul(c, v))
-                if acc:
-                    terms[key] = acc
-                elif key in terms:
-                    del terms[key]
-        out_eqs.append(BilinearEquation(field=ext, terms=terms, J=J))
-        leads.append(((lead[j1 - 1] + 1,), tuple(t + p.k for t in I)))
-    return replace(system, equations=out_eqs), leads
 
 
 def lambda_monomials(n_lambda: int, degree: int, squarefree: bool) -> list[LamMono]:
@@ -363,6 +272,26 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
         row_labels=[(mu, eq.J) for eq in system.equations for mu in multipliers],
         col_labels=col_labels, rows=rows,
     )
+
+
+def predicted_leads(inst: RslInstance, w: int) -> set[Monomial]:
+    """The leading monomials Theorem 1 predicts for the span of the minor
+    equations, one per J = (j, I) with j < min(I).
+
+    The largest minor in the equation of J is r_{I+k}, with the linear form
+    Sum_i s_{j,i} lambda_i as its coefficient.  So the leads of the equations
+    sharing I are lambda_{c+1} r_{I+k}, c running over the pivot columns of
+    the syndrome rows above row min(I).  That gives C(n-k, w+1) leads when
+    the top n-k-w rows of S have full rank, and fewer otherwise.
+    """
+    p = inst.params
+    nk = p.n - p.k
+    pivots = [pivot_columns(inst.S.rows[:h], inst.field) for h in range(nk - w + 1)]
+    return {
+        ((c + 1,), tuple(t + p.k for t in I))
+        for I in combinations(range(1, nk + 1), w)
+        for c in pivots[I[0] - 1]
+    }
 
 
 def monomial_vector(

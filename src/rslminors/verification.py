@@ -24,19 +24,21 @@ from .instance import (
     gen_instance,
 )
 from .instance_io import save_instance
-from .matrix import kernel_rows, rank_rows
+from .matrix import kernel_rows, pivot_columns, rank_rows
 from .modeling import (
     apply_syzygy,
     build_macaulay,
     build_syzygies,
     build_system,
-    echelonize_tildeQ,
+    predicted_leads,
     syzygy_stack_rows,
     unfold_system,
 )
 
 # Seeds _gen_passing tries after the first before it gives up.
 MAX_REGEN = 25
+# Pass rate at which the assumption2 suite passes.
+ASSUMPTION2_THRESHOLD = 0.95
 
 
 def sample_family(rng: random.Random, q: int) -> tuple[RslParams, int]:
@@ -135,7 +137,12 @@ def run_thm1(
     quarantine_dir: Optional[str] = None,
 ) -> dict:
     """Rank of the minor system over F_{q^m} must equal C(n-k, w+1), and the
-    echelonized system must have pairwise-distinct leading monomials."""
+    leading monomials of its span must be the ones ``predicted_leads`` gives.
+
+    One elimination of the degree-(1,1) Macaulay matrix gives both: its
+    columns run in descending monomial order, so its pivot columns are the
+    leading monomials of the span.  A failure's ``leads_distinct`` says
+    whether the leading monomials are the predicted ones."""
 
     def cases():
         rng = random.Random(seed)
@@ -145,17 +152,10 @@ def run_thm1(
                 inst, wit, used_seed = _gen_passing(params, w, rng.randrange(2**30))
                 system = build_system(inst, w)
                 mac = build_macaulay(system, 1)
-                got = mac.rank()
+                pivots = pivot_columns(mac.dense_rows(), mac.field)
+                got = len(pivots)
                 want = math.comb(params.n - params.k, w + 1)
-                ech, leads = echelonize_tildeQ(system, inst, w)
-                actual_leads = [
-                    eq.leading_monomial(params.N) for eq in ech.equations if eq.terms
-                ]
-                leads_ok = (
-                    len(actual_leads) == want
-                    and len(set(actual_leads)) == want
-                    and actual_leads == leads
-                )
+                leads_ok = {mac.col_labels[c] for c in pivots} == predicted_leads(inst, w)
                 failure = {
                     "trial": t,
                     "q": q,
@@ -264,9 +264,7 @@ def _sample_rank_brackets(rng: random.Random, bs) -> tuple[RslParams, int]:
             return RslParams(q=2, m=m, n=n, k=k, r=w, N=N), w
 
 
-def run_assumption2(
-    trials: int = 50, bs=(1, 2), seed: int = 0, threshold: float = 0.95
-) -> dict:
+def run_assumption2(trials: int = 50, bs=(1, 2), seed: int = 0) -> dict:
     """Over F_2, the unfolded cumulative Macaulay rank should equal
     min(m * N_leq_b, M_leq_b - 1) for most random instances drawn from
     the formula's validity domain."""
@@ -292,8 +290,10 @@ def run_assumption2(
                 }
                 yield got == want, failure, None, None
 
-    config = {"trials": trials, "bs": list(bs), "seed": seed, "threshold": threshold}
-    return _tally("assumption2", cases(), config, gate=threshold)
+    config = {
+        "trials": trials, "bs": list(bs), "seed": seed, "threshold": ASSUMPTION2_THRESHOLD
+    }
+    return _tally("assumption2", cases(), config, gate=ASSUMPTION2_THRESHOLD)
 
 
 def monte_carlo_codewords(

@@ -327,6 +327,20 @@ def test_verify_thm1_short_run(tmp_path):
     assert rep["ok"] is True and rep["trials"] >= 2
 
 
+def test_verify_report_keeps_the_cli_config(tmp_path):
+    # the suite's own config adds to the CLI's rather than replacing it
+    out = tmp_path / "thm2.json"
+    rc = main([
+        "verify", "thm2", "--trials", "1", "--q", "2", "--b", "2",
+        "--quarantine-dir", str(tmp_path), "--report", "json", "-o", str(out),
+    ])
+    assert rc == EXIT_OK
+    config = json.loads(out.read_text())["config"]
+    assert config["suite"] == "thm2" and config["report"] == "json"
+    assert config["quarantine_dir"] == str(tmp_path)
+    assert config["qs"] == [2] and config["bs"] == [2] and config["trials"] == 1
+
+
 @pytest.mark.parametrize("suite", ["thm1", "prop1"])
 def test_verify_rejects_zero_trials(suite, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,8 @@
 """Bilinear system construction checked against direct determinant
 evaluation and term by term against per-minor determinants, the monomial
 order, Macaulay matrices against a dict-of-tuples reference build, Macaulay
-shapes and ranks, and the structural relations."""
+shapes and ranks, Theorem 1's leading monomials against a swap-free
+echelonization of the equations, and the structural relations."""
 
 import random
 from itertools import combinations
@@ -19,18 +20,18 @@ from rslminors.instance import (
     shorten,
     strategy_params,
 )
-from rslminors.matrix import FieldMatrix, rank_rows
+from rslminors import verification
+from rslminors.matrix import FieldMatrix, pivot_columns, rank_rows
 from rslminors.modeling import (
-    RankAssumptionError,
+    BilinearEquation,
     build_macaulay,
     build_syzygies,
     build_system,
     apply_syzygy,
-    echelonize_tildeQ,
     grevlex_subkey,
     lambda_monomials,
-    monomial_key,
     monomial_vector,
+    predicted_leads,
     syzygy_stack_rows,
     unfold_system,
 )
@@ -250,6 +251,12 @@ def test_build_macaulay_follows_the_field(q):
             )
 
 
+def monomial_key(mono, n_lambda):
+    """Sort key; comparing keys realizes the monomial order (ascending)."""
+    mu, T = mono
+    return (len(mu), tuple(T), grevlex_subkey(mu, n_lambda))
+
+
 def macaulay_reference(system, b):
     """Oracle: the Macaulay build with every column label sorted by
     monomial_key and every entry looked up in a dict keyed by (mu, T).
@@ -331,26 +338,135 @@ def test_macaulay_matches_reference_on_attack_shapes(shape):
         assert_macaulay_matches_reference(unfolded, b)
 
 
+def sequential_elim(rows, field):
+    """Oracle helper: reduce each row against the previous ones only, without
+    row swaps.
+
+    Returns (E, lead) with E unit lower triangular, row i of E*M zero at every
+    lead[j] for j < i, and lead[i] the first nonzero column of that row.
+    Needs full row rank.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    E = [[field.one if i == j else field.zero for j in range(nr)] for i in range(nr)]
+    red = [list(r) for r in rows]
+    lead = []
+    for i in range(nr):
+        row = red[i]
+        for jprev in range(i):
+            c = row[lead[jprev]]
+            if c == 0:
+                continue
+            f = field.neg(field.mul(c, field.inv(red[jprev][lead[jprev]])))
+            for t in range(nc):
+                if red[jprev][t]:
+                    row[t] = field.add(row[t], field.mul(f, red[jprev][t]))
+            for t in range(jprev + 1):
+                if E[jprev][t]:
+                    E[i][t] = field.add(E[i][t], field.mul(f, E[jprev][t]))
+        li = next((t for t, x in enumerate(row) if x), None)
+        if li is None:
+            raise ValueError(f"top {nr} syndrome rows have rank {i}, need {nr}")
+        lead.append(li)
+    return E, lead
+
+
+def echelonize_tildeQ(system, inst, w):
+    """Oracle: transform the minor equations so their leading monomials are
+    pairwise distinct, and predict those leads.
+
+    Every equation J = (j, I) has the top minor r_{I+k}, with the linear form
+    Sum_i s_{j,i} lambda_i as its coefficient.  Reducing those forms (rows
+    1..n-k-w of S) against each other with the unit lower triangular E of
+    ``sequential_elim`` and combining equations with the same coefficients
+    gives, for each J, the lead lambda_{lead[j]} r_{I+k}.  Returns the
+    transformed equations and the predicted leads, both in the order of J.
+    """
+    p = inst.params
+    nk = p.n - p.k
+    ext = inst.field
+    E, lead = sequential_elim([list(r) for r in inst.S.rows[: nk - w]], ext)
+    eq_by_J = {eq.J: eq for eq in system.equations}
+    out_eqs, leads = [], []
+    for J in combinations(range(1, nk + 1), w + 1):
+        j1, I = J[0], J[1:]
+        terms = {}
+        for jp in range(1, j1 + 1):
+            c = E[j1 - 1][jp - 1]
+            if c == 0:
+                continue
+            for key, v in eq_by_J[(jp,) + I].terms.items():
+                acc = ext.add(terms.get(key, ext.zero), ext.mul(c, v))
+                if acc:
+                    terms[key] = acc
+                else:
+                    terms.pop(key, None)
+        out_eqs.append(BilinearEquation(field=ext, terms=terms, J=J))
+        leads.append(((lead[j1 - 1] + 1,), tuple(t + p.k for t in I)))
+    return out_eqs, leads
+
+
+def leading_monomial(eq, n_lambda):
+    """The largest term of an equation in the monomial order."""
+    return max(eq.terms, key=lambda mono: monomial_key(mono, n_lambda))
+
+
+def pivot_leads(system):
+    """Leading monomials of the span of the equations, read off the pivot
+    columns of the b=1 Macaulay matrix."""
+    mac = build_macaulay(system, 1)
+    return {mac.col_labels[c] for c in pivot_columns(mac.dense_rows(), mac.field)}
+
+
 def test_echelonized_leads_distinct_and_recorded():
     inst, _ = frozen_instance()
     system = build_system(inst, 2)
     transformed, leads = echelonize_tildeQ(system, inst, 2)
-    actual = [eq.leading_monomial(system.n_lambda) for eq in transformed.equations]
+    actual = [leading_monomial(eq, system.n_lambda) for eq in transformed]
     assert actual == leads
     assert len(set(leads)) == len(leads) == comb(4, 3)
     # every lead is a single lambda times the minor named by J minus its head
-    for eq, ((mu, T)) in zip(transformed.equations, leads):
+    for eq, ((mu, T)) in zip(transformed, leads):
         assert len(mu) == 1
         assert T == tuple(t + FROZEN.k for t in eq.J[1:])
 
 
-def test_echelonization_needs_full_rank_pivot_block():
-    inst, _ = frozen_instance()
+@pytest.mark.parametrize("q", [2, 3])
+def test_macaulay_pivots_are_the_echelonized_leads(q):
+    # the leading monomials of a span do not depend on its basis, so the
+    # pivots of one elimination are the leads the swap-free transform makes
+    rng = random.Random(80 + q)
+    checked = 0
+    while checked < 40:
+        params, w = sample_family(rng, q)
+        inst, _ = gen_instance(params, rng.randrange(2**30))
+        if not check_assumption1(inst, w):
+            continue
+        system = build_system(inst, w)
+        transformed, leads = echelonize_tildeQ(system, inst, w)
+        assert [leading_monomial(eq, params.N) for eq in transformed] == leads
+        assert pivot_leads(system) == set(leads)
+        assert predicted_leads(inst, w) == set(leads)
+        checked += 1
+
+
+def with_repeated_syndrome_row(inst):
+    """The instance with every syndrome row replaced by the first one."""
     bad_S = FieldMatrix(inst.field, [inst.S.rows[0]] * inst.S.nrows)
-    bad = RslInstance(params=inst.params, field=inst.field, H=inst.H, S=bad_S)
-    system = build_system(bad, 2)
-    with pytest.raises(RankAssumptionError):
-        echelonize_tildeQ(system, bad, 2)
+    return RslInstance(params=inst.params, field=inst.field, H=inst.H, S=bad_S)
+
+
+def test_rank_deficient_syndrome_block_fails_thm1(monkeypatch):
+    inst, wit = frozen_instance()
+    bad = with_repeated_syndrome_row(inst)
+    assert len(predicted_leads(bad, 2)) < comb(4, 3)
+    monkeypatch.setattr(verification, "sample_family", lambda rng, q: (FROZEN, 2))
+    monkeypatch.setattr(verification, "_gen_passing", lambda params, w, seed: (bad, wit, 0))
+    rep = verification.run_thm1(trials=1, qs=(2,))
+    assert rep["ok"] is False and rep["passes"] == 0
+    # the leads are the predicted ones, but too few: the rank falls short
+    [fail] = rep["failures"]
+    assert fail["rank"] == len(predicted_leads(bad, 2)) < fail["expected"] == comb(4, 3)
 
 
 def test_unfold_system_preserves_zero_sets():

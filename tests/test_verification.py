@@ -3,6 +3,7 @@ the observed rank) forced wrong, every case fails, each failure is reported
 with its fixed keys, and every failing rank-law instance is quarantined to a
 file that reads back with its witness."""
 
+import dataclasses
 import json
 import types
 
@@ -81,6 +82,20 @@ def test_every_forced_failure_is_reported(suite, tmp_path, monkeypatch):
         params = {k: v for k, v in fail["params"].items() if k not in ("w", "seed")}
         assert vars(inst.params) == params
         assert witness is not None and verify_support(inst, witness.support_basis())
+
+
+def test_thm1_reports_a_system_missing_an_equation(monkeypatch):
+    build_system = verification.build_system
+
+    def short_system(inst, w):
+        system = build_system(inst, w)
+        return dataclasses.replace(system, equations=system.equations[:-1])
+
+    monkeypatch.setattr(verification, "build_system", short_system)
+    rep = verification.run_thm1(trials=10, seed=3)
+    assert rep["ok"] is False and rep["passes"] == 0 and rep["trials"] == 20
+    for fail in rep["failures"]:
+        assert fail["rank"] == fail["expected"] - 1 and fail["leads_distinct"] is False
 
 
 def test_forced_failures_without_quarantine_dir_write_nothing(tmp_path, monkeypatch):
