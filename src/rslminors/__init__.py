@@ -48,6 +48,7 @@ from .modeling import (
     BilinearEquation,
     BilinearSystem,
     MacaulayMatrix,
+    MacaulayTooLarge,
     build_macaulay,
     build_syzygies,
     build_system,
@@ -76,6 +77,7 @@ __all__ = [
     "FieldMatrix",
     "InstanceFormatError",
     "MacaulayMatrix",
+    "MacaulayTooLarge",
     "PrimeField",
     "RecoveredSupport",
     "RslInstance",

@@ -239,7 +239,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     for h in result.b_history:
         lines.append(
             f"  b={h['b']} offset={h['offset']} rows={h['rows']} cols={h['cols']}"
-            f" kernel_dim={h.get('kernel_dim')}"
+            + (f" skipped: {h['skipped']}" if "skipped" in h else f" kernel_dim={h['kernel_dim']}")
             + (f" extraction_error={h['extraction_error']}" if "extraction_error" in h else "")
         )
     _emit(report, args.report, args.output, lines)
@@ -282,6 +282,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             deltas = [int(x) for x in args.deltas.split(",")]
         except ValueError:
             print(f"estimate: bad --deltas {args.deltas!r}", file=sys.stderr)
+            return EXIT_USAGE
+        outside = [d for d in deltas if not 0 <= d < params.r]
+        if outside:
+            bad = ",".join(map(str, outside))
+            print(f"estimate: --deltas {bad} outside [0, r) = [0, {params.r})", file=sys.stderr)
             return EXIT_USAGE
     res = optimize(
         params,
@@ -418,7 +423,7 @@ def build_parser() -> _Parser:
     p_att.add_argument("--seed", type=int, default=0, help="seed for inline generation")
     p_att.add_argument("--delta", type=int, default=0, help="weight reduction r - w")
     p_att.add_argument("--a", type=int, default=None, help="shortening length override")
-    p_att.add_argument("--b-max", type=int, default=3, dest="b_max")
+    p_att.add_argument("--b-max", type=_positive_int, default=3, dest="b_max")
     p_att.add_argument(
         "--max-attempts", type=_positive_int, default=None, dest="max_attempts"
     )
@@ -427,7 +432,7 @@ def build_parser() -> _Parser:
 
     p_est = sub.add_parser("estimate", help="bit-cost estimates and sweeps")
     add_params(p_est, require=False)
-    p_est.add_argument("--b-max", type=int, default=None, dest="b_max")
+    p_est.add_argument("--b-max", type=_positive_int, default=None, dest="b_max")
     p_est.add_argument("--deltas", type=str, default=None, help="comma list, e.g. 0,1,2")
     p_est.add_argument("--alpha-c", type=_non_negative_int, default=0, dest="alpha_c")
     p_est.add_argument(

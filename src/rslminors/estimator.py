@@ -9,7 +9,9 @@ one pair, N_leq_b and M_leq_b, for the matrix the solver builds over it: over
 F_2 the squarefree matrix of lambda-degrees 1..b, whose counts it sums over
 the degrees j = 1..b, above F_2 the matrix of lambda-degree exactly b.
 Linearization is feasible once the independent rows reach the column count
-minus one (the solution is projective).
+minus one (the solution is projective), on every field and at every degree:
+above F_2 the exact-degree matrix is formal, with no reduction by
+lambda^q = lambda, so the planted point stays in its kernel at b >= q too.
 
 Cost calibration: Strassen-style elimination is charged (M_leq_b)^omega with
 omega = 2.807 after discarding surplus rows, and Wiedemann is charged
@@ -117,12 +119,11 @@ def _counts_for(params: RslParams, strategy: StrategyParams, b: int,
     return make_counts(params.q, n_eff, k_eff, strategy.w, strategy.N_prime - alpha_lambda, b)
 
 
-def is_feasible(params: RslParams, counts: CountSet, b: int) -> bool:
+def is_feasible(params: RslParams, counts: CountSet) -> bool:
     """Linearization condition: enough independent rows to leave a line.
-    Above F_2 no b >= q is called feasible, and the attack stops below that
-    degree too.  Shortening and guessing that leave no information column
-    (k_eff < 1) or no syndrome (N_eff < 1) leave no system to solve."""
-    if 2 < params.q <= b or counts.k_eff < 1 or counts.N_eff < 1:
+    Shortening and guessing that leave no information column (k_eff < 1) or
+    no syndrome (N_eff < 1) leave no system to solve."""
+    if counts.k_eff < 1 or counts.N_eff < 1:
         return False
     return params.m * counts.N_leq_b >= counts.M_leq_b - 1
 
@@ -137,7 +138,7 @@ def min_b(
     """Smallest b with a solvable linearization, or None up to b_max."""
     for b in range(1, b_max + 1):
         counts = _counts_for(params, strategy, b, alpha_C, alpha_lambda)
-        if is_feasible(params, counts, b):
+        if is_feasible(params, counts):
             return b, counts
     return None
 
@@ -198,7 +199,7 @@ def bit_cost(
         alpha_lambda=alpha_lambda,
         algorithm="strassen" if dense else "wiedemann",
         log2_cost=strassen if dense else wiedemann,
-        feasible=is_feasible(params, counts, b),
+        feasible=is_feasible(params, counts),
         counts=counts,
     )
 

@@ -349,19 +349,7 @@ class ExtensionField:
         t = self._tables or self.np_tables()
         if t is not None:
             return t.exp_list[(self.order - 1 - t.log_list[a]) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._pow_poly(a, self.order - 2)
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.order)

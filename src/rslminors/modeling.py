@@ -24,6 +24,7 @@ monomials of the span of its rows; Theorem 1's leads are read off them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
@@ -219,6 +220,30 @@ class MacaulayMatrix:
         return out
 
 
+CELL_BYTES = 8  # one list reference per cell of ``dense_rows``, its cheapest dense form
+
+
+class MacaulayTooLarge(MemoryError):
+    """The dense form of a Macaulay matrix would exceed physical memory."""
+
+    def __init__(self, shape: tuple[int, int], memory: int):
+        self.shape = shape
+        super().__init__(
+            f"its dense {shape[0]}x{shape[1]} matrix needs "
+            f"{shape[0] * shape[1] * CELL_BYTES / 2**30:.3g} GiB, over the "
+            f"{memory / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
 def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     """Stack all (lambda-multiplier) x equation products at bi-degree (b,1):
     the squarefree matrix of lambda-degrees 1..b over F_2, the matrix of
@@ -232,6 +257,9 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     The equations must be bilinear.  Above F_2 the products of one multiplier
     with distinct terms are distinct; over F_2 lambda_i * mu = mu for i in
     mu, and colliding terms add (XOR).
+
+    Raises MacaulayTooLarge, before any row exists, when the dense form at
+    CELL_BYTES per cell would exceed the machine's physical memory.
     """
     if b < 1:
         raise ValueError("b must be at least 1")
@@ -249,6 +277,10 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     col_labels = [(mu, T) for d in degs for T in minors for mu in mus[d]]
     off = [len(minors) * sum(map(len, mus[d + 1:])) for d in range(b + 1)]
     multipliers = [mu for d in degs for mu in mus[d - 1]]
+    shape = (len(system.equations) * len(multipliers), len(col_labels))
+    memory = physical_memory()
+    if memory is not None and shape[0] * shape[1] * CELL_BYTES > memory:
+        raise MacaulayTooLarge(shape, memory)
     places = []  # places[row][i - 1]: first column and T-stride of lambda_i * multiplier
     for mu in multipliers:
         prods = [sorted(set(mu) | {i} if squarefree else mu + (i,)) for i in range(1, N + 1)]

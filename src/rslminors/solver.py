@@ -8,7 +8,9 @@ the basis of its right kernel, and branch on its length: none ends the
 attempt, several raise b, and one is the projective solution.  That vector
 splits back into (lambda, r_T), the Plucker coordinates invert into an
 echelon-form matrix, and one linear solve over F_{q^m} gives the support
-basis.
+basis.  Above F_2, b may reach and pass q, as the estimator's count rule
+allows on every field; a degree whose dense matrix would not fit in
+physical memory ends the attempt before anything is allocated.
 
 Verification caveat: ``attack`` checks the union of the recovered bases once,
 against the original instance, never the shortened view.  Shortening drops
@@ -34,6 +36,7 @@ from .instance import (
 from .matrix import FieldMatrix, column_space_basis, kernel_rows, solve_rows
 from .modeling import (
     MacaulayMatrix,
+    MacaulayTooLarge,
     build_macaulay,
     build_system,
     unfold_system,
@@ -266,9 +269,13 @@ def _attempt(
     unfolded = unfold_system(system)
     fq = unfolded.field
     for b in range(1, b_max + 1):
-        if fq.q > 2 and b >= fq.q:
-            break  # mirrors estimator.is_feasible, which calls no b >= q feasible
-        mac = build_macaulay(unfolded, b)
+        try:
+            mac = build_macaulay(unfolded, b)
+        except MacaulayTooLarge as exc:
+            rows, cols = exc.shape
+            history.append({"offset": offset, "b": b, "rows": rows, "cols": cols,
+                            "skipped": str(exc)})
+            return None  # every higher degree is larger still
         basis = solve_linearized(mac)
         entry = {
             "offset": offset,
@@ -300,6 +307,8 @@ def attack(
     """Full pipeline; for delta > 0 the recovered word only spans part of the
     support, so further runs on rotated shortening sets accumulate subspaces
     until the union has dimension r or attempts run out."""
+    if b_max < 1 or (max_attempts is not None and max_attempts < 1):
+        raise ValueError(f"need b_max >= 1 and max_attempts >= 1, got {b_max}, {max_attempts}")
     started = time.monotonic()
     p = inst.params
     if max_attempts is None:
@@ -309,7 +318,7 @@ def attack(
     attempts = 0
     # rotating the information columns by t makes shortening drop a different
     # column window; k rotations exhaust the distinct windows
-    for offset in range(min(max_attempts, max(p.k, 1))):
+    for offset in range(min(max_attempts, p.k)):
         attempts += 1
         C = _attempt(inst, strategy, b_max, offset, history)
         if C is None:
@@ -319,8 +328,12 @@ def attack(
             break
     elapsed = time.monotonic() - started
     if union is None:
-        counts = bit_cost(p, strategy, max(b_max, 1)).to_dict()
-        dim_note = history[-1]["kernel_dim"] if history else None
+        counts = bit_cost(p, strategy, b_max).to_dict()
+        last = history[-1]
+        why = (
+            f"b={last['b']} skipped, {last['skipped']}" if "skipped" in last
+            else f"last kernel dim {last['kernel_dim']}"
+        )
         return AttackResult(
             success=False,
             support=None,
@@ -328,7 +341,7 @@ def attack(
             b_history=history,
             attempts=attempts,
             message=(
-                f"no recovery up to b={b_max}: last kernel dim {dim_note}, "
+                f"no recovery up to b={b_max}: {why}, "
                 f"N_leq_b={counts['N_leq_b']}, M_leq_b={counts['M_leq_b']}"
             ),
             elapsed_s=elapsed,

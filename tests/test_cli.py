@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rslminors import __version__
+from rslminors import __version__, modeling
 from rslminors.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -168,10 +168,16 @@ def test_attack_public_only(tmp_path):
     assert rep["verified"] is True
 
 
-def test_attack_infeasible_b_max(toy_file, capsys):
-    rc = main(["attack", "--instance", str(toy_file), "--b-max", "0"])
-    assert rc == EXIT_INFEASIBLE
-    assert "no recovery up to b=0" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["attack", "estimate"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_b_max_below_1_is_a_usage_error(toy_file, command, value, capsys):
+    # attack --b-max 0 used to run no degree and exit 2 with "no recovery up
+    # to b=0"; estimate --b-max 0 printed "no feasible strategy"
+    argv = ["--instance", str(toy_file)] if command == "attack" else EST40[1:]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--b-max", value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"--b-max: must be at least 1, got '{value}'" in capsys.readouterr().err
 
 
 def test_attack_shortening_as_wide_as_k_fails_cleanly(capsys):
@@ -221,6 +227,20 @@ def test_attack_q3_recovers_at_exact_degree_two(capsys):
     ])
     assert rc == EXIT_OK
     assert "b=2 offset=0 rows=1080 cols=675 kernel_dim=1" in capsys.readouterr().out
+
+
+def test_attack_stops_cleanly_before_a_matrix_past_physical_memory(monkeypatch, capsys):
+    # b = 4 of this shape needs 2016000 bytes dense; with 1.6 MB the attack
+    # stops there with one line and exits 2
+    monkeypatch.setattr(modeling, "physical_memory", lambda: 1_600_000)
+    rc = main([
+        "attack", "--q", "3", "--m", "6", "--n", "9", "--k", "4", "--r", "2",
+        "--N", "4", "--b-max", "5",
+    ])
+    assert rc == EXIT_INFEASIBLE
+    out = capsys.readouterr().out
+    assert "attack: no recovery up to b=5: b=4 skipped, its dense 600x420 matrix" in out
+    assert "  b=4 offset=0 rows=600 cols=420 skipped: its dense 600x420 matrix" in out
 
 
 def test_attack_bad_strategy(toy_file, capsys):
@@ -282,6 +302,22 @@ def test_estimate_usage_errors(capsys):
     ])
     assert rc == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_estimate_rejects_deltas_outside_0_to_r(capsys):
+    # r = 3: -1 and 7 used to print "no feasible strategy" and exit 0
+    assert main([*EST40, "--deltas=-1,7"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "estimate: --deltas -1,7 outside [0, r) = [0, 3)\n"
+    # a delta inside [0, r) without a valid strategy is an ordinary answer
+    assert main([*EST40, "--deltas", "2"]) == EXIT_OK
+    assert "no feasible strategy up to b_max" in capsys.readouterr().out
+
+
+def test_estimate_q3_lists_a_strategy_above_b_equal_q(capsys):
+    # the count rule alone decides b = 4 > q feasible; the attack recovers there
+    rc = main(["estimate", "--q", "3", "--m", "6", "--n", "9", "--k", "4", "--r", "2", "--N", "4"])
+    assert rc == EXIT_OK
+    assert "best: delta=0 a=1 b=4 strassen" in capsys.readouterr().out
 
 
 def test_estimate_without_minor_equations_lists_no_strategy(capsys):

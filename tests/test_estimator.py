@@ -103,14 +103,21 @@ def test_min_b_threshold_is_exact():
     assert cols_b1 == comb(152, 8) * 721
     assert rows_b1 < cols_b1 - 1
     counts = make_counts(2, 152, 31, 8, 721, 1)
-    assert not is_feasible(params, counts, 1)
+    assert not is_feasible(params, counts)
 
 
-def test_is_feasible_q3_degree_bound():
-    params = RslParams(q=3, m=30, n=20, k=10, r=3, N=9)
+def test_is_feasible_q3_above_q():
+    # above F_2 the exact-degree matrix is formal, so the count rule decides
+    # b >= q as it decides every other degree: 6 * 73 rows reach 420 - 1
+    # columns at b = 4, and b = 3 falls short
+    params = RslParams(q=3, m=6, n=9, k=4, r=2, N=4)
     strat = strategy_params(params, 0)
-    counts = make_counts(3, 20 - strat.a, 10 - strat.a, 3, strat.N_prime, 3)
-    assert not is_feasible(params, counts, 3)  # b must stay below q
+    shape = (params.n - strat.a, params.k - strat.a, strat.w, strat.N_prime)
+    assert not is_feasible(params, make_counts(3, *shape, 3))
+    counts = make_counts(3, *shape, 4)
+    assert (counts.N_leq_b, counts.M_leq_b) == (73, 420)
+    assert is_feasible(params, counts)
+    assert min_b(params, strat) == (4, counts)
 
 
 def test_is_feasible_needs_a_column_and_a_syndrome_left():

@@ -20,10 +20,11 @@ from rslminors.instance import (
     shorten,
     strategy_params,
 )
-from rslminors import verification
+from rslminors import modeling, verification
 from rslminors.matrix import FieldMatrix, pivot_columns, rank_rows
 from rslminors.modeling import (
     BilinearEquation,
+    MacaulayTooLarge,
     build_macaulay,
     build_syzygies,
     build_system,
@@ -220,6 +221,21 @@ def test_macaulay_cumulative_q3_degree_bound():
         assert {len(mu) for mu, _ in build_macaulay(system, b).col_labels} == {b}
     with pytest.raises(ValueError):
         build_macaulay(system, 0)
+
+
+def test_build_macaulay_refuses_a_matrix_past_physical_memory(monkeypatch):
+    p = RslParams(q=3, m=5, n=8, k=4, r=2, N=3)
+    inst, _ = gen_instance(p, 2)
+    system = unfold_system(build_system(inst, 2))
+    shape = build_macaulay(system, 2).shape
+    cells = shape[0] * shape[1]
+    monkeypatch.setattr(modeling, "physical_memory", lambda: cells * modeling.CELL_BYTES - 1)
+    with pytest.raises(MacaulayTooLarge) as exc:
+        build_macaulay(system, 2)
+    assert exc.value.shape == shape
+    assert build_macaulay(system, 1).shape[0] > 0  # a smaller degree still fits
+    monkeypatch.setattr(modeling, "physical_memory", lambda: None)  # platform silent
+    assert build_macaulay(system, 2).shape == shape
 
 
 @pytest.mark.parametrize("q", [2, 3])

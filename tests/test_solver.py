@@ -7,8 +7,8 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from rslminors import solver
-from rslminors.estimator import bit_cost, make_counts
+from rslminors import modeling, solver
+from rslminors.estimator import bit_cost, make_counts, min_b
 from rslminors.fields import prime_field
 from rslminors.instance import (
     RslParams,
@@ -440,24 +440,58 @@ def test_attack_failure_quotes_the_counts_of_its_field():
     assert result.message.endswith("N_leq_b=11, M_leq_b=126")
 
 
-def test_attack_q3_stops_below_b_equal_q():
-    # above F_2 the attack, like estimator.is_feasible, stops below b = q
-    params = RslParams(q=3, m=6, n=6, k=3, r=2, N=3)
-    inst, _ = gen_instance(params, 0)
-    result = attack(inst, strategy_params(params, 0), b_max=4)
-    assert result.b_history
-    assert max(h["b"] for h in result.b_history) == 2
+Q3_ABOVE_Q = RslParams(q=3, m=6, n=9, k=4, r=2, N=4)
+
+
+def test_attack_q3_recovers_at_min_b_above_q():
+    # the estimator's smallest feasible b is 4 > q here, and the attack
+    # recovers there: its last degree is min_b
+    strat = strategy_params(Q3_ABOVE_Q, 0)
+    b, _ = min_b(Q3_ABOVE_Q, strat)
+    assert b == 4
+    for seed in range(5):
+        inst, witness = gen_instance(Q3_ABOVE_Q, seed)
+        result = attack(inst, strat, b_max=b)
+        assert result.success and result.support.C == witness.support_basis()
+        assert [h["b"] for h in result.b_history] == [1, 2, 3, 4]
+        assert result.b_history[-1]["kernel_dim"] == 1
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_attack_solves_the_matrix_the_estimator_counts(q):
-    params = RslParams(q=q, m=12, n=10, k=5, r=2, N=9)
-    inst, _ = gen_instance(params, 0)
-    strat = strategy_params(params, 0)
-    result = attack(inst, strat, b_max=2)
-    assert [h["b"] for h in result.b_history] == [1, 2]
-    for h in result.b_history:
-        assert h["cols"] == bit_cost(params, strat, h["b"]).to_dict()["M_leq_b"]
+    shapes = [(RslParams(q=q, m=12, n=10, k=5, r=2, N=9), 2)]
+    if q == 3:
+        shapes.append((Q3_ABOVE_Q, 4))  # b = 3 and 4, at and above q
+    for params, b_max in shapes:
+        inst, _ = gen_instance(params, 0)
+        strat = strategy_params(params, 0)
+        result = attack(inst, strat, b_max=b_max)
+        assert [h["b"] for h in result.b_history] == list(range(1, b_max + 1))
+        for h in result.b_history:
+            assert h["cols"] == bit_cost(params, strat, h["b"]).to_dict()["M_leq_b"]
+
+
+def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
+    # b = 4 of this shape is 600x420 cells, 2016000 bytes dense: with 1.6 MB
+    # of memory the attack runs b = 1..3, then stops before building b = 4
+    monkeypatch.setattr(modeling, "physical_memory", lambda: 1_600_000)
+    inst, _ = gen_instance(Q3_ABOVE_Q, 0)
+    result = attack(inst, strategy_params(Q3_ABOVE_Q, 0), b_max=5)
+    assert not result.success
+    assert [h["b"] for h in result.b_history] == [1, 2, 3, 4]
+    skipped = result.b_history[-1]
+    assert "kernel_dim" not in skipped
+    assert (skipped["rows"], skipped["cols"]) == (600, 420)
+    assert skipped["skipped"] == (
+        "its dense 600x420 matrix needs 0.00188 GiB, over the 0.00149 GiB of physical memory"
+    )
+    assert result.message.startswith("no recovery up to b=5: b=4 skipped, its dense 600x420")
+
+
+@pytest.mark.parametrize("b_max, max_attempts", [(0, None), (-2, None), (1, 0)])
+def test_attack_rejects_an_empty_search(toy, b_max, max_attempts):
+    with pytest.raises(ValueError):
+        attack(toy[0], strategy_params(TOY, 0), b_max=b_max, max_attempts=max_attempts)
 
 
 def test_attack_does_not_swallow_macaulay_errors(toy, monkeypatch):
