@@ -102,17 +102,10 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
     return {"version": _version(), "command": command, "config": config}
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        if not text.isdigit() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
-        return int(text)
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
 
 
 def _prime(text: str) -> int:
@@ -239,7 +232,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     for h in result.b_history:
         lines.append(
             f"  b={h['b']} offset={h['offset']} rows={h['rows']} cols={h['cols']}"
-            + (f" skipped: {h['skipped']}" if "skipped" in h else f" kernel_dim={h['kernel_dim']}")
+            + (
+                f" skipped: {h['skipped']}" if "skipped" in h
+                else f" kernel_dim={h['kernel_dim']} rank={h['rank']}"
+                f" predicted_rank={h['predicted_rank']}"
+            )
             + (f" extraction_error={h['extraction_error']}" if "extraction_error" in h else "")
         )
     _emit(report, args.report, args.output, lines)
@@ -288,13 +285,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             bad = ",".join(map(str, outside))
             print(f"estimate: --deltas {bad} outside [0, r) = [0, {params.r})", file=sys.stderr)
             return EXIT_USAGE
-    res = optimize(
-        params,
-        b_max=args.b_max if args.b_max is not None else 5,
-        deltas=deltas,
-        alpha_C=args.alpha_c,
-        alpha_lambda=args.alpha_lambda,
-    )
+    res = optimize(params, b_max=args.b_max if args.b_max is not None else 5, deltas=deltas)
     ghpt = ghpt_cost(params.m, params.n, params.k, params.N, params.r, q=params.q)
     report.update(
         {
@@ -434,10 +425,6 @@ def build_parser() -> _Parser:
     add_params(p_est, require=False)
     p_est.add_argument("--b-max", type=_positive_int, default=None, dest="b_max")
     p_est.add_argument("--deltas", type=str, default=None, help="comma list, e.g. 0,1,2")
-    p_est.add_argument("--alpha-c", type=_non_negative_int, default=0, dest="alpha_c")
-    p_est.add_argument(
-        "--alpha-lambda", type=_non_negative_int, default=0, dest="alpha_lambda"
-    )
     p_est.add_argument(
         "--table2",
         action="store_true",

@@ -19,11 +19,6 @@ omega = 2.807 after discarding surplus rows, and Wiedemann is charged
 strategy picks the solver, in ``bit_cost`` alone: the fully specialized
 search (delta = 0) is charged the dense solve, as the reference table
 charges it, and a shortened search (delta > 0) the cheaper of the two.
-
-The hybrid knobs (alpha_C columns of R, alpha_lambda lambda-variables fixed
-by exhaustive search) multiply the cost by q^(w*alpha_C + alpha_lambda) and
-shrink the corresponding parameter; this is one possible reading of the
-hybrid approach (interpretation A) and is off by default.
 """
 
 from __future__ import annotations
@@ -88,8 +83,6 @@ class CountSet:
     """Row and column counts of the solver's Macaulay matrix at one
     strategy-adjusted parameter point."""
 
-    k_eff: int
-    N_eff: int
     N_leq_b: int
     M_leq_b: int
 
@@ -104,27 +97,16 @@ def make_counts(q: int, n_eff: int, k_eff: int, w: int, N_eff: int, b: int) -> C
     else:
         N_leq_b = count_Nb(n_eff, k_eff, w, N_eff, b)
         M_leq_b = count_Mb(n_eff, w, N_eff, b)
-    return CountSet(
-        k_eff=k_eff,
-        N_eff=N_eff,
-        N_leq_b=N_leq_b,
-        M_leq_b=M_leq_b,
-    )
+    return CountSet(N_leq_b=N_leq_b, M_leq_b=M_leq_b)
 
 
-def _counts_for(params: RslParams, strategy: StrategyParams, b: int,
-                alpha_C: int = 0, alpha_lambda: int = 0) -> CountSet:
-    n_eff = params.n - strategy.a - alpha_C
-    k_eff = params.k - strategy.a - alpha_C
-    return make_counts(params.q, n_eff, k_eff, strategy.w, strategy.N_prime - alpha_lambda, b)
+def _counts_for(params: RslParams, strategy: StrategyParams, b: int) -> CountSet:
+    a = strategy.a
+    return make_counts(params.q, params.n - a, params.k - a, strategy.w, strategy.N_prime, b)
 
 
 def is_feasible(params: RslParams, counts: CountSet) -> bool:
-    """Linearization condition: enough independent rows to leave a line.
-    Shortening and guessing that leave no information column (k_eff < 1) or
-    no syndrome (N_eff < 1) leave no system to solve."""
-    if counts.k_eff < 1 or counts.N_eff < 1:
-        return False
+    """Linearization condition: enough independent rows to leave a line."""
     return params.m * counts.N_leq_b >= counts.M_leq_b - 1
 
 
@@ -132,12 +114,10 @@ def min_b(
     params: RslParams,
     strategy: StrategyParams,
     b_max: int = 8,
-    alpha_C: int = 0,
-    alpha_lambda: int = 0,
 ) -> Optional[tuple[int, CountSet]]:
     """Smallest b with a solvable linearization, or None up to b_max."""
     for b in range(1, b_max + 1):
-        counts = _counts_for(params, strategy, b, alpha_C, alpha_lambda)
+        counts = _counts_for(params, strategy, b)
         if is_feasible(params, counts):
             return b, counts
     return None
@@ -149,8 +129,6 @@ class CostReport:
     w: int
     a: int
     b: int
-    alpha_C: int
-    alpha_lambda: int
     algorithm: str
     log2_cost: float
     feasible: bool
@@ -162,8 +140,6 @@ class CostReport:
             "w": self.w,
             "a": self.a,
             "b": self.b,
-            "alpha_C": self.alpha_C,
-            "alpha_lambda": self.alpha_lambda,
             "algorithm": self.algorithm,
             "log2_cost": self.log2_cost,
             "feasible": self.feasible,
@@ -172,31 +148,24 @@ class CostReport:
         }
 
 
-def bit_cost(
-    params: RslParams,
-    strategy: StrategyParams,
-    b: int,
-    alpha_C: int = 0,
-    alpha_lambda: int = 0,
-) -> CostReport:
+def bit_cost(params: RslParams, strategy: StrategyParams, b: int) -> CostReport:
     """Bit cost of solving at degree b with the solver the strategy picks:
     the dense (strassen) solve when delta = 0, the cheaper of dense and
-    sparse (wiedemann) when delta > 0."""
-    counts = _counts_for(params, strategy, b, alpha_C, alpha_lambda)
-    M = max(counts.M_leq_b, 2)
-    guess_bits = (strategy.w * alpha_C + alpha_lambda) * math.log2(params.q)
-    log2_M = math.log2(M)
-    row_weight = counts.N_eff * _comb(counts.k_eff + 1 + strategy.w, strategy.w)
-    strassen = OMEGA * log2_M + guess_bits
-    wiedemann = math.log2(3 * max(row_weight, 1)) + 2.0 * log2_M + guess_bits
+    sparse (wiedemann) when delta > 0.  Every strategy ``strategy_params``
+    returns keeps k - a >= 1, N' >= 1 and w < n - k, so M_leq_b >=
+    C(n-a, w) >= 3 and both logarithms are defined."""
+    counts = _counts_for(params, strategy, b)
+    log2_M = math.log2(counts.M_leq_b)
+    w = strategy.w
+    row_weight = strategy.N_prime * _comb(params.k - strategy.a + 1 + w, w)
+    strassen = OMEGA * log2_M
+    wiedemann = math.log2(3 * row_weight) + 2.0 * log2_M
     dense = strategy.delta == 0 or strassen <= wiedemann
     return CostReport(
         delta=strategy.delta,
         w=strategy.w,
         a=strategy.a,
         b=b,
-        alpha_C=alpha_C,
-        alpha_lambda=alpha_lambda,
         algorithm="strassen" if dense else "wiedemann",
         log2_cost=strassen if dense else wiedemann,
         feasible=is_feasible(params, counts),
@@ -266,8 +235,6 @@ def optimize(
     params: RslParams,
     b_max: int = 5,
     deltas: Optional[list[int]] = None,
-    alpha_C: int = 0,
-    alpha_lambda: int = 0,
 ) -> OptimizeResult:
     """Exhaustive sweep over (delta, a, minimal b); returns every feasible
     strategy's report, costed by ``bit_cost``, and the overall cheapest.
@@ -284,9 +251,9 @@ def optimize(
             strategy_params(params, delta, a) for a in range(widest.a + 1)
         ]
         for strat in candidates:
-            found = min_b(params, strat, b_max, alpha_C, alpha_lambda)
+            found = min_b(params, strat, b_max)
             if found is not None:
-                rows.append(bit_cost(params, strat, found[0], alpha_C, alpha_lambda))
+                rows.append(bit_cost(params, strat, found[0]))
     best = min(rows, key=lambda r: r.log2_cost) if rows else None
     return OptimizeResult(best=best, rows=rows)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .fields import ExtensionField, extension_field, is_prime, prime_field
-from .matrix import FieldMatrix, column_space_basis, rank_rows
+from .matrix import FieldMatrix, column_space_basis, pivot_columns, rank_rows
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,9 @@ def verify_support(inst: RslInstance, v_basis: FieldMatrix) -> bool:
     v_basis is an m x d matrix over F_q whose columns are coordinates of a
     basis of a candidate subspace.  Solvability of H e^T = s_i^T with every
     entry of e restricted to the span is a linear question over F_q; it is
-    decided here by one rank comparison for all syndromes at once.
+    decided for all syndromes at once by one elimination of the coefficient
+    matrix with the unfolded syndromes appended as columns: they are all
+    solvable exactly when no pivot falls in a syndrome column.
     """
     p = inst.params
     ext = inst.field
@@ -248,11 +250,9 @@ def verify_support(inst: RslInstance, v_basis: FieldMatrix) -> bool:
         unfolded = [ext.unfold(c) for c in coeffs]
         for jc in range(p.m):
             rows.append([u_digits[jc] for u_digits in unfolded])
-    rank_a = rank_rows(rows, fq)
-    aug = [list(r) for r in rows]
     for i in range(p.N):
         digits = [ext.unfold(x) for x in inst.S.col(i)]
         col = [digits[u][jc] for u in range(nk) for jc in range(p.m)]
-        for row, x in zip(aug, col):
+        for row, x in zip(rows, col):
             row.append(x)
-    return rank_rows(aug, fq) == rank_a
+    return all(c < p.n * d for c in pivot_columns(rows, fq))

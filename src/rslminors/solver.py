@@ -263,26 +263,31 @@ def _attempt(
     history: list[dict],
 ) -> Optional[FieldMatrix]:
     # the information columns rotated by offset, the first a of them dropped
-    k = inst.params.k
-    sh = shorten(inst, [(offset + j) % k for j in range(strategy.a, k)], strategy.N_prime)
+    p = inst.params
+    sh = shorten(inst, [(offset + j) % p.k for j in range(strategy.a, p.k)], strategy.N_prime)
     system = build_system(sh, strategy.w)
     unfolded = unfold_system(system)
     fq = unfolded.field
     for b in range(1, b_max + 1):
+        counts = bit_cost(p, strategy, b).counts
+        predicted_rank = min(p.m * counts.N_leq_b, counts.M_leq_b - 1)
         try:
             mac = build_macaulay(unfolded, b)
         except MacaulayTooLarge as exc:
             rows, cols = exc.shape
             history.append({"offset": offset, "b": b, "rows": rows, "cols": cols,
-                            "skipped": str(exc)})
+                            "skipped": str(exc), "predicted_rank": predicted_rank})
             return None  # every higher degree is larger still
         basis = solve_linearized(mac)
+        rows, cols = mac.shape
         entry = {
             "offset": offset,
             "b": b,
-            "rows": mac.shape[0],
-            "cols": mac.shape[1],
+            "rows": rows,
+            "cols": cols,
             "kernel_dim": len(basis),
+            "rank": cols - len(basis),
+            "predicted_rank": predicted_rank,
         }
         history.append(entry)
         if not basis:
@@ -328,8 +333,8 @@ def attack(
             break
     elapsed = time.monotonic() - started
     if union is None:
-        counts = bit_cost(p, strategy, b_max).to_dict()
         last = history[-1]
+        counts = bit_cost(p, strategy, last["b"]).counts
         why = (
             f"b={last['b']} skipped, {last['skipped']}" if "skipped" in last
             else f"last kernel dim {last['kernel_dim']}"
@@ -342,7 +347,7 @@ def attack(
             attempts=attempts,
             message=(
                 f"no recovery up to b={b_max}: {why}, "
-                f"N_leq_b={counts['N_leq_b']}, M_leq_b={counts['M_leq_b']}"
+                f"N_leq_b={counts.N_leq_b}, M_leq_b={counts.M_leq_b}"
             ),
             elapsed_s=elapsed,
         )

@@ -274,6 +274,8 @@ def test_estimate_single_row(tmp_path, capsys):
     assert rc == EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["params"]["N"] == 1074
+    keys = {"delta", "w", "a", "b", "algorithm", "log2_cost", "feasible", "N_leq_b", "M_leq_b"}
+    assert rep["rows"] and all(set(row) == keys for row in rep["rows"])
     best = rep["best"]
     assert best["delta"] == 0 and best["b"] == 1
     assert best["algorithm"] == "strassen"
@@ -330,14 +332,12 @@ EST40 = ["estimate", "--m", "40", "--n", "20", "--k", "10", "--r", "3", "--N", "
 
 
 @pytest.mark.parametrize("flag", ["--alpha-c", "--alpha-lambda"])
-def test_estimate_rejects_negative_guess_counts(flag, capsys):
-    # a negative guess count used to subtract guessing bits from the cost
-    assert main([*EST40, flag, "0"]) == EXIT_OK
-    capsys.readouterr()
+def test_estimate_has_no_hybrid_guessing_flag(flag, capsys):
+    # estimate prices only the strategies the attack runs
     with pytest.raises(SystemExit) as exc:
-        main([*EST40, flag, "-2"])
+        main([*EST40, flag, "0"])
     assert exc.value.code == EXIT_USAGE
-    assert f"{flag}: must be at least 0, got '-2'" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 def test_verify_prop1(tmp_path):

@@ -120,24 +120,11 @@ def test_is_feasible_q3_above_q():
     assert min_b(params, strat) == (4, counts)
 
 
-def test_is_feasible_needs_a_column_and_a_syndrome_left():
-    # guessing all columns or all syndromes away leaves an empty matrix,
-    # whose M_leq_b = 0 passed the bare count comparison
-    params = RslParams(q=2, m=4, n=20, k=10, r=3, N=20)
-    strat = strategy_params(params, 0)
-    for alpha_C, alpha_lambda in ((30, 0), (0, strat.N_prime)):
-        cost = bit_cost(params, strat, 1, alpha_C=alpha_C, alpha_lambda=alpha_lambda)
-        assert cost.counts.M_leq_b == 0
-        assert not cost.feasible
-    assert optimize(params, alpha_C=30).rows == []
-
-
 def solver_figures(params, strat, b):
-    """(dense, sparse) bit costs of the model, recomputed from the counts."""
-    counts = bit_cost(params, strat, b).counts
-    log2_M = log2(max(counts.M_leq_b, 2))
-    weight = counts.N_eff * comb(counts.k_eff + 1 + strat.w, strat.w)
-    return OMEGA * log2_M, log2(3 * max(weight, 1)) + 2 * log2_M
+    """(dense, sparse) bit costs of the model, recomputed from the strategy."""
+    log2_M = log2(bit_cost(params, strat, b).counts.M_leq_b)
+    weight = strat.N_prime * comb(params.k - strat.a + 1 + strat.w, strat.w)
+    return OMEGA * log2_M, log2(3 * weight) + 2 * log2_M
 
 
 def test_bit_cost_named_algorithms():
@@ -181,17 +168,6 @@ def test_bit_cost_reference_points():
     assert rep.log2_cost == pytest.approx(
         log2(3 * weight) + 2 * log2(rep.counts.M_leq_b)
     )
-
-
-def test_guessing_multiplies_cost():
-    params = RslParams(q=2, m=277, n=358, k=179, r=7, N=895)
-    strat = strategy_params(params, 0)
-    base = bit_cost(params, strat, 1)
-    guessed = bit_cost(params, strat, 1, alpha_lambda=3)
-    assert base.algorithm == guessed.algorithm == "strassen"
-    assert guessed.counts.N_eff == base.counts.N_eff - 3
-    shrink = OMEGA * (log2(base.counts.M_leq_b) - log2(guessed.counts.M_leq_b))
-    assert guessed.log2_cost == pytest.approx(base.log2_cost + 3 - shrink)
 
 
 def test_min_b_monotone():

@@ -100,6 +100,50 @@ def test_verify_support_accepts_plant_rejects_random():
         verify_support(inst, FieldMatrix(fq, [[0]] * (TOY.m + 1)))
 
 
+def verify_support_two_ranks(inst, v_basis):
+    """Oracle: the syndromes are solvable in span(V) exactly when appending
+    them to the unfolded system leaves its rank unchanged."""
+    p, ext = inst.params, inst.field
+    fq = prime_field(p.q)
+    span = [ext.fold(v_basis.col(t)) for t in range(v_basis.ncols)]
+    coeffs, aug = [], []
+    for u in range(p.n - p.k):
+        digits = [ext.unfold(ext.mul(inst.H[u, j], s)) for j in range(p.n) for s in span]
+        syndromes = [ext.unfold(x) for x in inst.S.rows[u]]
+        for jc in range(p.m):
+            row = [dg[jc] for dg in digits]
+            coeffs.append(row)
+            aug.append(row + [sd[jc] for sd in syndromes])
+    return rank_rows(aug, fq) == rank_rows(coeffs, fq)
+
+
+@pytest.mark.parametrize("params", [TOY, RslParams(q=3, m=5, n=7, k=3, r=2, N=4)])
+def test_verify_support_matches_the_two_rank_test(params):
+    # planted, planted plus a column, planted minus a column, random, and
+    # planted against an instance with syndrome i alone redrawn
+    fq = prime_field(params.q)
+    rng = random.Random(params.q)
+    outcomes = []
+    for seed in range(6):
+        inst, witness = gen_instance(params, seed)
+        C = witness.support_basis()
+        i = seed % params.N
+        S = [row[:i] + [inst.field.random_element(rng)] + row[i + 1:] for row in inst.S.rows]
+        bent = RslInstance(params=params, field=inst.field, H=inst.H, S=FieldMatrix(inst.field, S))
+        cases = [
+            (inst, C),
+            (inst, C.hstack(FieldMatrix.random(fq, params.m, 1, rng))),
+            (inst, C.submatrix(range(params.m), range(params.r - 1))),
+            (inst, FieldMatrix.random(fq, params.m, params.r, rng)),
+            (bent, C),
+        ]
+        for case in cases:
+            got = verify_support(*case)
+            assert got == verify_support_two_ranks(*case)
+            outcomes.append(got)
+        assert outcomes[-5:] == [True, True, False, False, False]
+
+
 def test_strategy_params_specialized():
     p = RslParams(q=2, m=277, n=358, k=179, r=7, N=895)
     s = strategy_params(p, 0)

@@ -469,6 +469,7 @@ def test_attack_solves_the_matrix_the_estimator_counts(q):
         assert [h["b"] for h in result.b_history] == list(range(1, b_max + 1))
         for h in result.b_history:
             assert h["cols"] == bit_cost(params, strat, h["b"]).to_dict()["M_leq_b"]
+            assert h["rank"] == h["predicted_rank"]
 
 
 def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
@@ -486,6 +487,8 @@ def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
         "its dense 600x420 matrix needs 0.00188 GiB, over the 0.00149 GiB of physical memory"
     )
     assert result.message.startswith("no recovery up to b=5: b=4 skipped, its dense 600x420")
+    # the counts are those of b = 4, where the attack stopped, not of b_max
+    assert result.message.endswith("N_leq_b=73, M_leq_b=420")
 
 
 @pytest.mark.parametrize("b_max, max_attempts", [(0, None), (-2, None), (1, 0)])
