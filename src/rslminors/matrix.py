@@ -5,11 +5,12 @@ tokens of an attached field.  The generic routines are pure Python and work
 for any field object: the reduced row echelon form, and ``minors_of``, the
 one minor routine behind the maximal minors and the minor equations.
 Rank, pivot columns, kernel, solve and column-space basis all run on one
-elimination core, ``_echelon``, which picks one of three representations
-once per call: rows bit-packed into uint64 words for F_2, residues in the
-narrowest unsigned dtype for the other prime fields below 2^32, and Zech
-logarithms for extension fields with tabulated logarithms.  Any other field
-goes through the generic ``rref_rows``.
+elimination core, ``_echelon``, which picks one of four representations
+once per call: rows bit-packed into uint64 words for F_2, two such
+bit-planes per row for F_3 (the nonzero entries and the entries equal to
+2), residues in the narrowest unsigned dtype for the prime fields from 5 up
+to 2^32, and Zech logarithms for extension fields with tabulated
+logarithms.  Any other field goes through the generic ``rref_rows``.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,16 +213,29 @@ def minors_of(rows: Sequence[Sequence[int]], field):
 # -- the elimination core ----------------------------------------------------
 
 
+def _token_bytes(rows) -> np.ndarray:
+    """``rows`` of tokens below 256 as a uint8 array.  One ``bytes`` of the
+    flattened rows is about twice as fast as ``np.asarray`` on nested lists;
+    it reads values, so an int64 ndarray row gives one byte per entry too."""
+    flat = bytes(chain.from_iterable(rows))
+    return np.frombuffer(flat, np.uint8).reshape(len(rows), len(rows[0]))
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """A uint8 array's nonzero entries as bits packed little-endian into
+    uint64 words, column c at bit c % 64 of word c // 64."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), (bits.shape[1] + 63) // 64 * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8")
+
+
 class _PackedF2:
-    """F_2 rows packed little-endian into uint64 words, column c at bit
-    c % 64 of word c // 64.  Every pivot is 1, and a row update is an XOR."""
+    """F_2 rows as packed uint64 words (``_pack``).  Every pivot is 1, and a
+    row update is an XOR."""
 
     def encode(self, rows) -> np.ndarray:
-        ncols = len(rows[0])
-        bits = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1, bitorder="little")
-        words = np.zeros((len(rows), (ncols + 63) // 64 * 8), dtype=np.uint8)
-        words[:, : bits.shape[1]] = bits
-        return words.view("<u8")
+        return _pack(_token_bytes(rows))
 
     def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return (a[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
@@ -236,10 +250,53 @@ class _PackedF2:
         a[targets, c >> 6 :] ^= a[r, c >> 6 :]
 
 
+class _PackedF3:
+    """F_3 rows as two bit-planes of packed uint64 words (``_pack``),
+    interleaved per word in an array of shape rows x words x 2: plane 0
+    marks the nonzero entries and plane 1 the entries equal to 2, so plane 1
+    is a subset of plane 0.  A row update is a few word operations, as in
+    Boothby and Bradshaw's bitsliced F_3 (arXiv:0901.1413)."""
+
+    def encode(self, rows) -> np.ndarray:
+        v = _token_bytes(rows)
+        return np.stack((_pack(v), _pack(v >> 1)), axis=2)
+
+    def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        bits = (a[:, cols >> 6] >> (cols & 63).astype(np.uint64)[:, None]) & np.uint64(1)
+        return bits.sum(axis=2)
+
+    def column(self, a: np.ndarray, c: int) -> np.ndarray:
+        return a[:, c >> 6, 0] & np.uint64(1 << (c & 63))
+
+    def normalise(self, a: np.ndarray, r: int, c: int) -> None:
+        w = c >> 6
+        if a[r, w, 1] >> np.uint64(c & 63) & np.uint64(1):
+            a[r, w:, 1] ^= a[r, w:, 0]
+
+    def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
+        w = c >> 6
+        x = a[targets, w:]
+        xu, xs = x[..., 0], x[..., 1]
+        pu, ps = a[r, w:, 0], a[r, w:, 1]
+        # row - factor * pivot row adds y, the pivot row with its sign plane
+        # flipped where the factor is 1 and as it is where the factor is 2;
+        # flip is all ones where the row's entry at c is 1
+        flip = ((xs[:, 0] >> np.uint64(c & 63)) & np.uint64(1)) - np.uint64(1)
+        d = xs ^ ps ^ (pu & flip[:, None])  # xs ^ ys
+        # t: x and y nonzero and equal, where x + y = -x; unequal nonzero
+        # entries cancel
+        t = xu & pu & ~d
+        u = (xu ^ pu) | t
+        x[..., 1] = u & (d ^ (t & ~xs))
+        x[..., 0] = u
+        a[targets, w:] = x
+
+
 class _ModP:
-    """F_p elements as residues in ``dtype``, an unsigned type that holds
-    (p-1)^2 + p - 1, the largest value a row update forms; zero is 0.  Every
-    operand is a ``dtype`` scalar or array, so no step leaves the dtype."""
+    """F_p elements, p >= 5, as residues in ``dtype``, an unsigned type that
+    holds (p-1)^2 + p - 1, the largest value a row update forms; zero is 0.
+    Every operand is a ``dtype`` scalar or array, so no step leaves the
+    dtype."""
 
     def __init__(self, p: int, dtype: np.dtype):
         self.dtype = dtype
@@ -313,10 +370,15 @@ class _ZechLog:
 
 
 def _representation(field):
-    """The numpy representation the field eliminates in, or None."""
+    """The numpy representation the field eliminates in, or None: packed
+    bits for F_2, two packed bit-planes for F_3, residues for the other
+    prime fields below 2^32 and Zech logarithms for tabulated extension
+    fields."""
     if isinstance(field, PrimeField):
         if field.q == 2:
             return _PackedF2()
+        if field.q == 3:
+            return _PackedF3()
         # an object dtype, for p above 2^32, has no fixed width
         dtype = np.min_scalar_type((field.q - 1) ** 2 + field.q - 1)
         return _ModP(field.q, dtype) if dtype.kind == "u" else None
@@ -335,13 +397,13 @@ def _echelon(rows, field, reduced: bool):
     Returns ``read`` and the pivot columns.  ``read(cols)`` gives the nonzero
     echelon rows restricted to the columns ``cols``, as token lists, so a
     caller that wants only the rank reads nothing and a kernel reads only
-    the free columns.  F_2, the other prime fields below 2^32 and tabulated
-    extension fields share the numpy pivot loop below; each representation
-    supplies the nonzero test of a column, the pivot normalisation, the row
-    update and the column read.  Normalisation and update touch only the
-    pivot column and those right of it, where the pivot row is nonzero, so
-    they are exact in the reduced form too.  Any other field goes through
-    ``rref_rows``.
+    the free columns.  F_2, F_3, the other prime fields below 2^32 and
+    tabulated extension fields share the numpy pivot loop below; each
+    representation supplies the nonzero test of a column, the pivot
+    normalisation, the row update and the column read.  Normalisation and
+    update touch only the pivot column and those right of it, where the
+    pivot row is nonzero, so they are exact in the reduced form too.  Any
+    other field goes through ``rref_rows``.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0

@@ -12,6 +12,9 @@ from rslminors.fields import extension_field, prime_field
 from rslminors.matrix import (
     FieldMatrix,
     _echelon,
+    _ModP,
+    _PackedF3,
+    _representation,
     column_space_basis,
     kernel_rows,
     minors_of,
@@ -269,24 +272,94 @@ def test_large_primes_match_rref_oracle(p):
         (prime_field(17), np.uint16),
         (prime_field(257), np.uint32),
         (extension_field(3, 2), np.int64),
+        (prime_field(2), np.int64),
+        (prime_field(3), np.int64),
     ],
-    ids=["gf2", "gf3", "gf17", "gf257", "gf9"],
+    ids=["gf2", "gf3", "gf17", "gf257", "gf9", "gf2-int64", "gf3-int64"],
 )
 def test_elimination_leaves_the_callers_rows_alone(field, dtype):
     # an ndarray already in the elimination dtype is the case np.asarray
-    # would hand to the pivot loop without a copy
+    # would hand to the pivot loop without a copy; an int64 one must give
+    # the list's results, not its raw bytes
     rng = random.Random(71)
     rows = planted_rank(field, 10, 12, 6, rng)
     rhs = [field.random_element(rng) for _ in range(10)]
     want = [list(r) for r in rows]
     arr = np.array(rows, dtype=dtype)
+    results = []
     for given in (rows, arr):
-        _echelon(given, field, reduced=True)
-        _echelon(given, field, reduced=False)
-        kernel_rows(given, field, 12)
-        solve_rows(given, rhs, field, 12)
+        read, pivots = _echelon(given, field, reduced=True)
+        results.append(
+            (
+                pivots,
+                read(range(12)),
+                _echelon(given, field, reduced=False)[1],
+                kernel_rows(given, field, 12),
+                solve_rows(given, rhs, field, 12),
+            )
+        )
+    assert results[0] == results[1]
     assert rows == want
     assert arr.tolist() == want
+
+
+def test_representation_by_field():
+    assert isinstance(_representation(prime_field(3)), _PackedF3)
+    for p in (5, 13):
+        rep = _representation(prime_field(p))
+        assert isinstance(rep, _ModP) and rep.dtype == np.uint8
+
+
+def f3_planes_ok(a):
+    # plane 1 (entries equal to 2) lies inside plane 0 (nonzero entries)
+    return not np.any(a[..., 1] & ~a[..., 0])
+
+
+# Cells of the F_3 bit-plane tests: in the first and second word and at the
+# last bit of a word.
+F3_COLS = (1, 63, 64, 129)
+
+
+@pytest.mark.parametrize("c", [0, 65])
+@pytest.mark.parametrize("factor", [1, 2])
+def test_f3_update_on_every_pair(c, factor):
+    # target row - factor * pivot row, with the pivot 1 at column c and
+    # every (x, y) pair of target and pivot entries
+    rep = _PackedF3()
+    ncols = 130
+    for x in range(3):
+        for y in range(3):
+            pivot = [0] * ncols
+            target = [0] * ncols
+            pivot[c] = 1
+            target[c] = factor
+            for j in F3_COLS:
+                if j > c:
+                    pivot[j], target[j] = y, x
+            a = rep.encode([pivot, target])
+            assert f3_planes_ok(a)
+            rep.update(a, np.array([1]), 0, c)
+            assert f3_planes_ok(a)
+            got = rep.read(a, np.arange(ncols)).tolist()
+            want = [(t - factor * v) % 3 for t, v in zip(target, pivot)]
+            assert got == [pivot, want], (x, y)
+
+
+@pytest.mark.parametrize("c", [0, 65])
+@pytest.mark.parametrize("piv", [1, 2])
+def test_f3_normalise(c, piv):
+    rep = _PackedF3()
+    ncols = 130
+    row = [0] * ncols
+    row[c] = piv
+    for v, j in zip((0, 1, 2, 2), F3_COLS):
+        if j > c:
+            row[j] = v
+    a = rep.encode([row])
+    rep.normalise(a, 0, c)
+    assert f3_planes_ok(a)
+    # dividing by the pivot is multiplying by it, as 2 * 2 = 1
+    assert rep.read(a, np.arange(ncols)).tolist() == [[v * piv % 3 for v in row]]
 
 
 def test_maximal_minors_match_oracle():

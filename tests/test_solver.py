@@ -457,6 +457,27 @@ def test_attack_q3_recovers_at_min_b_above_q():
         assert result.b_history[-1]["kernel_dim"] == 1
 
 
+Q3_B3 = RslParams(q=3, m=7, n=10, k=5, r=2, N=9)
+
+
+def test_attack_q3_recovers_at_b3():
+    # b = 3 > q on a 3150x2475 matrix, the largest elimination in tier-1
+    inst, witness = gen_instance(Q3_B3, 0)
+    result = attack(inst, strategy_params(Q3_B3, 0), b_max=3)
+    assert result.success and result.support.C == witness.support_basis()
+    hist = result.b_history
+    assert [(h["b"], h["rows"], h["cols"]) for h in hist] == [
+        (1, 70, 135),
+        (2, 630, 675),
+        (3, 3150, 2475),
+    ]
+    assert hist[-1]["kernel_dim"] == 1
+    # the count holds at b = 1 and 3; at b = 2 the rank falls C(m, 2) = 21
+    # short of m * N_leq_b = 595
+    assert [h["rank"] for h in hist] == [70, 574, 2474]
+    assert [h["predicted_rank"] for h in hist] == [70, 595, 2474]
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_attack_solves_the_matrix_the_estimator_counts(q):
     shapes = [(RslParams(q=q, m=12, n=10, k=5, r=2, N=9), 2)]
