@@ -4,10 +4,14 @@ Everything here is exact big-integer combinatorics until the final log2.  The
 counts mirror the structure of the equation system: count_Nb is the number of
 independent rows of the Macaulay matrix at exact bi-degree (b,1), count_Mb the
 number of its columns, each with an f2 flag that keeps squarefree
-lambda-monomials only.  The field picks the matrix, and ``make_counts`` keeps
-one pair, N_leq_b and M_leq_b, for the matrix the solver builds over it: over
-F_2 the squarefree matrix of lambda-degrees 1..b, whose counts it sums over
-the degrees j = 1..b, above F_2 the matrix of lambda-degree exactly b.
+lambda-monomials only.  count_Nb is one sum, for every degree and field, over
+the smallest lambda index of a lead's multiplier monomial mu: it counts the
+pairs (mu, I) with min(mu) < min(I).  It is known not to be the rank in two
+cases, over F_2 at b = 3 and at q = 3, b = 2 with small m (ROADMAP item 2).
+The field picks the matrix, and ``make_counts`` keeps one pair, N_leq_b and
+M_leq_b, for the matrix the solver builds over it: over F_2 the squarefree
+matrix of lambda-degrees 1..b, whose counts it sums over the degrees
+j = 1..b, above F_2 the matrix of lambda-degree exactly b.
 Linearization is feasible once the independent rows reach the column count
 minus one (the solution is projective), on every field and at every degree:
 above F_2 the exact-degree matrix is formal, with no reduction by
@@ -36,46 +40,37 @@ from .instance import RslParams, StrategyParams, strategy_params
 OMEGA = 2.807
 
 
-def _comb(n: int, k: int) -> int:
-    if n < 0 or k < 0:
-        return 0
-    return math.comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def count_Nb(n: int, k: int, w: int, N: int, b: int, f2: bool = False) -> int:
     """Independent equations at exact bi-degree (b,1).
 
-    Double sum over the echelon shape: for each distance d from the top of the
-    minor index range, C(n-k-d, w-1) index sets contribute, each with one
-    multiplier monomial pool per previously used equation.  The inner sum over
-    j collapses by the hockey-stick identity; f2 restricts multipliers to
-    squarefree monomials.
+    One sum over v, the smallest lambda index of a lead's multiplier
+    monomial mu: C(n-k-v, w) index sets I lie in {v+1..n-k}, and C(P-v, b-1)
+    monomials of degree b have smallest index v.  So the count is the number
+    of pairs (mu, I) with min(mu) < min(I), Theorem 1's leads at b = 1.  Over
+    F_2 (f2) mu is a squarefree b-set of N+1 indices, P = V = N+1; above it a
+    degree-b monomial in N indices, P = N+b-1 and V = N.  The count is not
+    always the rank: over F_2 at b = 3 the rank falls short by C(n-k, w+2) on
+    the shapes measured, and at q = 3, b = 2 it falls short when m is small
+    (ROADMAP item 2).
     """
-    if b < 1 or w < 1 or n - k <= w:
-        raise ValueError(f"need b >= 1, w >= 1, n-k > w, got n-k={n - k}, w={w}, b={b}")
+    if b < 1 or w < 1 or N < 1 or n - k <= w:
+        raise ValueError(
+            f"need b >= 1, w >= 1, N >= 1, n-k > w, got n-k={n - k}, w={w}, N={N}, b={b}"
+        )
     nk = n - k
-    total = 0
-    for d in range(2, nk - w + 2):
-        outer = _comb(nk - d, w - 1)
-        if outer == 0:
-            continue
-        if b == 1:
-            inner = min(d - 1, N if not f2 else N + 1)
-        elif f2:
-            inner = _comb(N + 1, b) - _comb(N - d + 2, b)
-        else:
-            inner = _comb(N + b - 1, b) - _comb(N - d + b, b)
-        total += outer * inner
-    return total
+    P, V = (N + 1, N + 1) if f2 else (N + b - 1, N)
+    return sum(
+        math.comb(nk - v, w) * math.comb(P - v, b - 1) for v in range(1, min(V, nk - w) + 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def count_Mb(n_eff: int, w: int, N_eff: int, b: int, f2: bool = False) -> int:
     """Macaulay columns of lambda-degree exactly b, parameters already
     strategy-adjusted; f2 counts squarefree lambda-monomials only."""
-    lam = _comb(N_eff, b) if f2 else _comb(N_eff + b - 1, b)
-    return _comb(n_eff, w) * lam
+    lam = math.comb(N_eff, b) if f2 else math.comb(N_eff + b - 1, b)
+    return math.comb(n_eff, w) * lam
 
 
 @dataclass(frozen=True)
@@ -157,7 +152,7 @@ def bit_cost(params: RslParams, strategy: StrategyParams, b: int) -> CostReport:
     counts = _counts_for(params, strategy, b)
     log2_M = math.log2(counts.M_leq_b)
     w = strategy.w
-    row_weight = strategy.N_prime * _comb(params.k - strategy.a + 1 + w, w)
+    row_weight = strategy.N_prime * math.comb(params.k - strategy.a + 1 + w, w)
     strassen = OMEGA * log2_M
     wiedemann = math.log2(3 * row_weight) + 2.0 * log2_M
     dense = strategy.delta == 0 or strassen <= wiedemann

@@ -2,7 +2,9 @@
 the calibrated bit-cost model, codeword statistics, and the optimizer."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import comb, log2
 
 import pytest
@@ -53,17 +55,37 @@ def test_count_nb_frozen():
         count_Nb(10, 6, 4, 3, 1)  # w must stay below n-k
     with pytest.raises(ValueError):
         count_Nb(10, 6, 1, 3, 0)
+    with pytest.raises(ValueError):
+        count_Nb(10, 6, 1, -1, 1)  # no lambdas: N must be at least 1
+    with pytest.raises(ValueError):
+        count_Nb(10, 6, 1, 0, 1, f2=True)
+
+
+def count_Nb_pairs(nk, w, N, b, f2=False):
+    """Pairs (mu, I) with min(mu) < min(I), enumerated: mu a degree-b
+    monomial in lambda_1..lambda_N (a b-set of 1..N+1 over F_2), I a w-set
+    of 1..nk."""
+    if f2:
+        monomials = combinations(range(1, N + 2), b)
+    else:
+        monomials = combinations_with_replacement(range(1, N + 1), b)
+    smallest = Counter(min(I) for I in combinations(range(1, nk + 1), w))
+    return sum(count for mu in monomials for low, count in smallest.items() if mu[0] < low)
 
 
 def test_count_nb_matches_literal_sum():
+    # N runs past n-k-w, where the sum's range switches from the N cap to
+    # the n-k-w cap
     for nk in range(3, 11):
         for w in range(1, min(nk, 5)):
-            for N in (1, 2, 5, 9):
-                for b in (1, 2, 3, 4):
+            for N in range(1, nk + 3):
+                for b in range(1, 6):
                     for f2 in (False, True):
-                        assert count_Nb(nk + 5, 5, w, N, b, f2=f2) == count_Nb_literal(
-                            nk + 5, 5, w, N, b, f2=f2
-                        ), (nk, w, N, b, f2)
+                        got = count_Nb(nk + 5, 5, w, N, b, f2=f2)
+                        case = (nk, w, N, b, f2)
+                        assert got == count_Nb_literal(nk + 5, 5, w, N, b, f2=f2), case
+                        if nk <= 7:
+                            assert got == count_Nb_pairs(nk, w, N, b, f2=f2), case
 
 
 def test_degree_one_count_is_binomial():
@@ -308,6 +330,26 @@ def test_table2_cells_are_rows_of_its_optimize_sweeps(monkeypatch):
             assert cell["bits"] == round(rep.log2_cost, 2)
             assert cell["algorithm"] == rep.algorithm
             assert [cell[field] for field in fields] == [getattr(rep, field) for field in fields]
+
+
+def test_table2_counts_are_the_literal_sum():
+    # the exact integers behind every cell, at the scale the table runs
+    cells = 0
+    for row in run_table2()["rows"]:
+        params = RslParams(q=2, m=row["m"], n=row["n"], k=row["k"], r=row["r"], N=row["N"])
+        for cell in (row["delta0"], row["delta_pos"]):
+            if cell is None:
+                continue
+            w = cell.get("w", params.r)
+            a = None if w == params.r else cell["a"]
+            strat = strategy_params(params, params.r - w, a)
+            assert strat.a == cell["a"]
+            n, k = params.n - strat.a, params.k - strat.a
+            degrees = range(1, cell["b"] + 1)
+            want = sum(count_Nb_literal(n, k, w, strat.N_prime, j, f2=True) for j in degrees)
+            assert make_counts(2, n, k, w, strat.N_prime, cell["b"]).N_leq_b == want
+            cells += 1
+    assert cells == 14
 
 
 def test_optimize_skips_strategies_without_minor_equations():
