@@ -5,12 +5,13 @@ tokens of an attached field.  The generic routines are pure Python and work
 for any field object: the reduced row echelon form, and ``minors_of``, the
 one minor routine behind the maximal minors and the minor equations.
 Rank, pivot columns, kernel, solve and column-space basis all run on one
-elimination core, ``_echelon``, which picks one of four representations
+elimination core, ``_echelon``, which picks one of five representations
 once per call: rows bit-packed into uint64 words for F_2, two such
 bit-planes per row for F_3 (the nonzero entries and the entries equal to
 2), residues in the narrowest unsigned dtype for the prime fields from 5 up
-to 2^32, and Zech logarithms for extension fields with tabulated
-logarithms.  Any other field goes through the generic ``rref_rows``.
+to 2^32, and, for extension fields with tabulated logarithms, the element
+tokens over F_{2^m}, which add by XOR, and Zech logarithms in odd
+characteristic.  Any other field goes through the generic ``rref_rows``.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -234,6 +235,8 @@ class _PackedF2:
     """F_2 rows as packed uint64 words (``_pack``).  Every pivot is 1, and a
     row update is an XOR."""
 
+    zero = 0
+
     def encode(self, rows) -> np.ndarray:
         return _pack(_token_bytes(rows))
 
@@ -256,6 +259,8 @@ class _PackedF3:
     marks the nonzero entries and plane 1 the entries equal to 2, so plane 1
     is a subset of plane 0.  A row update is a few word operations, as in
     Boothby and Bradshaw's bitsliced F_3 (arXiv:0901.1413)."""
+
+    zero = 0
 
     def encode(self, rows) -> np.ndarray:
         v = _token_bytes(rows)
@@ -298,6 +303,8 @@ class _ModP:
     Every operand is a ``dtype`` scalar or array, so no step leaves the
     dtype."""
 
+    zero = 0
+
     def __init__(self, p: int, dtype: np.dtype):
         self.dtype = dtype
         self.p = dtype.type(p)
@@ -329,8 +336,12 @@ class _ModP:
 
 
 class _ZechLog:
-    """Elements of a tabulated F_{q^m} as logarithms to the table's generator;
-    zero is -1, and sums go through the Zech logarithm table."""
+    """Elements of a tabulated F_{q^m} of odd characteristic as logarithms to
+    the table's generator; zero is -1, and sums go through the Zech
+    logarithm table.  Normalisation and update touch only the pivot row's
+    nonzero columns, as every other cell keeps its value."""
+
+    zero = -1
 
     def __init__(self, field: ExtensionField, tables):
         self.t = tables
@@ -356,24 +367,61 @@ class _ZechLog:
 
     def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
         qm1 = self.qm1
-        prow = a[r, c:][None, :]
-        # log of -(factor * pivot row), then log of target + that product
-        prod = np.where(prow == -1, -1, (prow + a[targets, c][:, None] + self.log_m1) % qm1)
-        cur = a[targets, c:]
-        out = np.where(cur == -1, prod, cur)
-        both = (cur != -1) & (prod != -1)
-        if np.any(both):
-            av = cur[both]
-            z = self.t.zech[(prod[both] - av) % qm1]
-            out[both] = np.where(z == -1, -1, (av + z) % qm1)
-        a[targets, c:] = out
+        nz = c + np.nonzero(a[r, c:] != -1)[0]
+        cells = np.ix_(targets, nz)
+        # log of -(factor * pivot row), then log of target + that product,
+        # which is the product where the target is zero
+        out = (a[targets, c][:, None] + a[r, nz] + self.log_m1) % qm1
+        cur = a[cells]
+        both = cur != -1
+        av = cur[both]
+        z = self.t.zech[(out[both] - av) % qm1]
+        out[both] = np.where(z == -1, -1, (av + z) % qm1)
+        a[cells] = out
+
+
+class _XorF2m:
+    """Elements of a tabulated F_{2^m} as their tokens, whose bits are the
+    coordinates on the polynomial basis, so a sum is an XOR; zero is 0.
+    Products go through the logarithm and exponent tables."""
+
+    zero = 0
+
+    def __init__(self, field: ExtensionField, tables):
+        self.t = tables
+        self.qm1 = field.order - 1
+
+    def encode(self, rows) -> np.ndarray:
+        # a copy, as with _ModP: the pivot loop changes it in place
+        return np.array(rows, dtype=np.int64)
+
+    def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return a[:, cols]
+
+    def column(self, a: np.ndarray, c: int) -> np.ndarray:
+        return a[:, c] != 0
+
+    def normalise(self, a: np.ndarray, r: int, c: int) -> None:
+        log = self.t.log
+        piv = int(log[a[r, c]])
+        if piv != 0:
+            nz = c + np.nonzero(a[r, c:])[0]
+            a[r, nz] = self.t.exp[(log[a[r, nz]] - piv) % self.qm1]
+
+    def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
+        # -(factor * pivot row) is factor * pivot row in characteristic 2,
+        # and only the pivot row's nonzero columns change
+        log = self.t.log
+        nz = c + np.nonzero(a[r, c:])[0]
+        prod = self.t.exp[(log[a[targets, c]][:, None] + log[a[r, nz]]) % self.qm1]
+        a[np.ix_(targets, nz)] ^= prod
 
 
 def _representation(field):
     """The numpy representation the field eliminates in, or None: packed
     bits for F_2, two packed bit-planes for F_3, residues for the other
-    prime fields below 2^32 and Zech logarithms for tabulated extension
-    fields."""
+    prime fields below 2^32, and for tabulated extension fields the tokens
+    when q = 2 and Zech logarithms when q is odd."""
     if isinstance(field, PrimeField):
         if field.q == 2:
             return _PackedF2()
@@ -385,7 +433,7 @@ def _representation(field):
     if isinstance(field, ExtensionField):
         tables = field.np_tables()
         if tables is not None:
-            return _ZechLog(field, tables)
+            return _XorF2m(field, tables) if field.q == 2 else _ZechLog(field, tables)
     return None
 
 
@@ -399,11 +447,14 @@ def _echelon(rows, field, reduced: bool):
     caller that wants only the rank reads nothing and a kernel reads only
     the free columns.  F_2, F_3, the other prime fields below 2^32 and
     tabulated extension fields share the numpy pivot loop below; each
-    representation supplies the nonzero test of a column, the pivot
-    normalisation, the row update and the column read.  Normalisation and
-    update touch only the pivot column and those right of it, where the
-    pivot row is nonzero, so they are exact in the reduced form too.  Any
-    other field goes through ``rref_rows``.
+    representation supplies its zero, the nonzero test of a column, the
+    pivot normalisation, the row update and the column read.  Normalisation
+    and update touch only the pivot column and those right of it, where the
+    pivot row is nonzero, so they are exact in the reduced form too.  The
+    rows below the last pivot found are zero left of the current column, so
+    once a column holds no pivot and those rows are zero everywhere, no
+    later column can hold one and the scan stops.  Any other field goes
+    through ``rref_rows``.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -422,6 +473,8 @@ def _echelon(rows, field, reduced: bool):
             break
         nz = np.nonzero(rep.column(a[r:], c))[0]
         if nz.size == 0:
+            if not np.any(a[r:] != rep.zero):
+                break  # no later column holds a pivot
             continue
         i = r + int(nz[0])
         if i != r:

@@ -271,6 +271,7 @@ def _attempt(
     for b in range(1, b_max + 1):
         counts = bit_cost(p, strategy, b).counts
         predicted_rank = min(p.m * counts.N_leq_b, counts.M_leq_b - 1)
+        started = time.perf_counter()
         try:
             mac = build_macaulay(unfolded, b)
         except MacaulayTooLarge as exc:
@@ -278,7 +279,9 @@ def _attempt(
             history.append({"offset": offset, "b": b, "rows": rows, "cols": cols,
                             "skipped": str(exc), "predicted_rank": predicted_rank})
             return None  # every higher degree is larger still
+        built = time.perf_counter()
         basis = solve_linearized(mac)
+        solved = time.perf_counter()
         rows, cols = mac.shape
         entry = {
             "offset": offset,
@@ -288,6 +291,8 @@ def _attempt(
             "kernel_dim": len(basis),
             "rank": cols - len(basis),
             "predicted_rank": predicted_rank,
+            "build_s": round(built - started, 3),
+            "kernel_s": round(solved - built, 3),
         }
         history.append(entry)
         if not basis:

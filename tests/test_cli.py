@@ -136,7 +136,7 @@ def test_inspect_missing_file(tmp_path, capsys):
     assert "inspect:" in capsys.readouterr().err
 
 
-def test_attack_recovers_toy(toy_file, tmp_path):
+def test_attack_recovers_toy(toy_file, tmp_path, capsys):
     out = tmp_path / "attack.json"
     rc = main([
         "attack", "--instance", str(toy_file), "--b-max", "2",
@@ -150,6 +150,12 @@ def test_attack_recovers_toy(toy_file, tmp_path):
     assert rep["strategy"] == {"delta": 0, "w": 2, "a": 4, "N_prime": 9}
     assert rep["config"]["b_max"] == 2
     assert rep["b_history"][0]["b"] == 1
+    # each degree that built its matrix times the build and the kernel
+    for h in rep["b_history"]:
+        assert h["build_s"] >= 0 and h["kernel_s"] >= 0
+    assert main(["attack", "--instance", str(toy_file), "--b-max", "2"]) == EXIT_OK
+    lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("  b=")]
+    assert lines and all(" build_s=" in x and " kernel_s=" in x for x in lines)
 
 
 def test_attack_public_only(tmp_path):

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from rslminors.fields import extension_field, prime_field
+from rslminors.instance import gen_instance
 from rslminors.matrix import (
     FieldMatrix,
     _echelon,
     _ModP,
     _PackedF3,
     _representation,
+    _XorF2m,
+    _ZechLog,
     column_space_basis,
     kernel_rows,
     minors_of,
@@ -22,6 +25,8 @@ from rslminors.matrix import (
     rref_rows,
     solve_rows,
 )
+from rslminors.modeling import build_macaulay, build_system
+from rslminors.verification import sample_family
 
 
 def det_leibniz(rows, field):
@@ -206,6 +211,45 @@ def oracle_kernel(rows, ncols, field):
     return basis
 
 
+def assert_matches_rref_oracle(rows, field, nc, rng):
+    """Pivots, echelon and reduced rows, kernel, solve and column space of
+    the elimination core against ``rref_rows``."""
+    nr = len(rows)
+    res = rref_rows(rows, field)
+    read, pivots = _echelon(rows, field, reduced=True)
+    assert pivots == res.pivots
+    assert read(range(nc)) == res.matrix.rows[: res.rank]
+    read, pivots = _echelon(rows, field, reduced=False)
+    echelon = read(range(nc))
+    assert pivots == res.pivots
+    # an echelon form of the same row space: unit pivots, zeros below and
+    # to the left of each pivot, and the oracle's reduced form
+    for i, pc in enumerate(pivots):
+        assert echelon[i][pc] == 1
+        assert all(x == 0 for x in echelon[i][:pc])
+        assert all(row[pc] == 0 for row in echelon[i + 1 :])
+    assert rref_rows(echelon, field).matrix.rows == res.matrix.rows[: res.rank]
+    assert rank_rows(rows, field) == res.rank
+    assert kernel_rows(rows, field, nc) == oracle_kernel(rows, nc, field)
+    m = FieldMatrix(field, rows, nc)
+    # a random right-hand side, inconsistent when the rank is below nr, and
+    # one in the column space
+    x0 = [field.random_element(rng) for _ in range(nc)]
+    for rhs in ([field.random_element(rng) for _ in range(nr)], m.matvec(x0)):
+        aug_res = rref_rows([row + [b] for row, b in zip(rows, rhs)], field)
+        want = None
+        if nc not in aug_res.pivots:
+            want = [0] * nc
+            for row, pc in zip(aug_res.matrix.rows, aug_res.pivots):
+                want[pc] = row[nc]
+        assert solve_rows(rows, rhs, field, nc) == want
+    want = rref_rows(m.transpose().rows, field)
+    basis = column_space_basis(m)
+    assert (basis.nrows, basis.ncols) == (nr, want.rank)
+    assert basis.transpose().rows == want.matrix.rows[: want.rank]
+    return res.rank
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=ORACLE_IDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c, _ in SHAPES])
 def test_elimination_core_matches_rref_oracle(field, shape):
@@ -218,38 +262,78 @@ def test_elimination_core_matches_rref_oracle(field, shape):
             rows = FieldMatrix.random(field, nr, nc, rng).rows
         else:
             rows = planted_rank(field, nr, nc, rank, rng)
-        res = rref_rows(rows, field)
-        read, pivots = _echelon(rows, field, reduced=True)
-        assert pivots == res.pivots
-        assert read(range(nc)) == res.matrix.rows[: res.rank]
-        read, pivots = _echelon(rows, field, reduced=False)
-        echelon = read(range(nc))
-        assert pivots == res.pivots
-        # an echelon form of the same row space: unit pivots, zeros below
-        # and to the left of each pivot, and the oracle's reduced form
-        for i, pc in enumerate(pivots):
-            assert echelon[i][pc] == 1
-            assert all(x == 0 for x in echelon[i][:pc])
-            assert all(row[pc] == 0 for row in echelon[i + 1 :])
-        assert rref_rows(echelon, field).matrix.rows == res.matrix.rows[: res.rank]
-        assert rank_rows(rows, field) == res.rank
+        got = assert_matches_rref_oracle(rows, field, nc, rng)
         if rank is not None:
-            assert res.rank <= rank
-        assert kernel_rows(rows, field, nc) == oracle_kernel(rows, nc, field)
-        rhs = [field.random_element(rng) for _ in range(nr)]
-        aug = [row + [b] for row, b in zip(rows, rhs)]
-        aug_res = rref_rows(aug, field)
-        x = solve_rows(rows, rhs, field, nc)
-        m = FieldMatrix(field, rows, nc)
-        if nc in aug_res.pivots:
-            assert x is None
-        else:
-            assert x is not None and len(x) == nc
-            assert m.matvec(x) == rhs
-        want = rref_rows(m.transpose().rows, field)
-        basis = column_space_basis(m)
-        assert (basis.nrows, basis.ncols) == (nr, want.rank)
-        assert basis.transpose().rows == want.matrix.rows[: want.rank]
+            assert got <= rank
+
+
+def sparse_rows(field, nr, nc, rank, density, rng):
+    """nr x nc rows of rank at most ``rank`` (nr when None), with zeros in
+    the rows that pivot: ``rank`` random rows with about ``density`` of
+    their entries nonzero, the other rows combinations of two of them, in a
+    shuffled order."""
+
+    def sparse_row():
+        return [
+            field.random_element(rng) if rng.random() < density else 0
+            for _ in range(nc)
+        ]
+
+    if rank is None:
+        return [sparse_row() for _ in range(nr)]
+    base = [sparse_row() for _ in range(rank)]
+    rows = list(base)
+    while len(rows) < nr:
+        row = [0] * nc
+        for src in rng.sample(base, min(2, rank)):
+            c = field.random_element(rng)
+            row = [field.add(x, field.mul(c, y)) for x, y in zip(row, src)]
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+# Extension fields of both kinds, from a few elements to the largest
+# extension degree of the Theorem 2 checks; the two kinds eliminate in
+# different representations.
+EXT_FIELDS = [extension_field(q, m) for q in (2, 3) for m in (4, 7, 12)]
+EXT_IDS = [f"gf{f.q}^{f.m}" for f in EXT_FIELDS]
+# (rows, columns, planted rank): ranks below the row count, so that rows
+# turn zero and the pivot scan stops early, wide shapes, whose pivot rows
+# hold many zeros, and the all-zero matrix, which stops at column 0.
+SPARSE_SHAPES = [
+    (20, 300, 5),
+    (30, 90, 12),
+    (25, 60, None),
+    (40, 25, None),
+    (16, 130, 15),
+    (8, 30, 0),
+]
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=EXT_IDS)
+@pytest.mark.parametrize("shape", SPARSE_SHAPES, ids=[f"{r}x{c}" for r, c, _ in SPARSE_SHAPES])
+def test_sparse_extension_matrices_match_rref_oracle(field, shape):
+    nr, nc, rank = shape
+    rng = random.Random(f"{field.q}^{field.m}/{nr}x{nc}")
+    for density in (0.1, 0.3):
+        rows = sparse_rows(field, nr, nc, rank, density, rng)
+        got = assert_matches_rref_oracle(rows, field, nc, rng)
+        if rank is not None:
+            assert got <= rank
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_theorem2_macaulay_ranks_match_rref_oracle(q):
+    # the matrices `verify thm2` ranks: degree (b, 1) over F_{q^m}
+    rng = random.Random(90 + q)
+    for _ in range(20):
+        params, w = sample_family(rng, q)
+        inst, _ = gen_instance(params, rng.randrange(2**30))
+        system = build_system(inst, w)
+        for b in (2, 3):
+            mac = build_macaulay(system, b)
+            assert mac.rank() == rref_rows(mac.dense_rows(), inst.field).rank
 
 
 @pytest.mark.parametrize("p", [4294967291, 4294967311])
@@ -272,10 +356,11 @@ def test_large_primes_match_rref_oracle(p):
         (prime_field(17), np.uint16),
         (prime_field(257), np.uint32),
         (extension_field(3, 2), np.int64),
+        (extension_field(2, 4), np.int64),
         (prime_field(2), np.int64),
         (prime_field(3), np.int64),
     ],
-    ids=["gf2", "gf3", "gf17", "gf257", "gf9", "gf2-int64", "gf3-int64"],
+    ids=["gf2", "gf3", "gf17", "gf257", "gf9", "gf16", "gf2-int64", "gf3-int64"],
 )
 def test_elimination_leaves_the_callers_rows_alone(field, dtype):
     # an ndarray already in the elimination dtype is the case np.asarray
@@ -305,6 +390,10 @@ def test_elimination_leaves_the_callers_rows_alone(field, dtype):
 
 def test_representation_by_field():
     assert isinstance(_representation(prime_field(3)), _PackedF3)
+    # F_{2^m} tokens add by XOR; Zech logarithms serve odd characteristic only
+    for m in (4, 12):
+        assert isinstance(_representation(extension_field(2, m)), _XorF2m)
+    assert isinstance(_representation(extension_field(3, 2)), _ZechLog)
     for p in (5, 13):
         rep = _representation(prime_field(p))
         assert isinstance(rep, _ModP) and rep.dtype == np.uint8

@@ -502,7 +502,7 @@ def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
     assert not result.success
     assert [h["b"] for h in result.b_history] == [1, 2, 3, 4]
     skipped = result.b_history[-1]
-    assert "kernel_dim" not in skipped
+    assert "kernel_dim" not in skipped and "kernel_s" not in skipped
     assert (skipped["rows"], skipped["cols"]) == (600, 420)
     assert skipped["skipped"] == (
         "its dense 600x420 matrix needs 0.00188 GiB, over the 0.00149 GiB of physical memory"
