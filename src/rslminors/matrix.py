@@ -1,9 +1,12 @@
 """Dense exact linear algebra over the fields in :mod:`rslminors.fields`.
 
 ``FieldMatrix`` is a small row-major dense matrix whose entries are element
-tokens of an attached field.  The generic routines are pure Python and work
-for any field object: the reduced row echelon form, and ``minors_of``, the
-one minor routine behind the maximal minors and the minor equations.
+tokens of an attached field.  The reduced row echelon form ``rref_rows`` is
+pure Python and works for any field object.  ``minor_table``, the one minor
+routine behind the maximal minors and the minor equations, computes every
+minor of one size at once, level by level, on arrays of tokens;
+``TokenArrays`` holds the elementwise field arithmetic on such arrays for
+every field.
 Rank, pivot columns, kernel, solve and column-space basis all run on one
 elimination core, ``_echelon``, which picks one of five representations
 once per call: rows bit-packed into uint64 words for F_2, two such
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -134,13 +137,12 @@ class FieldMatrix:
         """All maximal minors, keyed by the sorted column subset.
 
         Requires nrows <= ncols; the minor at subset T is the determinant of
-        the columns T taken in increasing order.  One memo serves them all.
+        the columns T taken in increasing order: row 0 of ``minor_table``.
         """
         if self.nrows > self.ncols:
             raise ValueError("maximal minors need nrows <= ncols")
-        minor = minors_of(self.rows, self.field)
-        ri = tuple(range(self.nrows))
-        return {T: minor(ri, T) for T in combinations(range(self.ncols), self.nrows)}
+        top = minor_table(self.rows, self.field, self.nrows)[0].tolist()
+        return dict(zip(combinations(range(self.ncols), self.nrows), top))
 
 
 @dataclass
@@ -185,30 +187,94 @@ def rref_rows(rows: Sequence[Sequence[int]], field) -> RrefResult:
 # -- minors ------------------------------------------------------------------
 
 
-def minors_of(rows: Sequence[Sequence[int]], field):
-    """``minor(ri, cs)``: the minor of ``rows`` on the row indices ``ri`` and
-    the column indices ``cs``, equal-length 0-based tuples taken in the given
-    order; the empty minor is 1.
+@dataclass(frozen=True)
+class TokenArrays:
+    """Elementwise ``add``, ``mul`` and ``neg`` on arrays of field tokens of
+    type ``dtype``.
 
-    Each minor is a Laplace expansion along its first row, and one cache
-    holds every minor computed, so the sub-minors on rows ``ri[1:]`` are
-    shared by every minor with that tail of rows.
+    A tabulated F_{q^m} computes on int64 tokens through its logarithm and
+    exponent tables, with zero masked: a product adds logarithms, a sum is an
+    XOR when q = 2 and a + b = a * (1 + b/a) through the Zech logarithms when
+    q is odd.  Any other field, prime fields and extension fields too large
+    to tabulate, maps its own scalar ``add``, ``mul`` and ``neg`` over object
+    arrays.
     """
-    f = field
 
-    @functools.cache
-    def minor(ri: tuple[int, ...], cs: tuple[int, ...]) -> int:
-        if not ri:
-            return f.one
-        top = rows[ri[0]]
-        d = f.zero
-        for u, c in enumerate(cs):
-            if top[c]:
-                term = f.mul(top[c], minor(ri[1:], cs[:u] + cs[u + 1 :]))
-                d = f.add(d, f.neg(term) if u % 2 else term)
-        return d
+    dtype: object
+    add: Callable
+    mul: Callable
+    neg: Callable
 
-    return minor
+    @classmethod
+    def of(cls, field) -> "TokenArrays":
+        tables = field.np_tables() if isinstance(field, ExtensionField) else None
+        if tables is None:
+            return cls(
+                object,
+                np.frompyfunc(field.add, 2, 1),
+                np.frompyfunc(field.mul, 2, 1),
+                np.frompyfunc(field.neg, 1, 1),
+            )
+        log, exp, zech = tables.log, tables.exp, tables.zech
+        qm1 = field.order - 1
+
+        def mul(a, b):
+            return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % qm1])
+
+        if field.q == 2:
+            return cls(np.int64, np.bitwise_xor, mul, lambda a: a)
+
+        def add(a, b):
+            la = log[a]
+            z = zech[(log[b] - la) % qm1]  # log(1 + b/a)
+            s = np.where(z == -1, 0, exp[(la + z) % qm1])
+            return np.where(a == 0, b, np.where(b == 0, a, s))
+
+        def neg(a):
+            # -1 = g**((Q-1)/2) for odd Q
+            return np.where(a == 0, 0, exp[(log[a] + qm1 // 2) % qm1])
+
+        return cls(np.int64, add, mul, neg)
+
+
+@functools.cache
+def laplace_index(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(pick, drop)`` for the e-subsets of range(n), in ``combinations``
+    order: ``pick[s, u]`` is the u-th element of subset s and ``drop[s, u]``
+    the position of subset s without it among the (e-1)-subsets.  The arrays
+    are cached and shared, so they are read-only."""
+    pos = {c: i for i, c in enumerate(combinations(range(n), e - 1))}
+    subsets = list(combinations(range(n), e))
+    pick = np.array(subsets, dtype=np.intp).reshape(len(subsets), e)
+    drop = np.array(
+        [[pos[c[:u] + c[u + 1 :]] for u in range(e)] for c in subsets], dtype=np.intp
+    ).reshape(len(subsets), e)
+    pick.flags.writeable = drop.flags.writeable = False
+    return pick, drop
+
+
+def minor_table(rows: Sequence[Sequence[int]], field, d: int) -> np.ndarray:
+    """Every d x d minor of ``rows``: entry [R, C] is the minor on the R-th
+    row d-subset and the C-th column d-subset, both sorted and numbered in
+    ``combinations`` order.  The empty minor (d = 0) is 1.
+
+    Built level by level, each minor a Laplace expansion along its first
+    row: M_e[R, C] = Sum_u (-1)^u rows[R_0][C_u] M_{e-1}[R minus R_0,
+    C minus C_u], one array product per u on ``laplace_index`` positions.
+    """
+    ops = TokenArrays.of(field)
+    a = np.array(rows, dtype=ops.dtype).reshape(len(rows), len(rows[0]) if rows else 0)
+    signed = (a, ops.neg(a))
+    table = np.full((1, 1), field.one, dtype=ops.dtype)
+    for e in range(1, d + 1):
+        rpick, rdrop = laplace_index(a.shape[0], e)
+        cpick, cdrop = laplace_index(a.shape[1], e)
+        prev = table
+        table = functools.reduce(ops.add, (
+            ops.mul(signed[u % 2][rpick[:, :1], cpick[:, u]], prev[rdrop[:, :1], cdrop[:, u]])
+            for u in range(e)
+        ))
+    return table
 
 
 # -- the elimination core ----------------------------------------------------
@@ -473,9 +539,10 @@ def _echelon(rows, field, reduced: bool):
             break
         nz = np.nonzero(rep.column(a[r:], c))[0]
         if nz.size == 0:
-            if not np.any(a[r:] != rep.zero):
-                break  # no later column holds a pivot
-            continue
+            # row r alone settles most such columns, so it is tested first
+            if np.any(a[r] != rep.zero) or np.any(a[r + 1 :] != rep.zero):
+                continue
+            break  # no later column holds a pivot
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]

@@ -8,10 +8,13 @@ parity-check matrix forces the (1+w) x (n-k) matrix
     Delta = [ Sum_i lambda_i s_i ; R Ht^T ]
 
 to have rank at most w, so every maximal minor Q_J (one per (w+1)-subset J of
-the rows {1..n-k}) vanishes.  Expanding Q_J by multilinearity gives a bilinear
-polynomial in the lambda_i and the maximal minors r_T = |R|_{*,T}; those
-polynomials, their unfolding over F_q, their Macaulay matrices at bi-degree
-(b,1) and the structural relations between them are built here.
+the rows {1..n-k}) vanishes.  Expanding Q_J along the word row, and each
+w-minor of R Ht^T by Cauchy-Binet, gives a bilinear polynomial in the
+lambda_i and the maximal minors r_T = |R|_{*,T}, whose coefficients are sums
+of syndrome entries times w-minors of H; all of them are computed at once,
+as array products.  Those polynomials, their unfolding over F_q, their
+Macaulay matrices at bi-degree (b,1) and the structural relations between
+them are built here.
 
 Monomials are pairs (mu, T): mu is a sorted tuple of lambda indices (1-based,
 repeats allowed), T a sorted w-tuple of column indices (1-based).  The order
@@ -24,14 +27,17 @@ monomials of the span of its rows; Theorem 1's leads are read off them.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .fields import prime_field
 from .instance import RslInstance
-from .matrix import minors_of, pivot_columns, rank_rows
+from .matrix import TokenArrays, laplace_index, minor_table, pivot_columns, rank_rows
 
 LamMono = tuple[int, ...]
 MinorIndex = tuple[int, ...]
@@ -91,52 +97,44 @@ def build_system(inst: RslInstance, w: int) -> BilinearSystem:
     nk = p.n - p.k
     if not 0 < w < nk:
         raise ValueError(f"need 0 < w < n-k, got w={w}")
-    eqs = _minor_equations(inst, combinations(range(1, nk + 1), w + 1), w)
+    eqs = _minor_equations(inst, w)
     return BilinearSystem(field=inst.field, n_cols=p.n, n_lambda=p.N, w=w, equations=eqs)
 
 
-def _minor_equations(inst: RslInstance, Js: Iterable, w: int) -> list[BilinearEquation]:
+def _minor_equations(inst: RslInstance, w: int) -> list[BilinearEquation]:
     """Maximal minor of Delta on each row set J, expanded into bilinear terms.
 
-    Writing the candidate word as (Sum_i lambda_i y_i) and stacking it over R,
-    Delta equals [Sum lambda_i y_i ; R] Ht^T, so the minor expands over column
-    subsets T0 of size w+1; the systematic form of H kills every T0 not inside
-    {1..k} union (J+k).  The coefficient of lambda_i r_T collects
-    y_i[t] * (-1)^(1+pos(t)) * |H|_{J, T u {t}} over the choices of the extra
-    column t, where y_i[t] = S[t-k, i] for t > k.  One memo of the minors of H
-    serves every J, so the sub-minors on rows J[1:] are shared by every J
-    with that tail.
+    Expanding Q_J along the word row of Delta, and each w-minor of R Ht^T
+    by Cauchy-Binet, gives
+
+        Q_J = Sum_u (-1)^u (Sum_i lambda_i S[J_u, i]) Sum_T r_T |H|_{J minus J_u, T},
+
+    so the coefficient of lambda_i r_T is c[J, i, T] = Sum_u (-1)^u
+    S[J_u, i] |H|_{J minus J_u, T}, with |H| the table of w-minors of H over
+    every row and column w-subset.  That is w+1 array products, one per
+    position u, over ``laplace_index`` positions of (J, u); each equation's
+    terms are the nonzero entries of its slice c[J].
     """
     p = inst.params
-    ext, S = inst.field, inst.S.rows
-    k = p.k
+    ext = inst.field
     if not 0 < w <= p.r:
         raise ValueError(f"weight must be in 1..r, got {w}")
-    minor = minors_of(inst.H.rows, ext)
+    ops = TokenArrays.of(ext)
+    nk = p.n - p.k
+    minors = minor_table(inst.H.rows, ext, w)
+    S = np.array(inst.S.rows, dtype=ops.dtype)
+    signed = (S, ops.neg(S))
+    pick, drop = laplace_index(nk, w + 1)
+    c = functools.reduce(ops.add, (
+        ops.mul(signed[u % 2][pick[:, u], :, None], minors[drop[:, u], None, :])
+        for u in range(w + 1)
+    ))
+    Ts = list(combinations(range(1, p.n + 1), w))
     out = []
-    for J in Js:
-        rows = tuple(j - 1 for j in J)
-        cols = list(range(1, k + 1)) + [j + k for j in J]
-        coeffs: dict[MinorIndex, list[int]] = {}
-        # each 1-based T0 beside its 0-based twin, in the same order
-        for T0, cs in zip(
-            combinations(cols, w + 1), combinations([c - 1 for c in cols], w + 1)
-        ):
-            if T0[-1] <= k:
-                continue  # y_i is zero on the first k coordinates
-            d = minor(rows, cs)
-            if d == 0:
-                continue
-            neg_d = ext.neg(d)
-            for u, t in enumerate(T0):
-                if t <= k:
-                    continue
-                coeff = neg_d if u % 2 else d
-                acc = coeffs.setdefault(T0[:u] + T0[u + 1:], [ext.zero] * p.N)
-                for i, s in enumerate(S[t - k - 1]):
-                    if s:
-                        acc[i] = ext.add(acc[i], ext.mul(s, coeff))
-        terms = {((i + 1,), T): c for T, cs in coeffs.items() for i, c in enumerate(cs) if c}
+    for J, cJ in zip(combinations(range(1, nk + 1), w + 1), c):
+        i, t = np.nonzero(cJ)
+        values = cJ[i, t].tolist()
+        terms = {((a + 1,), Ts[b]): v for a, b, v in zip(i.tolist(), t.tolist(), values)}
         out.append(BilinearEquation(field=ext, terms=terms, J=J))
     return out
 

@@ -1,17 +1,20 @@
-"""Exact linear algebra: minors against a permutation-sum oracle,
+"""Exact linear algebra: the token-array arithmetic against the scalar
+field operations, every entry of the minor table against a permutation-sum
+oracle,
 echelon form invariants, kernel and solve round trips, and the numpy
 elimination core against the plain ``rref_rows`` oracle."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from rslminors.fields import extension_field, prime_field
+from rslminors.fields import TABLE_LIMIT, extension_field, prime_field
 from rslminors.instance import gen_instance
 from rslminors.matrix import (
     FieldMatrix,
+    TokenArrays,
     _echelon,
     _ModP,
     _PackedF3,
@@ -20,7 +23,7 @@ from rslminors.matrix import (
     _ZechLog,
     column_space_basis,
     kernel_rows,
-    minors_of,
+    minor_table,
     rank_rows,
     rref_rows,
     solve_rows,
@@ -58,24 +61,71 @@ FIELDS = [
 IDS = ["gf2", "gf3", "gf5", "gf16", "gf9"]
 
 
+# above TABLE_LIMIT: array arithmetic maps the field's scalar operations
+BIG = extension_field(2, 21)
+
+
 def det(m: FieldMatrix) -> int:
-    """Determinant of a square matrix through the minor routine."""
-    full = tuple(range(m.nrows))
-    return minors_of(m.rows, m.field)(full, full)
+    """Determinant of a square matrix through the minor table."""
+    return minor_table(m.rows, m.field, m.nrows)[0, 0]
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
-def test_det_matches_leibniz(field):
-    rng = random.Random(11)
-    for n in range(1, 7):
-        for _ in range(15):
-            m = FieldMatrix.random(field, n, n, rng)
-            assert det(m) == det_leibniz(m.rows, field)
-            # any rows and columns, in any order, the empty minor included
-            ri = tuple(rng.sample(range(n), rng.randrange(n + 1)))
-            cs = tuple(rng.sample(range(n), len(ri)))
+def sparse_random(field, nrows, ncols, rng):
+    """A random matrix with about a third of its entries zero, so products
+    and sums with zero operands occur over every field."""
+    return FieldMatrix(
+        field,
+        [[field.random_element(rng) if rng.random() < 2 / 3 else 0 for _ in range(ncols)]
+         for _ in range(nrows)],
+        ncols,
+    )
+
+
+def test_big_field_is_untabulated():
+    assert BIG.order > TABLE_LIMIT and BIG.np_tables() is None
+
+
+@pytest.mark.parametrize("field", FIELDS + [BIG], ids=IDS + ["gf2^21"])
+def test_token_arrays_match_scalar_arithmetic(field):
+    rng = random.Random(7)
+    if field.order <= 16:
+        pairs = [(x, y) for x in range(field.order) for y in range(field.order)]
+    else:
+        pairs = [(field.random_element(rng), field.random_element(rng)) for _ in range(300)]
+        pairs += [(0, y) for _, y in pairs[:20]] + [(x, 0) for x, _ in pairs[20:40]]
+        pairs += [(x, x) for x, _ in pairs[40:60]] + [(x, field.neg(x)) for x, _ in pairs[60:80]]
+    ops = TokenArrays.of(field)
+    a = np.array([x for x, _ in pairs], dtype=ops.dtype)
+    b = np.array([y for _, y in pairs], dtype=ops.dtype)
+    assert ops.add(a, b).tolist() == [field.add(x, y) for x, y in pairs]
+    assert ops.mul(a, b).tolist() == [field.mul(x, y) for x, y in pairs]
+    assert ops.neg(a).tolist() == [field.neg(x) for x, _ in pairs]
+
+
+def assert_minor_table_matches_leibniz(m: FieldMatrix, d: int):
+    table = minor_table(m.rows, m.field, d)
+    row_sets = list(combinations(range(m.nrows), d))
+    col_sets = list(combinations(range(m.ncols), d))
+    assert table.shape == (len(row_sets), len(col_sets))
+    for R, ri in enumerate(row_sets):
+        for C, cs in enumerate(col_sets):
             sub = [[m.rows[i][j] for j in cs] for i in ri]
-            assert minors_of(m.rows, field)(ri, cs) == det_leibniz(sub, field)
+            assert table[R, C] == det_leibniz(sub, m.field), (ri, cs)
+
+
+@pytest.mark.parametrize("field", FIELDS + [BIG], ids=IDS + ["gf2^21"])
+def test_det_matches_leibniz(field):
+    # every sorted row subset against every sorted column subset, the empty
+    # minor (d = 0) included; the untabulated field runs on smaller matrices
+    rng = random.Random(11)
+    for n in range(1, 7 if field is not BIG else 5):
+        for m in (FieldMatrix.random(field, n, n, rng), sparse_random(field, n, n, rng)):
+            for d in range(n + 1):
+                assert_minor_table_matches_leibniz(m, d)
+    for nr, nc in ((2, 5), (5, 2), (3, 4), (1, 3)):
+        m = sparse_random(field, nr, nc, rng)
+        for d in range(min(nr, nc) + 2):  # one size past the shorter side: no subsets
+            assert_minor_table_matches_leibniz(m, d)
 
 
 def test_det_multiplicative():

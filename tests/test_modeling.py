@@ -1,17 +1,19 @@
 """Bilinear system construction checked against direct determinant
-evaluation and term by term against per-minor determinants, the monomial
-order, Macaulay matrices against a dict-of-tuples reference build, Macaulay
-shapes and ranks, Theorem 1's leading monomials against a swap-free
-echelonization of the equations, and the structural relations."""
+evaluation and term by term against per-minor determinants (over small,
+large Zech-table and untabulated fields), the monomial order, Macaulay
+matrices against a dict-of-tuples reference build, Macaulay shapes and
+ranks, Theorem 1's leading monomials against a swap-free echelonization of
+the equations, and the structural relations."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from rslminors.estimator import count_Mb, count_Nb, make_counts
-from rslminors.fields import prime_field
+from rslminors.fields import extension_field, prime_field
 from rslminors.instance import (
     RslInstance,
     RslParams,
@@ -117,6 +119,34 @@ def test_minor_equations_match_per_minor_determinants_exactly(q):
         assert [eq.J for eq in system.equations] == list(combinations(range(1, 5), w + 1))
         for eq in system.equations:
             assert eq.terms == minor_terms_reference(inst, eq.J, w)
+
+
+def test_minor_equations_exact_over_an_untabulated_field():
+    # F_{2^21} is above TABLE_LIMIT, so the array arithmetic maps the
+    # field's scalar operations
+    p = RslParams(q=2, m=21, n=8, k=4, r=3, N=4)
+    assert extension_field(2, 21).np_tables() is None
+    for w in (1, 2, 3):
+        inst, _ = gen_instance(p, 70 + w)
+        for eq in build_system(inst, w).equations:
+            assert eq.terms == minor_terms_reference(inst, eq.J, w)
+
+
+def test_minor_equations_exact_on_large_zech_tables():
+    # sample_family shapes with w = 3 over F_{3^12}, the largest tables a
+    # Theorem 2 family draws, so every sum goes through the Zech logarithms
+    rng = random.Random(12)
+    shapes = []
+    while len(shapes) < 3:
+        params, w = sample_family(rng, 3)
+        if w == 3:
+            shapes.append(replace(params, m=12))
+    for p in shapes:
+        inst, _ = gen_instance(p, rng.randrange(2**30))
+        system = build_system(inst, 3)
+        assert len(system.equations) == comb(p.n - p.k, 4)
+        for eq in system.equations:
+            assert eq.terms == minor_terms_reference(inst, eq.J, 3)
 
 
 def test_build_qj_validation():
