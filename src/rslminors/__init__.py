@@ -45,12 +45,10 @@ from .instance_io import (
 )
 from .matrix import FieldMatrix
 from .modeling import (
-    BilinearEquation,
     BilinearSystem,
     MacaulayMatrix,
     MacaulayTooLarge,
     build_macaulay,
-    build_syzygies,
     build_system,
     unfold_system,
 )
@@ -69,7 +67,6 @@ from .solver import (
 __all__ = [
     "__version__",
     "AttackResult",
-    "BilinearEquation",
     "BilinearSystem",
     "CostReport",
     "ExtensionField",
@@ -87,7 +84,6 @@ __all__ = [
     "attack",
     "bit_cost",
     "build_macaulay",
-    "build_syzygies",
     "build_system",
     "check_assumption1",
     "codeword_stats",

@@ -215,7 +215,8 @@ def default_modulus(q: int, m: int) -> tuple[int, ...]:
 
 
 class _Tables:
-    """Exponent, logarithm and Zech logarithm tables of a small field."""
+    """Exponent, logarithm and Zech logarithm tables of a small field; the
+    Zech table is empty over q = 2."""
 
     __slots__ = ("exp", "log", "zech", "exp_list", "log_list")
 
@@ -417,9 +418,11 @@ class ExtensionField:
             if np.count_nonzero(log >= 0) != Q - 1:
                 raise RuntimeError("generator order check failed")
             # Zech table: zech[d] = log(1 + g**d), -1 when 1 + g**d == 0
-            low = exp % q
-            plus_one = exp - low + (low + 1) % q
-            zech = log[plus_one]
+            if q == 2:
+                zech = np.zeros(0, dtype=np.int64)  # sums are XORs
+            else:
+                low = exp % q
+                zech = log[exp - low + (low + 1) % q]
             self._tables = _Tables(exp, log, zech)
         return self._tables
 

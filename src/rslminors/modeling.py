@@ -11,10 +11,12 @@ to have rank at most w, so every maximal minor Q_J (one per (w+1)-subset J of
 the rows {1..n-k}) vanishes.  Expanding Q_J along the word row, and each
 w-minor of R Ht^T by Cauchy-Binet, gives a bilinear polynomial in the
 lambda_i and the maximal minors r_T = |R|_{*,T}, whose coefficients are sums
-of syndrome entries times w-minors of H; all of them are computed at once,
-as array products.  Those polynomials, their unfolding over F_q, their
-Macaulay matrices at bi-degree (b,1) and the structural relations between
-them are built here.
+of syndrome entries times w-minors of H.  The whole system is one array
+c[J, i, T] of coefficients, computed at once as array products.  Unfolding
+it over F_q splits each coefficient into its base-q digits; the Macaulay
+matrices at bi-degree (b,1) read their entries off its nonzero positions;
+and Lemma 3's structural relations between the equations are expanded on the
+same array.
 
 Monomials are pairs (mu, T): mu is a sorted tuple of lambda indices (1-based,
 repeats allowed), T a sorted w-tuple of column indices (1-based).  The order
@@ -54,55 +56,25 @@ def grevlex_subkey(mu: LamMono, n_lambda: int) -> tuple[int, ...]:
 
 
 @dataclass
-class BilinearEquation:
-    """Polynomial with every term carrying exactly one minor factor.
+class BilinearSystem:
+    """The minor equations as one coefficient array.
 
-    terms maps (mu, T) to a nonzero coefficient; J records which row subset
-    the equation came from, when it came from one.
+    coeffs[e, i, t] is the coefficient of lambda_{i+1} r_T in equation e,
+    where T is the t-th w-subset of {1..n_cols} in ``combinations`` order;
+    J[e] is the row subset equation e came from.
     """
 
-    field: object
-    terms: dict[Monomial, int]
-    J: Optional[tuple[int, ...]] = None
-
-    def evaluate(self, lam_values: list[int], rT_values: dict[MinorIndex, int]) -> int:
-        f = self.field
-        acc = f.zero
-        for (mu, T), c in self.terms.items():
-            v = c
-            for i in mu:
-                v = f.mul(v, lam_values[i - 1])
-                if v == 0:
-                    break
-            if v == 0:
-                continue
-            v = f.mul(v, rT_values.get(T, 0))
-            if v:
-                acc = f.add(acc, v)
-        return acc
-
-
-@dataclass
-class BilinearSystem:
     field: object
     n_cols: int  # column range of the minors: T subset of {1..n_cols}
     n_lambda: int
     w: int
-    equations: list[BilinearEquation]
+    J: list[tuple[int, ...]]
+    coeffs: np.ndarray
 
 
 def build_system(inst: RslInstance, w: int) -> BilinearSystem:
-    """All C(n-k, w+1) minor equations, J in lexicographic order."""
-    p = inst.params
-    nk = p.n - p.k
-    if not 0 < w < nk:
-        raise ValueError(f"need 0 < w < n-k, got w={w}")
-    eqs = _minor_equations(inst, w)
-    return BilinearSystem(field=inst.field, n_cols=p.n, n_lambda=p.N, w=w, equations=eqs)
-
-
-def _minor_equations(inst: RslInstance, w: int) -> list[BilinearEquation]:
-    """Maximal minor of Delta on each row set J, expanded into bilinear terms.
+    """The maximal minor Q_J of Delta on each row set J, J in ``combinations``
+    order, expanded into bilinear terms.
 
     Expanding Q_J along the word row of Delta, and each w-minor of R Ht^T
     by Cauchy-Binet, gives
@@ -112,15 +84,16 @@ def _minor_equations(inst: RslInstance, w: int) -> list[BilinearEquation]:
     so the coefficient of lambda_i r_T is c[J, i, T] = Sum_u (-1)^u
     S[J_u, i] |H|_{J minus J_u, T}, with |H| the table of w-minors of H over
     every row and column w-subset.  That is w+1 array products, one per
-    position u, over ``laplace_index`` positions of (J, u); each equation's
-    terms are the nonzero entries of its slice c[J].
+    position u, over ``laplace_index`` positions of (J, u).
     """
     p = inst.params
-    ext = inst.field
-    if not 0 < w <= p.r:
-        raise ValueError(f"weight must be in 1..r, got {w}")
-    ops = TokenArrays.of(ext)
     nk = p.n - p.k
+    if not 0 < w < nk:
+        raise ValueError(f"need 0 < w < n-k, got w={w}")
+    if w > p.r:
+        raise ValueError(f"weight must be in 1..r, got {w}")
+    ext = inst.field
+    ops = TokenArrays.of(ext)
     minors = minor_table(inst.H.rows, ext, w)
     S = np.array(inst.S.rows, dtype=ops.dtype)
     signed = (S, ops.neg(S))
@@ -129,33 +102,28 @@ def _minor_equations(inst: RslInstance, w: int) -> list[BilinearEquation]:
         ops.mul(signed[u % 2][pick[:, u], :, None], minors[drop[:, u], None, :])
         for u in range(w + 1)
     ))
-    Ts = list(combinations(range(1, p.n + 1), w))
-    out = []
-    for J, cJ in zip(combinations(range(1, nk + 1), w + 1), c):
-        i, t = np.nonzero(cJ)
-        values = cJ[i, t].tolist()
-        terms = {((a + 1,), Ts[b]): v for a, b, v in zip(i.tolist(), t.tolist(), values)}
-        out.append(BilinearEquation(field=ext, terms=terms, J=J))
-    return out
+    J = list(combinations(range(1, nk + 1), w + 1))
+    return BilinearSystem(field=ext, n_cols=p.n, n_lambda=p.N, w=w, J=J, coeffs=c)
 
 
 def unfold_system(system: BilinearSystem) -> BilinearSystem:
     """Expand each equation over the extension field into m coordinate
-    equations over F_q.  A point with F_q coordinates vanishes on the original
+    equations over F_q, the base-q digits of its coefficients, least
+    significant first.  A point with F_q coordinates vanishes on the original
     iff it vanishes on all coordinates, so the solution set is preserved.
-    Zero coordinate equations are kept so that counts stay m per input."""
+    Zero coordinate equations are kept so that counts stay m per input.  The
+    digits are stored in the narrowest unsigned dtype that holds q-1."""
     ext = system.field
-    fq = prime_field(ext.q)
-    out: list[BilinearEquation] = []
-    for eq in system.equations:
-        digit_terms: list[dict[Monomial, int]] = [{} for _ in range(ext.m)]
-        for key, c in eq.terms.items():
-            for jd, d in enumerate(ext.unfold(c)):
-                if d:
-                    digit_terms[jd][key] = d
-        for jd in range(ext.m):
-            out.append(BilinearEquation(field=fq, terms=digit_terms[jd], J=eq.J))
-    return replace(system, field=fq, equations=out)
+    q, m = ext.q, ext.m
+    c = system.coeffs
+    powers = np.array([q**d for d in range(m)], dtype=c.dtype)[:, None, None]
+    digits = (c[:, None] // powers % q).astype(np.min_scalar_type(q - 1))
+    return replace(
+        system,
+        field=prime_field(q),
+        J=[J for J in system.J for _ in range(m)],
+        coeffs=digits.reshape(len(c) * m, *c.shape[1:]),
+    )
 
 
 def lambda_monomials(n_lambda: int, degree: int, squarefree: bool) -> list[LamMono]:
@@ -183,7 +151,7 @@ class MacaulayMatrix:
     n_lambda: int
     n_cols_R: int
     w: int
-    row_labels: list[tuple[LamMono, Optional[tuple[int, ...]]]]
+    row_labels: list[tuple[LamMono, tuple[int, ...]]]
     col_labels: list[Monomial]
     rows: list[dict[int, int]]
 
@@ -249,12 +217,13 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
 
     Rows are grouped by equation, multipliers in descending monomial order.
     Columns are enumerated in full from (n_cols, n_lambda, w), descending:
-    by degree d, then minor T, then grevlex, so (mu, T) sits at column
-    off[d] + tpos[T] * (number of degree-d mu) + (position of mu), read from
-    a table of multiplier x lambda_i products without hashing a monomial.
-    The equations must be bilinear.  Above F_2 the products of one multiplier
-    with distinct terms are distinct; over F_2 lambda_i * mu = mu for i in
-    mu, and colliding terms add (XOR).
+    by degree d, then minor T, then grevlex, so (mu, T), T the t-th of the
+    C(n_cols, w) minors in ``combinations`` order, sits at column
+    off[d] + (C(n_cols, w) - 1 - t) * (number of degree-d mu) + (position
+    of mu), read from a table of multiplier x lambda_i products without
+    hashing a monomial.  Above F_2 the products of one multiplier with
+    distinct terms are distinct; over F_2 lambda_i * mu = mu for i in mu,
+    and colliding terms add (XOR).
 
     Raises MacaulayTooLarge, before any row exists, when the dense form at
     CELL_BYTES per cell would exceed the machine's physical memory.
@@ -270,12 +239,11 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     ]
     mupos = {mu: i for ms in mus for i, mu in enumerate(ms)}
     minors = list(combinations(range(1, system.n_cols + 1), system.w))[::-1]
-    tpos = {T: i for i, T in enumerate(minors)}
     degs = range(b, 0 if squarefree else b - 1, -1)
     col_labels = [(mu, T) for d in degs for T in minors for mu in mus[d]]
     off = [len(minors) * sum(map(len, mus[d + 1:])) for d in range(b + 1)]
     multipliers = [mu for d in degs for mu in mus[d - 1]]
-    shape = (len(system.equations) * len(multipliers), len(col_labels))
+    shape = (len(system.J) * len(multipliers), len(col_labels))
     memory = physical_memory()
     if memory is not None and shape[0] * shape[1] * CELL_BYTES > memory:
         raise MacaulayTooLarge(shape, memory)
@@ -283,23 +251,28 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     for mu in multipliers:
         prods = [sorted(set(mu) | {i} if squarefree else mu + (i,)) for i in range(1, N + 1)]
         places.append([(off[len(pr)] + mupos[tuple(pr)], len(mus[len(pr)])) for pr in prods])
+    # each equation's nonzero (lambda index, position of T in ``minors``, coefficient)
+    entries: list[list[tuple[int, int, int]]] = [[] for _ in system.J]
+    eqs, lams, ts = np.nonzero(system.coeffs)
+    values = system.coeffs[eqs, lams, ts].tolist()
+    for e, i, tp, c in zip(eqs.tolist(), lams.tolist(), (len(minors) - 1 - ts).tolist(), values):
+        entries[e].append((i, tp, c))
     rows: list[dict[int, int]] = []
-    for eq in system.equations:
-        terms = [(i - 1, tpos[T], c) for ((i,), T), c in eq.terms.items()]
+    for eq in entries:
         for place in places:
             if squarefree:
                 row: dict[int, int] = {}
-                for i, tp, c in terms:
+                for i, tp, c in eq:
                     idx = place[i][0] + tp * place[i][1]
                     acc = row.pop(idx, 0) ^ c
                     if acc:
                         row[idx] = acc
             else:
-                row = {place[i][0] + tp * place[i][1]: c for i, tp, c in terms}
+                row = {place[i][0] + tp * place[i][1]: c for i, tp, c in eq}
             rows.append(row)
     return MacaulayMatrix(
         field=f, b=b, n_lambda=N, n_cols_R=system.n_cols, w=system.w,
-        row_labels=[(mu, eq.J) for eq in system.equations for mu in multipliers],
+        row_labels=[(mu, J) for J in system.J for mu in multipliers],
         col_labels=col_labels, rows=rows,
     )
 
@@ -339,78 +312,34 @@ def monomial_vector(
     return out
 
 
-@dataclass
-class Syzygy:
-    """Relation Sum_J form_J * Q_J = 0 with degree-1 lambda-form entries.
+def syzygies(inst: RslInstance, system: BilinearSystem) -> tuple[list[int], list[list[int]]]:
+    """Lemma 3's relations Sum_J form_J Q_J = 0 between the minor equations
+    ``system`` of ``inst``, one per (w+2)-subset K of the rows {1..n-k}.
 
-    Duplicating the word row of Delta on rows K (a (w+2)-subset) gives a
-    singular square matrix; expanding its determinant along the duplicate row
-    produces the relation.  entries maps J = K minus one element to the form
-    {lambda index -> coefficient}.
+    Duplicating the word row of Delta on the rows K gives a singular square
+    matrix; expanding its determinant along the duplicate row gives the
+    relation, with form_{K minus K_u} = +-Sum_i S[K_u, i] lambda_i, + when
+    w+u+1 is even (u 0-based).  Returns, for each relation, the number of
+    monomials lambda_i lambda_j r_T (i <= j, no reduction) that survive its
+    formal product, 0 for a true relation, and the relations' coefficient
+    rows, one column per (J, lambda index) pair.
     """
-
-    entries: dict[tuple[int, ...], dict[int, int]]
-
-
-def build_syzygies(inst: RslInstance, w: int) -> list[Syzygy]:
-    p = inst.params
-    nk = p.n - p.k
-    ext = inst.field
-    if not 0 < w + 2 <= nk:
-        raise ValueError(f"need w + 2 <= n - k, got w={w}, n-k={nk}")
-    out: list[Syzygy] = []
-    for K in combinations(range(1, nk + 1), w + 2):
-        entries: dict[tuple[int, ...], dict[int, int]] = {}
-        for u, ku in enumerate(K, start=1):
-            J = tuple(x for x in K if x != ku)
-            positive = (w + u) % 2 == 0
-            form: dict[int, int] = {}
-            for i in range(p.N):
-                s = inst.S[ku - 1, i]
-                if s == 0:
-                    continue
-                form[i + 1] = s if positive else ext.neg(s)
-            entries[J] = form
-        out.append(Syzygy(entries=entries))
-    return out
-
-
-def apply_syzygy(syz: Syzygy, system: BilinearSystem) -> dict[Monomial, int]:
-    """Formal product Sum_J form_J * Q_J with multiset lambda-monomials and no
-    reduction; returns the surviving terms (empty for a true relation)."""
-    f = system.field
-    eq_by_J = {eq.J: eq for eq in system.equations}
-    acc: dict[Monomial, int] = {}
-    for J, form in syz.entries.items():
-        eq = eq_by_J[J]
-        for i, ci in form.items():
-            for (lam, T), c in eq.terms.items():
-                key = (tuple(sorted(lam + (i,))), T)
-                v = f.add(acc.get(key, f.zero), f.mul(ci, c))
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-    return acc
-
-
-def syzygy_stack_rows(
-    syzygies: list[Syzygy], system: BilinearSystem
-) -> list[list[int]]:
-    """Coefficient matrix of the syzygies: one row per relation, one column
-    per (J, lambda index) pair, for independence checks."""
-    nk_cols = [eq.J for eq in system.equations]
-    index = {
-        (J, i): t
-        for t, (J, i) in enumerate(
-            (J, i) for J in nk_cols for i in range(1, system.n_lambda + 1)
-        )
-    }
-    rows = []
-    for syz in syzygies:
-        row = [0] * len(index)
-        for J, form in syz.entries.items():
-            for i, c in form.items():
-                row[index[(J, i)]] = c
-        rows.append(row)
-    return rows
+    ops = TokenArrays.of(system.field)
+    S = np.array(inst.S.rows, dtype=ops.dtype)
+    signed = (S, ops.neg(S))
+    w = system.w
+    pick, drop = laplace_index(inst.params.n - inst.params.k, w + 2)
+    forms = np.stack([signed[(w + u + 1) % 2][pick[:, u]] for u in range(w + 2)], axis=1)
+    c = system.coeffs.transpose(0, 2, 1)  # c[J, T, j]
+    # P[K, T, i, j]: the coefficient of lambda_i (from the form) lambda_j r_T
+    P = functools.reduce(ops.add, (
+        ops.mul(forms[:, u, None, :, None], c[drop[:, u], :, None, :]) for u in range(w + 2)
+    ))
+    # lambda_i lambda_j r_T with i < j collects P[.., i, j] and P[.., j, i]
+    residue = ops.add(np.triu(P), np.tril(P, -1).swapaxes(2, 3))
+    stack = np.zeros((len(pick), len(system.J), system.n_lambda), dtype=ops.dtype)
+    stack[np.arange(len(pick))[:, None], drop] = forms
+    return (
+        np.count_nonzero(residue, axis=(1, 2, 3)).tolist(),
+        stack.reshape(len(pick), len(system.J) * system.n_lambda).tolist(),
+    )

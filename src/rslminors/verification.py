@@ -25,15 +25,7 @@ from .instance import (
 )
 from .instance_io import save_instance
 from .matrix import kernel_rows, pivot_columns, rank_rows
-from .modeling import (
-    apply_syzygy,
-    build_macaulay,
-    build_syzygies,
-    build_system,
-    predicted_leads,
-    syzygy_stack_rows,
-    unfold_system,
-)
+from .modeling import build_macaulay, build_system, predicted_leads, syzygies, unfold_system
 
 # Seeds _gen_passing tries after the first before it gives up.
 MAX_REGEN = 25
@@ -222,10 +214,7 @@ def run_lemma3(
                 params, w = sample_family(rng, q)
                 nk = params.n - params.k
                 inst, wit, used_seed = _gen_passing(params, w, rng.randrange(2**30))
-                system = build_system(inst, w)
-                syzygies = build_syzygies(inst, w)
-                residues = [len(apply_syzygy(s, system)) for s in syzygies]
-                stack = syzygy_stack_rows(syzygies, system)
+                residues, stack = syzygies(inst, build_system(inst, w))
                 rank = rank_rows(stack, inst.field)
                 want = math.comb(nk, w + 2)
                 failure = {

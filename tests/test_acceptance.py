@@ -42,6 +42,8 @@ from rslminors.verification import (
     run_thm2,
 )
 
+from test_modeling import equation_terms
+
 
 def report(num: int, label: str, ok: bool) -> None:
     print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}")
@@ -307,12 +309,12 @@ def symbolic_minor(inst, J, w):
     return det
 
 
-def equation_poly(eq, w):
-    """Expand a bilinear minor equation into the same variable space by
-    writing each r_T as its own Leibniz sum."""
-    ext = eq.field
+def equation_poly(system, e):
+    """Expand equation e of a bilinear minor system into the same variable
+    space by writing each r_T as its own Leibniz sum."""
+    ext, w = system.field, system.w
     out = {}
-    for (mu, T), c in eq.terms.items():
+    for (mu, T), c in equation_terms(system, e).items():
         i = mu[0]
         for sigma in permutations(range(w)):
             mono = tuple(
@@ -335,8 +337,9 @@ def test_criterion_8_oracle_equivalences():
         params = RslParams(q=3, m=m, n=n, k=n - nk, r=w, N=rng.randrange(2, 5))
         inst, _ = gen_instance(params, rng.randrange(2**30))
         J = tuple(sorted(rng.sample(range(1, nk + 1), w + 1)))
-        eq = next(eq for eq in build_system(inst, w).equations if eq.J == J)
-        minors_ok = minors_ok and symbolic_minor(inst, J, w) == equation_poly(eq, w)
+        system = build_system(inst, w)
+        e = system.J.index(J)
+        minors_ok = minors_ok and symbolic_minor(inst, J, w) == equation_poly(system, e)
     assert minors_ok
 
     plucker_ok = True

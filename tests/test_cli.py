@@ -136,6 +136,24 @@ def test_inspect_missing_file(tmp_path, capsys):
     assert "inspect:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "2", "--m", "21", "--n", "10", "--k", "5", "--r", "2", "--N", "9", "--seed", "1"],
+        ["--q", "3", "--m", "13", "--n", "10", "--k", "5", "--r", "2", "--N", "9", "--seed", "0",
+         "--b-max", "3"],
+    ],
+    ids=["f2_21", "f3_13"],
+)
+def test_attack_recovers_over_an_untabulated_field(argv, tmp_path):
+    # q^m above TABLE_LIMIT: the equations are built and unfolded on object
+    # arrays
+    out = tmp_path / "attack.json"
+    assert main(["attack", *argv, "--report", "json", "-o", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["success"] is True and rep["planted_match"] is True
+
+
 def test_attack_recovers_toy(toy_file, tmp_path, capsys):
     out = tmp_path / "attack.json"
     rc = main([

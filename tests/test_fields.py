@@ -120,6 +120,16 @@ def test_table_sums_match_digitwise_oracle_on_f3_12():
         check_add_neg_sub(ext, a, digitwise_neg(ext, a))
 
 
+def test_zech_table_only_over_odd_characteristic():
+    # sums over F_{2^m} are XORs, so only odd q reads the Zech logarithms
+    for m in (1, 4, 12):
+        assert extension_field(2, m).np_tables().zech.size == 0
+    ext = extension_field(3, 4)
+    t = ext.np_tables()
+    want = [ext.add(1, int(x)) for x in t.exp]
+    assert t.zech.tolist() == [int(t.log[s]) if s else -1 for s in want]
+
+
 def test_untabulated_sums_match_digitwise_oracle():
     # 3^13 exceeds the lookup-table limit, so sums and negations loop over digits
     ext = extension_field(3, 13)

@@ -3,13 +3,15 @@ evaluation and term by term against per-minor determinants (over small,
 large Zech-table and untabulated fields), the monomial order, Macaulay
 matrices against a dict-of-tuples reference build, Macaulay shapes and
 ranks, Theorem 1's leading monomials against a swap-free echelonization of
-the equations, and the structural relations."""
+the equations, and the structural relations, which a wrong coefficient
+breaks."""
 
 import random
 from dataclasses import replace
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from rslminors.estimator import count_Mb, count_Nb, make_counts
@@ -25,17 +27,14 @@ from rslminors.instance import (
 from rslminors import modeling, verification
 from rslminors.matrix import FieldMatrix, pivot_columns, rank_rows
 from rslminors.modeling import (
-    BilinearEquation,
     MacaulayTooLarge,
     build_macaulay,
-    build_syzygies,
     build_system,
-    apply_syzygy,
     grevlex_subkey,
     lambda_monomials,
     monomial_vector,
     predicted_leads,
-    syzygy_stack_rows,
+    syzygies,
     unfold_system,
 )
 from rslminors.verification import sample_family
@@ -68,6 +67,24 @@ def minor_direct(inst, J, w, lam_values, R):
     return det_leibniz([[prod[v][j - 1] for j in J] for v in range(w + 1)], ext)
 
 
+def equation_terms(system, e):
+    """Equation e of the system as a dict (mu, T) -> coefficient of its
+    nonzero terms."""
+    Ts = list(combinations(range(1, system.n_cols + 1), system.w))
+    c = system.coeffs[e]
+    rows, cols = np.nonzero(c)
+    return {((i + 1,), Ts[t]): int(c[i, t]) for i, t in zip(rows.tolist(), cols.tolist())}
+
+
+def evaluate(system, e, lam_values, rT_values):
+    """Oracle: equation e of the system at a point, summed term by term."""
+    f = system.field
+    acc = f.zero
+    for ((i,), T), c in equation_terms(system, e).items():
+        acc = f.add(acc, f.mul(f.mul(c, lam_values[i - 1]), rT_values.get(T, 0)))
+    return acc
+
+
 def random_point(p, w, rng):
     fq = prime_field(p.q)
     lam = [rng.randrange(p.q) for _ in range(p.N)]
@@ -88,10 +105,11 @@ def test_minor_equations_match_direct_determinants(q):
         w = rng.choice([1, 2])
         nk = p.n - p.k
         J = tuple(sorted(rng.sample(range(1, nk + 1), w + 1)))
-        eq = next(eq for eq in build_system(inst, w).equations if eq.J == J)
+        system = build_system(inst, w)
+        e = system.J.index(J)
         for _ in range(3):
             lam, R, rT = random_point(p, w, rng)
-            assert eq.evaluate(lam, rT) == minor_direct(inst, J, w, lam, R)
+            assert evaluate(system, e, lam, rT) == minor_direct(inst, J, w, lam, R)
 
 
 def minor_terms_reference(inst, J, w):
@@ -116,20 +134,28 @@ def test_minor_equations_match_per_minor_determinants_exactly(q):
     for w in (1, 2, 3):
         inst, _ = gen_instance(p, 50 + w)
         system = build_system(inst, w)
-        assert [eq.J for eq in system.equations] == list(combinations(range(1, 5), w + 1))
-        for eq in system.equations:
-            assert eq.terms == minor_terms_reference(inst, eq.J, w)
+        assert system.J == list(combinations(range(1, 5), w + 1))
+        assert system.coeffs.shape == (len(system.J), p.N, comb(p.n, w))
+        for e, J in enumerate(system.J):
+            assert equation_terms(system, e) == minor_terms_reference(inst, J, w)
 
 
 def test_minor_equations_exact_over_an_untabulated_field():
     # F_{2^21} is above TABLE_LIMIT, so the array arithmetic maps the
-    # field's scalar operations
+    # field's scalar operations, and unfolding splits Python integers
     p = RslParams(q=2, m=21, n=8, k=4, r=3, N=4)
-    assert extension_field(2, 21).np_tables() is None
+    ext = extension_field(2, 21)
+    assert ext.np_tables() is None
     for w in (1, 2, 3):
         inst, _ = gen_instance(p, 70 + w)
-        for eq in build_system(inst, w).equations:
-            assert eq.terms == minor_terms_reference(inst, eq.J, w)
+        system = build_system(inst, w)
+        for e, J in enumerate(system.J):
+            assert equation_terms(system, e) == minor_terms_reference(inst, J, w)
+        unfolded = unfold_system(system)
+        assert unfolded.coeffs.dtype == np.uint8
+        for e, row in enumerate(system.coeffs.reshape(len(system.J), -1).tolist()):
+            digits = unfolded.coeffs[e * p.m : (e + 1) * p.m].reshape(p.m, -1).T.tolist()
+            assert digits == [list(ext.unfold(c)) for c in row]
 
 
 def test_minor_equations_exact_on_large_zech_tables():
@@ -144,9 +170,9 @@ def test_minor_equations_exact_on_large_zech_tables():
     for p in shapes:
         inst, _ = gen_instance(p, rng.randrange(2**30))
         system = build_system(inst, 3)
-        assert len(system.equations) == comb(p.n - p.k, 4)
-        for eq in system.equations:
-            assert eq.terms == minor_terms_reference(inst, eq.J, 3)
+        assert len(system.J) == comb(p.n - p.k, 4)
+        for e, J in enumerate(system.J):
+            assert equation_terms(system, e) == minor_terms_reference(inst, J, 3)
 
 
 def test_build_qj_validation():
@@ -196,7 +222,7 @@ def frozen_instance():
 def test_macaulay_exact_shapes_and_ranks():
     inst, _ = frozen_instance()
     system = build_system(inst, 2)
-    assert len(system.equations) == comb(4, 3)
+    assert len(system.J) == comb(4, 3)
     expected_rank = {1: 4, 2: 19, 3: 55}
     for b in (1, 2, 3):
         mac = build_macaulay(system, b)
@@ -208,7 +234,7 @@ def test_macaulay_exact_shapes_and_ranks():
 def test_macaulay_cumulative_unfolded_ranks():
     inst, _ = frozen_instance()
     unfolded = unfold_system(build_system(inst, 2))
-    assert len(unfolded.equations) == comb(4, 3) * 6
+    assert len(unfolded.J) == comb(4, 3) * 6
     expected = {1: 24, 2: 138}
     for b in (1, 2):
         mac = build_macaulay(unfolded, b)
@@ -231,15 +257,13 @@ def test_macaulay_apply_matches_equation_evaluation():
                 vec = monomial_vector(mac.col_labels, lam, rT, mac.field)
                 got = mac.apply(vec)
                 f = mac.field
-                for out, (mu, J), eq in zip(
-                    got,
-                    mac.row_labels,
-                    (e for e in sys_b.equations for _ in range(len(mac.rows) // len(sys_b.equations))),
-                ):
+                per_eq = len(mac.rows) // len(sys_b.J)
+                for row, (out, (mu, J)) in enumerate(zip(got, mac.row_labels)):
+                    assert J == sys_b.J[row // per_eq]
                     mult = f.one
                     for i in mu:
                         mult = f.mul(mult, lam[i - 1])
-                    assert out == f.mul(mult, eq.evaluate(lam, rT))
+                    assert out == f.mul(mult, evaluate(sys_b, row // per_eq, lam, rT))
 
 
 def test_macaulay_cumulative_q3_degree_bound():
@@ -276,7 +300,7 @@ def test_build_macaulay_follows_the_field(q):
     inst, _ = gen_instance(p, 21)
     system = build_system(inst, 2)
     unfolded = unfold_system(system)
-    n_eqs = len(unfolded.equations)
+    n_eqs = len(unfolded.J)
     for b in (1, 2, 3):
         mac = build_macaulay(unfolded, b)
         degrees = {len(mu) for mu, _ in mac.col_labels}
@@ -292,7 +316,7 @@ def test_build_macaulay_follows_the_field(q):
             ext_mac = build_macaulay(system, b)
             assert {len(mu) for mu, _ in ext_mac.col_labels} == {b}
             assert ext_mac.shape == (
-                len(system.equations) * comb(p.N + b - 2, b - 1),
+                len(system.J) * comb(p.N + b - 2, b - 1),
                 count_Mb(p.n, 2, p.N, b),
             )
 
@@ -321,10 +345,11 @@ def macaulay_reference(system, b):
     multipliers = [mu for d in mult_degs for mu in lambda_monomials(N, d, squarefree)]
     multipliers.sort(key=lambda mu: (len(mu), grevlex_subkey(mu, N)), reverse=True)
     rows, row_labels = [], []
-    for eq in system.equations:
+    for e, J in enumerate(system.J):
+        terms = equation_terms(system, e)
         for mu in multipliers:
             row = {}
-            for (lam, T), c in eq.terms.items():
+            for (lam, T), c in terms.items():
                 prod = tuple(sorted(set(mu) | set(lam))) if squarefree else tuple(sorted(mu + lam))
                 idx = col_idx[(prod, T)]
                 acc = f.add(row.get(idx, f.zero), c)
@@ -333,7 +358,7 @@ def macaulay_reference(system, b):
                 else:
                     row.pop(idx, None)
             rows.append(row)
-            row_labels.append((mu, eq.J))
+            row_labels.append((mu, J))
     return col_labels, row_labels, rows
 
 
@@ -426,13 +451,14 @@ def echelonize_tildeQ(system, inst, w):
     1..n-k-w of S) against each other with the unit lower triangular E of
     ``sequential_elim`` and combining equations with the same coefficients
     gives, for each J, the lead lambda_{lead[j]} r_{I+k}.  Returns the
-    transformed equations and the predicted leads, both in the order of J.
+    transformed equations, as dicts (mu, T) -> coefficient, and the
+    predicted leads, both in the order of J.
     """
     p = inst.params
     nk = p.n - p.k
     ext = inst.field
     E, lead = sequential_elim([list(r) for r in inst.S.rows[: nk - w]], ext)
-    eq_by_J = {eq.J: eq for eq in system.equations}
+    eq_by_J = {J: equation_terms(system, e) for e, J in enumerate(system.J)}
     out_eqs, leads = [], []
     for J in combinations(range(1, nk + 1), w + 1):
         j1, I = J[0], J[1:]
@@ -441,20 +467,20 @@ def echelonize_tildeQ(system, inst, w):
             c = E[j1 - 1][jp - 1]
             if c == 0:
                 continue
-            for key, v in eq_by_J[(jp,) + I].terms.items():
+            for key, v in eq_by_J[(jp,) + I].items():
                 acc = ext.add(terms.get(key, ext.zero), ext.mul(c, v))
                 if acc:
                     terms[key] = acc
                 else:
                     terms.pop(key, None)
-        out_eqs.append(BilinearEquation(field=ext, terms=terms, J=J))
+        out_eqs.append(terms)
         leads.append(((lead[j1 - 1] + 1,), tuple(t + p.k for t in I)))
     return out_eqs, leads
 
 
-def leading_monomial(eq, n_lambda):
+def leading_monomial(terms, n_lambda):
     """The largest term of an equation in the monomial order."""
-    return max(eq.terms, key=lambda mono: monomial_key(mono, n_lambda))
+    return max(terms, key=lambda mono: monomial_key(mono, n_lambda))
 
 
 def pivot_leads(system):
@@ -472,9 +498,9 @@ def test_echelonized_leads_distinct_and_recorded():
     assert actual == leads
     assert len(set(leads)) == len(leads) == comb(4, 3)
     # every lead is a single lambda times the minor named by J minus its head
-    for eq, ((mu, T)) in zip(transformed, leads):
+    for J, ((mu, T)) in zip(system.J, leads):
         assert len(mu) == 1
-        assert T == tuple(t + FROZEN.k for t in eq.J[1:])
+        assert T == tuple(t + FROZEN.k for t in J[1:])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -521,29 +547,66 @@ def test_unfold_system_preserves_zero_sets():
     inst, _ = gen_instance(p, 31)
     system = build_system(inst, 2)
     unfolded = unfold_system(system)
-    assert len(unfolded.equations) == len(system.equations) * p.m
+    assert len(unfolded.J) == len(system.J) * p.m
+    assert unfolded.J == [J for J in system.J for _ in range(p.m)]
+    assert unfolded.coeffs.dtype == np.uint8
     ext = inst.field
     for _ in range(10):
         lam, _, rT = random_point(p, 2, rng)
-        for idx, eq in enumerate(system.equations):
-            value = eq.evaluate(lam, rT)
-            digits = ext.unfold(value)
+        for e in range(len(system.J)):
+            digits = ext.unfold(evaluate(system, e, lam, rT))
             for jd in range(p.m):
-                sub = unfolded.equations[idx * p.m + jd]
-                assert sub.evaluate(lam, rT) == digits[jd]
+                assert evaluate(unfolded, e * p.m + jd, lam, rT) == digits[jd]
+
+
+def relation_residue(system, row):
+    """Oracle: the formal product Sum_J form_J * Q_J of one coefficient row
+    of ``syzygies`` (the form of J at columns J * N .. J * N + N - 1), with
+    multiset lambda-monomials and no reduction; empty for a true relation."""
+    f, N = system.field, system.n_lambda
+    acc = {}
+    for e in range(len(system.J)):
+        for i, ci in enumerate(row[e * N : (e + 1) * N], start=1):
+            if not ci:
+                continue
+            for (lam, T), c in equation_terms(system, e).items():
+                key = (tuple(sorted(lam + (i,))), T)
+                acc[key] = f.add(acc.get(key, f.zero), f.mul(ci, c))
+    return {key: v for key, v in acc.items() if v}
 
 
 def test_syzygies_annihilate_and_are_independent():
     # w=1 leaves several relations: one per (w+2)-subset of the rows
-    inst, _ = frozen_instance()
-    for w, expect in ((1, comb(4, 3)), (2, comb(4, 4))):
-        system = build_system(inst, w)
-        syzygies = build_syzygies(inst, w)
-        assert len(syzygies) == expect
-        for syz in syzygies:
-            assert apply_syzygy(syz, system) == {}
-        stack = syzygy_stack_rows(syzygies, system)
-        assert rank_rows(stack, inst.field) == expect
-    with pytest.raises(ValueError):
-        build_syzygies(inst, 3)  # w + 2 exceeds n - k
+    for q in (2, 3):
+        inst, _ = gen_instance(replace(FROZEN, q=q), 0)
+        for w, expect in ((1, comb(4, 3)), (2, comb(4, 4))):
+            system = build_system(inst, w)
+            residues, stack = syzygies(inst, system)
+            assert residues == [0] * expect
+            assert len(stack) == expect and len(stack[0]) == comb(4, w + 1) * FROZEN.N
+            for K, row in zip(combinations(range(1, 5), w + 2), stack):
+                assert relation_residue(system, row) == {}
+                # the forms sit on the equations of K's w+1 subsets only
+                touched = {system.J[t // FROZEN.N] for t, c in enumerate(row) if c}
+                assert touched == set(combinations(K, w + 1))
+            assert rank_rows(stack, inst.field) == expect
+    # n - k = 3 < w + 2: no relation
+    inst, _ = gen_instance(RslParams(q=2, m=6, n=8, k=5, r=2, N=3), 0)
+    assert syzygies(inst, build_system(inst, 2)) == ([], [])
 
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_syzygies_catch_a_wrong_coefficient(q):
+    rng = random.Random(90 + q)
+    params, w = sample_family(rng, q)
+    inst, _ = gen_instance(params, rng.randrange(2**30))
+    system = build_system(inst, w)
+    assert not any(syzygies(inst, system)[0])
+    coeffs = system.coeffs.copy()
+    e, i, t = (int(x[0]) for x in np.nonzero(coeffs))
+    coeffs[e, i, t] = inst.field.add(int(coeffs[e, i, t]), 1)
+    residues, _ = syzygies(inst, replace(system, coeffs=coeffs))
+    # every relation through J[e], and only those, breaks
+    assert [bool(r) for r in residues] == [
+        set(system.J[e]) <= set(K) for K in combinations(range(1, params.n - params.k + 1), w + 2)
+    ]

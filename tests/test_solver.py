@@ -42,6 +42,8 @@ from rslminors.solver import (
     solve_linearized,
 )
 
+from test_modeling import evaluate
+
 TOY = RslParams(q=2, m=14, n=10, k=5, r=2, N=9)
 TOY_SEED = 3
 
@@ -209,9 +211,10 @@ def test_planted_point_solves_system(toy):
     lam, rT, Rt = planted_solution(witness, strat, TOY.n, TOY.q)
     assert any(lam)
     sh = shorten(inst, range(strat.a, TOY.k), TOY.N)
-    for eq in build_system(sh, strat.w).equations:
-        assert eq.evaluate(lam, rT) == 0
-    unfolded = unfold_system(build_system(sh, strat.w))
+    system = build_system(sh, strat.w)
+    for e in range(len(system.J)):
+        assert evaluate(system, e, lam, rT) == 0
+    unfolded = unfold_system(system)
     for b in (1, 2):
         mac = build_macaulay(unfolded, b)
         vec = point_vector(mac, lam, rT)

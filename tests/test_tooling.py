@@ -275,8 +275,6 @@ TEST_ORACLES = {
     "point's monomial vector must vanish, as must its kernel candidates",
     "monomial_vector": "the planted point's monomial vector, which apply "
     "multiplies and a solved kernel vector must equal",
-    "evaluate": "BilinearEquation.evaluate: each minor equation must vanish "
-    "at the planted point and match a determinant evaluated directly",
     "y_vector": "RslInstance.y_vector: the canonical syndrome preimage the "
     "minor oracles in the tests expand",
     "planted_solution": "the planted point of a shortened delta = 0 system, "
