@@ -236,7 +236,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 f" skipped: {h['skipped']}" if "skipped" in h
                 else f" kernel_dim={h['kernel_dim']} rank={h['rank']}"
                 f" predicted_rank={h['predicted_rank']}"
-                f" build_s={h['build_s']} kernel_s={h['kernel_s']}"
+                f" build_s={h['build_s']} kernel_s={h['kernel_s']} nnz={h['nnz']}"
             )
             + (f" extraction_error={h['extraction_error']}" if "extraction_error" in h else "")
         )

@@ -15,6 +15,9 @@ bit-planes per row for F_3 (the nonzero entries and the entries equal to
 to 2^32, and, for extension fields with tabulated logarithms, the element
 tokens over F_{2^m}, which add by XOR, and Zech logarithms in odd
 characteristic.  Any other field goes through the generic ``rref_rows``.
+The core takes rows as nested lists or as a list of numpy row arrays (the
+rows of a Macaulay matrix) and encodes them into a working copy, whose
+bytes per cell ``working_cell_bytes`` gives.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -280,14 +283,6 @@ def minor_table(rows: Sequence[Sequence[int]], field, d: int) -> np.ndarray:
 # -- the elimination core ----------------------------------------------------
 
 
-def _token_bytes(rows) -> np.ndarray:
-    """``rows`` of tokens below 256 as a uint8 array.  One ``bytes`` of the
-    flattened rows is about twice as fast as ``np.asarray`` on nested lists;
-    it reads values, so an int64 ndarray row gives one byte per entry too."""
-    flat = bytes(chain.from_iterable(rows))
-    return np.frombuffer(flat, np.uint8).reshape(len(rows), len(rows[0]))
-
-
 def _pack(bits: np.ndarray) -> np.ndarray:
     """A uint8 array's nonzero entries as bits packed little-endian into
     uint64 words, column c at bit c % 64 of word c // 64."""
@@ -302,9 +297,10 @@ class _PackedF2:
     row update is an XOR."""
 
     zero = 0
+    cell_bytes = 1 / 8
 
     def encode(self, rows) -> np.ndarray:
-        return _pack(_token_bytes(rows))
+        return _pack(np.array(rows, dtype=np.uint8))
 
     def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return (a[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
@@ -327,9 +323,10 @@ class _PackedF3:
     Boothby and Bradshaw's bitsliced F_3 (arXiv:0901.1413)."""
 
     zero = 0
+    cell_bytes = 1 / 4
 
     def encode(self, rows) -> np.ndarray:
-        v = _token_bytes(rows)
+        v = np.array(rows, dtype=np.uint8)
         return np.stack((_pack(v), _pack(v >> 1)), axis=2)
 
     def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -374,6 +371,7 @@ class _ModP:
     def __init__(self, p: int, dtype: np.dtype):
         self.dtype = dtype
         self.p = dtype.type(p)
+        self.cell_bytes = dtype.itemsize
 
     def encode(self, rows) -> np.ndarray:
         # np.array copies even an array already in the dtype, which the
@@ -408,6 +406,7 @@ class _ZechLog:
     nonzero columns, as every other cell keeps its value."""
 
     zero = -1
+    cell_bytes = 8
 
     def __init__(self, field: ExtensionField, tables):
         self.t = tables
@@ -452,6 +451,7 @@ class _XorF2m:
     Products go through the logarithm and exponent tables."""
 
     zero = 0
+    cell_bytes = 8
 
     def __init__(self, field: ExtensionField, tables):
         self.t = tables
@@ -503,10 +503,18 @@ def _representation(field):
     return None
 
 
+def working_cell_bytes(field) -> float:
+    """Bytes per cell of the working copy ``_echelon`` makes of a matrix
+    over ``field``: its representation's, or one list reference per cell on
+    the ``rref_rows`` path."""
+    rep = _representation(field)
+    return 8 if rep is None else rep.cell_bytes
+
+
 def _echelon(rows, field, reduced: bool):
-    """Row echelon form of ``rows`` over ``field``; reduced (every pivot
-    column a unit vector) when ``reduced`` is set.  ``rows`` is left as it
-    was.
+    """Row echelon form of ``rows`` (nested lists or a list of row arrays)
+    over ``field``; reduced (every pivot column a unit vector) when
+    ``reduced`` is set.  ``rows`` is left as it was.
 
     Returns ``read`` and the pivot columns.  ``read(cols)`` gives the nonzero
     echelon rows restricted to the columns ``cols``, as token lists, so a

@@ -39,7 +39,14 @@ import numpy as np
 
 from .fields import prime_field
 from .instance import RslInstance
-from .matrix import TokenArrays, laplace_index, minor_table, pivot_columns, rank_rows
+from .matrix import (
+    TokenArrays,
+    laplace_index,
+    minor_table,
+    pivot_columns,
+    rank_rows,
+    working_cell_bytes,
+)
 
 LamMono = tuple[int, ...]
 MinorIndex = tuple[int, ...]
@@ -136,14 +143,16 @@ def lambda_monomials(n_lambda: int, degree: int, squarefree: bool) -> list[LamMo
 
 @dataclass
 class MacaulayMatrix:
-    """Sparse matrix of all multiples of the equations at bi-degree (b,1).
+    """All multiples of the equations at bi-degree (b,1), as one dense array.
 
     The field of the system picks the matrix.  Over F_2 the multipliers have
     degree 0..b-1 and the columns lambda-degree 1..b, squarefree, with
     products reduced by lambda^2 = lambda.  Over any other field the rows are
     (degree b-1 multiplier) x equation products, with formal multiset
     lambda-monomials and no reduction, and the columns are all monomials of
-    lambda-degree exactly b.
+    lambda-degree exactly b.  ``rows`` has the dtype of the system's
+    coefficients: uint8 digits over F_q, int64 tokens over a tabulated
+    F_{q^m}, Python integers (object) over an untabulated one.
     """
 
     field: object
@@ -153,50 +162,28 @@ class MacaulayMatrix:
     w: int
     row_labels: list[tuple[LamMono, tuple[int, ...]]]
     col_labels: list[Monomial]
-    rows: list[dict[int, int]]
+    rows: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.col_labels))
 
-    def dense_rows(self) -> list[list[int]]:
-        ncols = len(self.col_labels)
-        out = []
-        for row in self.rows:
-            dense = [0] * ncols
-            for idx, c in row.items():
-                dense[idx] = c
-            out.append(dense)
-        return out
+    def dense_rows(self) -> list[np.ndarray]:
+        """The rows as a list of views of ``rows``; no cell is copied."""
+        return list(self.rows)
 
     def rank(self) -> int:
         return rank_rows(self.dense_rows(), self.field)
 
-    def apply(self, values: list[int]) -> list[int]:
-        """Matrix-vector product against a vector of column values."""
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for idx, c in row.items():
-                v = f.mul(c, values[idx])
-                if v:
-                    acc = f.add(acc, v)
-            out.append(acc)
-        return out
-
-
-CELL_BYTES = 8  # one list reference per cell of ``dense_rows``, its cheapest dense form
-
 
 class MacaulayTooLarge(MemoryError):
-    """The dense form of a Macaulay matrix would exceed physical memory."""
+    """A Macaulay matrix and its elimination would exceed physical memory."""
 
-    def __init__(self, shape: tuple[int, int], memory: int):
+    def __init__(self, shape: tuple[int, int], needed: float, memory: int):
         self.shape = shape
         super().__init__(
             f"its dense {shape[0]}x{shape[1]} matrix needs "
-            f"{shape[0] * shape[1] * CELL_BYTES / 2**30:.3g} GiB, over the "
+            f"{needed / 2**30:.3g} GiB, over the "
             f"{memory / 2**30:.3g} GiB of physical memory"
         )
 
@@ -219,14 +206,17 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     Columns are enumerated in full from (n_cols, n_lambda, w), descending:
     by degree d, then minor T, then grevlex, so (mu, T), T the t-th of the
     C(n_cols, w) minors in ``combinations`` order, sits at column
-    off[d] + (C(n_cols, w) - 1 - t) * (number of degree-d mu) + (position
-    of mu), read from a table of multiplier x lambda_i products without
-    hashing a monomial.  Above F_2 the products of one multiplier with
+    base + (C(n_cols, w) - 1 - t) * stride, where base = off[d] + (position
+    of mu) and stride = (number of degree-d mu), from tables indexed by
+    multiplier and lambda_i, without hashing a monomial.  Every nonzero
+    coefficient of ``system.coeffs`` is scattered into one dense array for
+    all multipliers at once.  Above F_2 the products of one multiplier with
     distinct terms are distinct; over F_2 lambda_i * mu = mu for i in mu,
     and colliding terms add (XOR).
 
-    Raises MacaulayTooLarge, before any row exists, when the dense form at
-    CELL_BYTES per cell would exceed the machine's physical memory.
+    Raises MacaulayTooLarge, before the array exists, when the array and
+    the working copy that eliminating it makes would exceed the machine's
+    physical memory.
     """
     if b < 1:
         raise ValueError("b must be at least 1")
@@ -243,33 +233,31 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     col_labels = [(mu, T) for d in degs for T in minors for mu in mus[d]]
     off = [len(minors) * sum(map(len, mus[d + 1:])) for d in range(b + 1)]
     multipliers = [mu for d in degs for mu in mus[d - 1]]
+    coeffs = system.coeffs
     shape = (len(system.J) * len(multipliers), len(col_labels))
     memory = physical_memory()
-    if memory is not None and shape[0] * shape[1] * CELL_BYTES > memory:
-        raise MacaulayTooLarge(shape, memory)
-    places = []  # places[row][i - 1]: first column and T-stride of lambda_i * multiplier
-    for mu in multipliers:
-        prods = [sorted(set(mu) | {i} if squarefree else mu + (i,)) for i in range(1, N + 1)]
-        places.append([(off[len(pr)] + mupos[tuple(pr)], len(mus[len(pr)])) for pr in prods])
-    # each equation's nonzero (lambda index, position of T in ``minors``, coefficient)
-    entries: list[list[tuple[int, int, int]]] = [[] for _ in system.J]
-    eqs, lams, ts = np.nonzero(system.coeffs)
-    values = system.coeffs[eqs, lams, ts].tolist()
-    for e, i, tp, c in zip(eqs.tolist(), lams.tolist(), (len(minors) - 1 - ts).tolist(), values):
-        entries[e].append((i, tp, c))
-    rows: list[dict[int, int]] = []
-    for eq in entries:
-        for place in places:
-            if squarefree:
-                row: dict[int, int] = {}
-                for i, tp, c in eq:
-                    idx = place[i][0] + tp * place[i][1]
-                    acc = row.pop(idx, 0) ^ c
-                    if acc:
-                        row[idx] = acc
-            else:
-                row = {place[i][0] + tp * place[i][1]: c for i, tp, c in eq}
-            rows.append(row)
+    needed = shape[0] * shape[1] * (coeffs.dtype.itemsize + working_cell_bytes(f))
+    if memory is not None and needed > memory:
+        raise MacaulayTooLarge(shape, needed, memory)
+    # base[r, i - 1], stride[r, i - 1]: first column and T-stride of
+    # lambda_i * multiplier r
+    base = np.empty((len(multipliers), N), dtype=np.intp)
+    stride = np.empty_like(base)
+    for r, mu in enumerate(multipliers):
+        for i in range(1, N + 1):
+            pr = tuple(sorted(set(mu) | {i} if squarefree else mu + (i,)))
+            base[r, i - 1] = off[len(pr)] + mupos[pr]
+            stride[r, i - 1] = len(mus[len(pr)])
+    eqs, lams, ts = np.nonzero(coeffs)
+    values = coeffs[eqs, lams, ts]
+    # row and column of every nonzero term times every multiplier
+    row = eqs * len(multipliers) + np.arange(len(multipliers))[:, None]
+    col = base[:, lams] + (len(minors) - 1 - ts) * stride[:, lams]
+    rows = np.zeros(shape, dtype=coeffs.dtype)
+    if squarefree:
+        np.bitwise_xor.at(rows, (row, col), values)
+    else:
+        rows[row, col] = values
     return MacaulayMatrix(
         field=f, b=b, n_lambda=N, n_cols_R=system.n_cols, w=system.w,
         row_labels=[(mu, J) for J in system.J for mu in multipliers],

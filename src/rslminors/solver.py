@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .estimator import bit_cost
 from .fields import prime_field
 from .instance import (
@@ -293,6 +295,7 @@ def _attempt(
             "predicted_rank": predicted_rank,
             "build_s": round(built - started, 3),
             "kernel_s": round(solved - built, 3),
+            "nnz": int(np.count_nonzero(mac.rows)),
         }
         history.append(entry)
         if not basis:

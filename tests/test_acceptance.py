@@ -42,7 +42,7 @@ from rslminors.verification import (
     run_thm2,
 )
 
-from test_modeling import equation_terms
+from test_modeling import equation_terms, macaulay_apply
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -224,7 +224,7 @@ def test_criterion_7_end_to_end_attack():
         mac = build_macaulay(unfolded, entry["b"])
         assert mac.shape == (entry["rows"], entry["cols"])
         lam, rT, _ = planted_solution(witness, strat, params.n, params.q)
-        image = mac.apply(point_vector(mac, lam, rT))
+        image = macaulay_apply(mac, point_vector(mac, lam, rT))
         membership = membership and all(v == 0 for v in image)
 
     ok = recovered and membership and elapsed < 300

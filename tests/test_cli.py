@@ -14,8 +14,11 @@ from rslminors.cli import (
     eval_n_expression,
     main,
 )
-from rslminors.instance import RslParams, gen_instance
+from rslminors.instance import RslParams, gen_instance, shorten
 from rslminors.instance_io import load_instance
+from rslminors.modeling import build_system, unfold_system
+
+from test_modeling import macaulay_reference
 
 TOY_ARGS = [
     "--q", "2", "--m", "14", "--n", "10", "--k", "5", "--r", "2",
@@ -176,6 +179,27 @@ def test_attack_recovers_toy(toy_file, tmp_path, capsys):
     assert lines and all(" build_s=" in x and " kernel_s=" in x for x in lines)
 
 
+def test_attack_reports_the_nonzero_count(toy_file, tmp_path, capsys):
+    out = tmp_path / "attack.json"
+    rc = main([
+        "attack", "--instance", str(toy_file), "--b-max", "2",
+        "--report", "json", "-o", str(out),
+    ])
+    assert rc == EXIT_OK
+    rep = json.loads(out.read_text())
+    inst, _ = load_instance(str(toy_file))
+    p, strategy = inst.params, rep["strategy"]
+    for h in rep["b_history"]:
+        assert 0 < h["nnz"] <= h["rows"] * h["cols"]
+        keep = [(h["offset"] + j) % p.k for j in range(strategy["a"], p.k)]
+        sh = shorten(inst, keep, strategy["N_prime"])
+        _, _, rows = macaulay_reference(unfold_system(build_system(sh, strategy["w"])), h["b"])
+        assert h["nnz"] == sum(map(len, rows))
+    assert main(["attack", "--instance", str(toy_file), "--b-max", "2"]) == EXIT_OK
+    lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("  b=")]
+    assert [x.rsplit(" nnz=", 1)[1] for x in lines] == [str(h["nnz"]) for h in rep["b_history"]]
+
+
 def test_attack_public_only(tmp_path):
     path = tmp_path / "pub.rsl"
     assert main(["gen", *TOY_ARGS, "--public-only", "-o", str(path)]) == EXIT_OK
@@ -254,9 +278,9 @@ def test_attack_q3_recovers_at_exact_degree_two(capsys):
 
 
 def test_attack_stops_cleanly_before_a_matrix_past_physical_memory(monkeypatch, capsys):
-    # b = 4 of this shape needs 2016000 bytes dense; with 1.6 MB the attack
-    # stops there with one line and exits 2
-    monkeypatch.setattr(modeling, "physical_memory", lambda: 1_600_000)
+    # b = 4 of this shape needs 315000 bytes (600x420 cells at 1.25 bytes);
+    # with 250 kB the attack stops there with one line and exits 2
+    monkeypatch.setattr(modeling, "physical_memory", lambda: 250_000)
     rc = main([
         "attack", "--q", "3", "--m", "6", "--n", "9", "--k", "4", "--r", "2",
         "--N", "4", "--b-max", "5",

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from rslminors.fields import TABLE_LIMIT, extension_field, prime_field
+from rslminors.fields import TABLE_LIMIT, PrimeField, extension_field, prime_field
 from rslminors.instance import gen_instance
 from rslminors.matrix import (
     FieldMatrix,
@@ -315,6 +315,28 @@ def test_elimination_core_matches_rref_oracle(field, shape):
         got = assert_matches_rref_oracle(rows, field, nc, rng)
         if rank is not None:
             assert got <= rank
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_echelon_takes_row_arrays_as_nested_lists(field):
+    # a Macaulay matrix reaches the core as a list of row views of one
+    # array (uint8 digits over F_q, int64 tokens over F_{q^m}); small
+    # callers pass nested lists
+    rng = random.Random(17)
+    dtype = np.uint8 if isinstance(field, PrimeField) else np.int64
+    for nr, nc, rank in ((40, 60, 25), (30, 30, 29), (90, 129, 50), (12, 40, 0)):
+        rows = planted_rank(field, nr, nc, rank, rng)
+        dense = np.array(rows, dtype=dtype)
+        res = rref_rows(rows, field)
+        assert res.rank <= rank < nr
+        for reduced in (True, False):
+            read, pivots = _echelon(rows, field, reduced)
+            aread, apivots = _echelon(list(dense), field, reduced)
+            assert apivots == pivots == res.pivots
+            assert aread(range(nc)) == read(range(nc))
+            if reduced:
+                assert read(range(nc)) == res.matrix.rows[: res.rank]
+        assert dense.tolist() == rows  # the core works on a copy
 
 
 def sparse_rows(field, nr, nc, rank, density, rng):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rslminors.estimator import count_Mb, count_Nb, make_counts
-from rslminors.fields import extension_field, prime_field
+from rslminors.fields import PrimeField, extension_field, prime_field
 from rslminors.instance import (
     RslInstance,
     RslParams,
@@ -83,6 +83,20 @@ def evaluate(system, e, lam_values, rT_values):
     for ((i,), T), c in equation_terms(system, e).items():
         acc = f.add(acc, f.mul(f.mul(c, lam_values[i - 1]), rT_values.get(T, 0)))
     return acc
+
+
+def macaulay_apply(mac, values):
+    """Oracle: the Macaulay matrix times a vector of column values, summed
+    over the nonzero cells of its dense rows with the field's scalar
+    operations."""
+    f = mac.field
+    out = [f.zero] * mac.shape[0]
+    rs, cs = np.nonzero(mac.rows)
+    for r, c, v in zip(rs.tolist(), cs.tolist(), mac.rows[rs, cs].tolist()):
+        prod = f.mul(v, values[c])
+        if prod:
+            out[r] = f.add(out[r], prod)
+    return out
 
 
 def random_point(p, w, rng):
@@ -255,7 +269,7 @@ def test_macaulay_apply_matches_equation_evaluation():
             for _ in range(5):
                 lam, _, rT = random_point(p, 2, rng)
                 vec = monomial_vector(mac.col_labels, lam, rT, mac.field)
-                got = mac.apply(vec)
+                got = macaulay_apply(mac, vec)
                 f = mac.field
                 per_eq = len(mac.rows) // len(sys_b.J)
                 for row, (out, (mu, J)) in enumerate(zip(got, mac.row_labels)):
@@ -282,12 +296,15 @@ def test_build_macaulay_refuses_a_matrix_past_physical_memory(monkeypatch):
     inst, _ = gen_instance(p, 2)
     system = unfold_system(build_system(inst, 2))
     shape = build_macaulay(system, 2).shape
-    cells = shape[0] * shape[1]
-    monkeypatch.setattr(modeling, "physical_memory", lambda: cells * modeling.CELL_BYTES - 1)
+    # a cell costs its uint8 digit plus a quarter byte of F_3 bit-planes
+    needed = shape[0] * shape[1] * (1 + 1 / 4)
+    monkeypatch.setattr(modeling, "physical_memory", lambda: needed - 1)
     with pytest.raises(MacaulayTooLarge) as exc:
         build_macaulay(system, 2)
     assert exc.value.shape == shape
     assert build_macaulay(system, 1).shape[0] > 0  # a smaller degree still fits
+    monkeypatch.setattr(modeling, "physical_memory", lambda: needed)
+    assert build_macaulay(system, 2).shape == shape
     monkeypatch.setattr(modeling, "physical_memory", lambda: None)  # platform silent
     assert build_macaulay(system, 2).shape == shape
 
@@ -362,12 +379,25 @@ def macaulay_reference(system, b):
     return col_labels, row_labels, rows
 
 
+def token_dtype(field):
+    """The dtype a Macaulay matrix over ``field`` is built in: uint8 digits
+    over F_q, int64 tokens over a tabulated F_{q^m}, Python integers over an
+    untabulated one."""
+    if isinstance(field, PrimeField):
+        return np.dtype(np.uint8)
+    return np.dtype(np.int64 if field.np_tables() is not None else object)
+
+
 def assert_macaulay_matches_reference(system, b):
     mac = build_macaulay(system, b)
     col_labels, row_labels, rows = macaulay_reference(system, b)
     assert mac.col_labels == col_labels
     assert mac.row_labels == row_labels
-    assert mac.rows == rows
+    assert mac.rows.dtype == token_dtype(system.field)
+    dense = np.zeros((len(rows), len(col_labels)), dtype=mac.rows.dtype)
+    for r, row in enumerate(rows):
+        dense[r, list(row)] = list(row.values())
+    assert np.array_equal(mac.rows, dense)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -391,6 +421,24 @@ def test_macaulay_matches_reference_over_extension_fields(q):
         system = build_system(inst, w)
         for b in (2, 3):
             assert_macaulay_matches_reference(system, b)
+
+
+def test_macaulay_matches_reference_over_an_untabulated_field():
+    # F_{2^21} is above TABLE_LIMIT: the matrix holds Python integers
+    p = RslParams(q=2, m=21, n=8, k=4, r=3, N=4)
+    for w in (1, 2):
+        inst, _ = gen_instance(p, 80 + w)
+        assert_macaulay_matches_reference(build_system(inst, w), 2)
+
+
+def test_macaulay_matches_reference_over_f_5():
+    # uint8 digits below 5, which eliminate as residues (_ModP)
+    p = RslParams(q=5, m=3, n=8, k=4, r=3, N=4)
+    for w in (1, 2):
+        inst, _ = gen_instance(p, 90 + w)
+        unfolded = unfold_system(build_system(inst, w))
+        for b in (1, 2, 3):
+            assert_macaulay_matches_reference(unfolded, b)
 
 
 @pytest.mark.parametrize(

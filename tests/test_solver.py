@@ -42,7 +42,7 @@ from rslminors.solver import (
     solve_linearized,
 )
 
-from test_modeling import evaluate
+from test_modeling import evaluate, macaulay_apply
 
 TOY = RslParams(q=2, m=14, n=10, k=5, r=2, N=9)
 TOY_SEED = 3
@@ -175,7 +175,7 @@ def test_solve_linearized_dense(toy_macaulay):
     basis = solve_linearized(mac)
     assert len(basis) == 1
     assert any(basis[0])
-    assert not any(mac.apply(basis[0]))
+    assert not any(macaulay_apply(mac, basis[0]))
 
 
 def test_solve_linearized_no_solution(toy):
@@ -191,7 +191,7 @@ def test_solve_linearized_underdetermined(toy_macaulay):
     basis = solve_linearized(starved)
     assert len(basis) >= 2
     for vec in basis:
-        assert not any(starved.apply(vec))
+        assert not any(macaulay_apply(starved, vec))
 
 
 def point_vector(mac, lam, rT):
@@ -219,7 +219,7 @@ def test_planted_point_solves_system(toy):
         mac = build_macaulay(unfolded, b)
         vec = point_vector(mac, lam, rT)
         assert any(vec)
-        assert not any(mac.apply(vec))
+        assert not any(macaulay_apply(mac, vec))
     C = recover_support(sh, lam, Rt)
     assert verify_support(inst, C) and C.ncols == TOY.r
     assert C == witness.support_basis()
@@ -497,9 +497,11 @@ def test_attack_solves_the_matrix_the_estimator_counts(q):
 
 
 def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
-    # b = 4 of this shape is 600x420 cells, 2016000 bytes dense: with 1.6 MB
-    # of memory the attack runs b = 1..3, then stops before building b = 4
-    monkeypatch.setattr(modeling, "physical_memory", lambda: 1_600_000)
+    # b = 4 of this shape is 600x420 cells at 1.25 bytes each (a uint8 digit
+    # and a quarter byte of F_3 bit-planes), 315000 bytes; with 250 kB of
+    # memory the attack runs b = 1..3 (126000 bytes at b = 3), then stops
+    # before building b = 4
+    monkeypatch.setattr(modeling, "physical_memory", lambda: 250_000)
     inst, _ = gen_instance(Q3_ABOVE_Q, 0)
     result = attack(inst, strategy_params(Q3_ABOVE_Q, 0), b_max=5)
     assert not result.success
@@ -508,7 +510,7 @@ def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
     assert "kernel_dim" not in skipped and "kernel_s" not in skipped
     assert (skipped["rows"], skipped["cols"]) == (600, 420)
     assert skipped["skipped"] == (
-        "its dense 600x420 matrix needs 0.00188 GiB, over the 0.00149 GiB of physical memory"
+        "its dense 600x420 matrix needs 0.000293 GiB, over the 0.000233 GiB of physical memory"
     )
     assert result.message.startswith("no recovery up to b=5: b=4 skipped, its dense 600x420")
     # the counts are those of b = 4, where the attack stopped, not of b_max

@@ -271,10 +271,8 @@ def user_sources() -> dict[str, str]:
 # Toolkit names that only tests call, kept because the tests check the
 # planted point against them.
 TEST_ORACLES = {
-    "apply": "MacaulayMatrix.apply: the Macaulay matrix times the planted "
-    "point's monomial vector must vanish, as must its kernel candidates",
-    "monomial_vector": "the planted point's monomial vector, which apply "
-    "multiplies and a solved kernel vector must equal",
+    "monomial_vector": "the planted point's monomial vector, which the "
+    "Macaulay matrix must annihilate and a solved kernel vector must equal",
     "y_vector": "RslInstance.y_vector: the canonical syndrome preimage the "
     "minor oracles in the tests expand",
     "planted_solution": "the planted point of a shortened delta = 0 system, "
