@@ -4,10 +4,12 @@ Everything here is exact big-integer combinatorics until the final log2.  The
 counts mirror the structure of the equation system: count_Nb is the number of
 independent rows of the Macaulay matrix at exact bi-degree (b,1), count_Mb the
 number of its columns, each with an f2 flag that keeps squarefree
-lambda-monomials only.  count_Nb is one sum, for every degree and field, over
-the smallest lambda index of a lead's multiplier monomial mu: it counts the
-pairs (mu, I) with min(mu) < min(I).  It is known not to be the rank in two
-cases, over F_2 at b = 3 and at q = 3, b = 2 with small m (ROADMAP item 2).
+lambda-monomials only.  count_Nb counts the pairs (mu, I) with
+min(mu) < min(I), for every degree and field, in closed form: Vandermonde's
+identity, the linearisation of C(x, w) C(x, i) and the hockey stick turn its
+sum over min(mu) into O(b min(w, b)) binomials.  It is known not to be the
+rank in two cases, over F_2 at b = 3 and at q = 3, b = 2 with small m
+(ROADMAP item 2).
 The field picks the matrix, and ``make_counts`` keeps one pair, N_leq_b and
 M_leq_b, for the matrix the solver builds over it: over F_2 the squarefree
 matrix of lambda-degrees 1..b, whose counts it sums over the degrees
@@ -42,17 +44,23 @@ OMEGA = 2.807
 
 @lru_cache(maxsize=None)
 def count_Nb(n: int, k: int, w: int, N: int, b: int, f2: bool = False) -> int:
-    """Independent equations at exact bi-degree (b,1).
+    """Independent equations at exact bi-degree (b,1): the pairs (mu, I)
+    with min(mu) < min(I), Theorem 1's leads at b = 1, mu a degree-b
+    multiplier monomial and I a w-subset of {1..n-k}.  Over F_2 (f2) mu is a
+    squarefree b-set of N+1 indices, P = V = N+1; above it a monomial in N
+    indices, P = N+b-1 and V = N.  By v = min(mu), with x = n-k-v, c = b-1,
+    D = P-(n-k) and lo = n-k - min(V, n-k-w), the count is
 
-    One sum over v, the smallest lambda index of a lead's multiplier
-    monomial mu: C(n-k-v, w) index sets I lie in {v+1..n-k}, and C(P-v, b-1)
-    monomials of degree b have smallest index v.  So the count is the number
-    of pairs (mu, I) with min(mu) < min(I), Theorem 1's leads at b = 1.  Over
-    F_2 (f2) mu is a squarefree b-set of N+1 indices, P = V = N+1; above it a
-    degree-b monomial in N indices, P = N+b-1 and V = N.  The count is not
+        Sum_{v=1..min(V, n-k-w)} C(x, w) C(P-v, c)
+          = Sum_{i<=c} C(D, c-i) Sum_{t<=min(w,i)} C(w+i-t, w) C(w, t)
+                [C(n-k, w+i-t+1) - C(lo, w+i-t+1)]
+
+    by Vandermonde, C(P-v, c) = Sum_i C(D, c-i) C(x, i) with C(D, j) =
+    (-1)^j C(j-D-1, j) for D < 0; the linearisation C(x, w) C(x, i) =
+    Sum_t C(w+i-t, w) C(w, t) C(x, w+i-t); and the hockey stick
+    Sum_{x=lo..n-k-1} C(x, j) = C(n-k, j+1) - C(lo, j+1).  The count is not
     always the rank: over F_2 at b = 3 the rank falls short by C(n-k, w+2) on
-    the shapes measured, and at q = 3, b = 2 it falls short when m is small
-    (ROADMAP item 2).
+    the shapes measured, and at q = 3, b = 2 when m is small (ROADMAP item 2).
     """
     if b < 1 or w < 1 or N < 1 or n - k <= w:
         raise ValueError(
@@ -60,8 +68,13 @@ def count_Nb(n: int, k: int, w: int, N: int, b: int, f2: bool = False) -> int:
         )
     nk = n - k
     P, V = (N + 1, N + 1) if f2 else (N + b - 1, N)
+    c, D, lo = b - 1, P - nk, nk - min(V, nk - w)
+    binom_D = [math.comb(D, j) if D >= 0 else (-1) ** j * math.comb(j - D - 1, j) for j in range(b)]
     return sum(
-        math.comb(nk - v, w) * math.comb(P - v, b - 1) for v in range(1, min(V, nk - w) + 1)
+        binom_D[c - i] * math.comb(w + i - t, w) * math.comb(w, t)
+        * (math.comb(nk, w + i - t + 1) - math.comb(lo, w + i - t + 1))
+        for i in range(c + 1)
+        for t in range(min(w, i) + 1)
     )
 
 

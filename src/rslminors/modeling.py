@@ -215,8 +215,8 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     and colliding terms add (XOR).
 
     Raises MacaulayTooLarge, before the array exists, when the array and
-    the working copy that eliminating it makes would exceed the machine's
-    physical memory.
+    what eliminating it allocates at its peak (``working_cell_bytes``) would
+    exceed the machine's physical memory.
     """
     if b < 1:
         raise ValueError("b must be at least 1")

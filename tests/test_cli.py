@@ -278,9 +278,9 @@ def test_attack_q3_recovers_at_exact_degree_two(capsys):
 
 
 def test_attack_stops_cleanly_before_a_matrix_past_physical_memory(monkeypatch, capsys):
-    # b = 4 of this shape needs 315000 bytes (600x420 cells at 1.25 bytes);
-    # with 250 kB the attack stops there with one line and exits 2
-    monkeypatch.setattr(modeling, "physical_memory", lambda: 250_000)
+    # b = 4 of this shape needs 630000 bytes (600x420 cells at 2.5 bytes);
+    # with 500 kB the attack stops there with one line and exits 2
+    monkeypatch.setattr(modeling, "physical_memory", lambda: 500_000)
     rc = main([
         "attack", "--q", "3", "--m", "6", "--n", "9", "--k", "4", "--r", "2",
         "--N", "4", "--b-max", "5",

@@ -1,11 +1,13 @@
 """Counting closed forms against literal sums, the solvability threshold,
 the calibrated bit-cost model, codeword statistics, and the optimizer."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, log2
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,13 @@ def count_Nb_pairs(nk, w, N, b, f2=False):
     return sum(count for mu in monomials for low, count in smallest.items() if mu[0] < low)
 
 
+def count_Nb_sum(nk, w, N, b, f2=False):
+    """The pairs counted by the smallest index v of mu: C(nk-v, w) sets I
+    above v times C(P-v, b-1) monomials with smallest index v."""
+    P, V = (N + 1, N + 1) if f2 else (N + b - 1, N)
+    return sum(comb(nk - v, w) * comb(P - v, b - 1) for v in range(1, min(V, nk - w) + 1))
+
+
 def test_count_nb_matches_literal_sum():
     # N runs past n-k-w, where the sum's range switches from the N cap to
     # the n-k-w cap
@@ -84,8 +93,47 @@ def test_count_nb_matches_literal_sum():
                         got = count_Nb(nk + 5, 5, w, N, b, f2=f2)
                         case = (nk, w, N, b, f2)
                         assert got == count_Nb_literal(nk + 5, 5, w, N, b, f2=f2), case
+                        assert got == count_Nb_sum(nk, w, N, b, f2=f2), case
                         if nk <= 7:
                             assert got == count_Nb_pairs(nk, w, N, b, f2=f2), case
+
+
+def test_count_nb_closed_form_matches_the_sum_over_v():
+    # D = P - (n-k) takes both signs, and min(V, n-k-w) both sides of its
+    # cap, up to n-k = 200, N = 1100 and b = 6
+    seen = set()
+    for nk in (2, 3, 4, 7, 12, 31, 64, 121, 152, 179, 200):
+        for w in sorted({1, 2, 3, nk // 3, nk - 2, nk - 1}):
+            if not 1 <= w < nk:
+                continue
+            cap = nk - w
+            for N in sorted({1, 2, cap - 2, cap - 1, cap, cap + 1, nk, nk + 3, 97, 400, 1100}):
+                if N < 1:
+                    continue
+                for b in range(1, 7):
+                    for f2 in (False, True):
+                        P, V = (N + 1, N + 1) if f2 else (N + b - 1, N)
+                        seen.add((P - nk < 0, V < cap))
+                        case = (nk, w, N, b, f2)
+                        assert count_Nb(nk + 3, 3, w, N, b, f2=f2) == count_Nb_sum(
+                            nk, w, N, b, f2=f2
+                        ), case
+    assert seen == {(neg, capped) for neg in (False, True) for capped in (False, True)}
+
+
+def test_count_nb_matches_the_sum_on_every_table2_call(monkeypatch):
+    calls = []
+    closed_form = estimator.count_Nb
+
+    def recording(n, k, w, N, b, f2=False):
+        calls.append((n, k, w, N, b, f2))
+        return closed_form(n, k, w, N, b, f2)
+
+    monkeypatch.setattr(estimator, "count_Nb", recording)
+    run_table2()
+    assert len(set(calls)) > 2000
+    for n, k, w, N, b, f2 in set(calls):
+        assert closed_form(n, k, w, N, b, f2) == count_Nb_sum(n - k, w, N, b, f2), (n, k, w, N, b)
 
 
 def test_degree_one_count_is_binomial():
@@ -350,6 +398,14 @@ def test_table2_counts_are_the_literal_sum():
             assert make_counts(2, n, k, w, strat.N_prime, cell["b"]).N_leq_b == want
             cells += 1
     assert cells == 14
+
+
+def test_table2_report_is_frozen():
+    # the report of the sum form of count_Nb, elapsed_s left out
+    snapshot = json.loads((Path(__file__).parent / "table2_snapshot.json").read_text())
+    report = run_table2()
+    del report["elapsed_s"]
+    assert report == snapshot
 
 
 def test_optimize_skips_strategies_without_minor_equations():

@@ -5,6 +5,7 @@ echelon form invariants, kernel and solve round trips, and the numpy
 elimination core against the plain ``rref_rows`` oracle."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -27,6 +28,7 @@ from rslminors.matrix import (
     rank_rows,
     rref_rows,
     solve_rows,
+    working_cell_bytes,
 )
 from rslminors.modeling import build_macaulay, build_system
 from rslminors.verification import sample_family
@@ -458,6 +460,30 @@ def test_elimination_leaves_the_callers_rows_alone(field, dtype):
     assert results[0] == results[1]
     assert rows == want
     assert arr.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "field",
+    [prime_field(2), prime_field(3), prime_field(5), extension_field(2, 7), extension_field(3, 7)],
+    ids=["gf2", "gf3", "gf5", "gf2^7", "gf3^7"],
+)
+def test_elimination_peak_stays_within_its_price(field):
+    # the memory guard prices an elimination at working_cell_bytes a cell:
+    # in an all-ones matrix the first update reaches every row, a random one
+    # runs to full rank; rows come as the Macaulay matrix hands them over, a
+    # list of row views of its uint8 digits or int64 tokens
+    dtype = np.uint8 if isinstance(field, PrimeField) else np.int64
+    rng = np.random.default_rng(5)
+    for a in (np.ones((300, 600), dtype), rng.integers(0, field.order, (300, 600), dtype)):
+        for reduced in (False, True):
+            rows = list(a)
+            tracemalloc.start()
+            try:
+                _echelon(rows, field, reduced)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= a.size * working_cell_bytes(field), (peak / a.size, reduced)
 
 
 def test_representation_by_field():

@@ -296,8 +296,9 @@ def test_build_macaulay_refuses_a_matrix_past_physical_memory(monkeypatch):
     inst, _ = gen_instance(p, 2)
     system = unfold_system(build_system(inst, 2))
     shape = build_macaulay(system, 2).shape
-    # a cell costs its uint8 digit plus a quarter byte of F_3 bit-planes
-    needed = shape[0] * shape[1] * (1 + 1 / 4)
+    # a cell costs its uint8 digit plus the 1.5 bytes an F_3 elimination
+    # allocates at its peak
+    needed = shape[0] * shape[1] * (1 + 3 / 2)
     monkeypatch.setattr(modeling, "physical_memory", lambda: needed - 1)
     with pytest.raises(MacaulayTooLarge) as exc:
         build_macaulay(system, 2)

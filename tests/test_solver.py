@@ -497,11 +497,11 @@ def test_attack_solves_the_matrix_the_estimator_counts(q):
 
 
 def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
-    # b = 4 of this shape is 600x420 cells at 1.25 bytes each (a uint8 digit
-    # and a quarter byte of F_3 bit-planes), 315000 bytes; with 250 kB of
-    # memory the attack runs b = 1..3 (126000 bytes at b = 3), then stops
-    # before building b = 4
-    monkeypatch.setattr(modeling, "physical_memory", lambda: 250_000)
+    # b = 4 of this shape is 600x420 cells at 2.5 bytes each (a uint8 digit
+    # and the 1.5 bytes an F_3 elimination allocates at its peak), 630000
+    # bytes; with 500 kB of memory the attack runs b = 1..3 (252000 bytes at
+    # b = 3), then stops before building b = 4
+    monkeypatch.setattr(modeling, "physical_memory", lambda: 500_000)
     inst, _ = gen_instance(Q3_ABOVE_Q, 0)
     result = attack(inst, strategy_params(Q3_ABOVE_Q, 0), b_max=5)
     assert not result.success
@@ -510,7 +510,7 @@ def test_attack_skips_a_degree_past_physical_memory(monkeypatch):
     assert "kernel_dim" not in skipped and "kernel_s" not in skipped
     assert (skipped["rows"], skipped["cols"]) == (600, 420)
     assert skipped["skipped"] == (
-        "its dense 600x420 matrix needs 0.000293 GiB, over the 0.000233 GiB of physical memory"
+        "its dense 600x420 matrix needs 0.000587 GiB, over the 0.000466 GiB of physical memory"
     )
     assert result.message.startswith("no recovery up to b=5: b=4 skipped, its dense 600x420")
     # the counts are those of b = 4, where the attack stopped, not of b_max

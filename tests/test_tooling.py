@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import tracing  # noqa: E402
-from rslminors import solver, verification  # noqa: E402
+from rslminors import estimator, fields, solver, verification  # noqa: E402
 from rslminors.instance import RslParams, gen_instance, strategy_params  # noqa: E402
 
 
@@ -52,6 +52,18 @@ def test_tracer_installs_and_sees_the_attack_layers():
         "matrix.rank_rows",
     ):
         assert name in names
+
+
+def test_benchmark_cache_hooks_exist():
+    # the benchmark clears these memo caches before each cold job and reads
+    # the counters' cache statistics; a job without them ends in run_failed
+    for counter in (estimator.count_Nb, estimator.count_Mb):
+        assert callable(counter.cache_clear) and callable(counter.cache_info)
+        counter.cache_clear()
+        assert counter.cache_info().currsize == 0
+    fields.extension_field.cache_clear()
+    fields.extension_field(2, 4)
+    assert fields.extension_field.cache_info().currsize == 1
 
 
 def test_every_source_parses_as_python_3_10():
