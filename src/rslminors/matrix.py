@@ -15,6 +15,9 @@ bit-planes per row for F_3 (the nonzero entries and the entries equal to
 to 2^32, and, for extension fields with tabulated logarithms, the element
 tokens over F_{2^m}, which add by XOR, and Zech logarithms in odd
 characteristic.  Any other field goes through the generic ``rref_rows``.
+F_2 is eliminated a byte of columns (eight pivots) at a time, with one
+table of row combinations and one XOR of every row per byte, as in M4RI's
+Four-Russians method; the other representations one pivot at a time.
 The core takes rows as nested lists or as a list of numpy row arrays (the
 rows of a Macaulay matrix) and encodes them, a block of rows at a time,
 into a working copy; ``working_cell_bytes`` gives the bytes per cell it
@@ -294,8 +297,8 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 class _PackedF2:
-    """F_2 rows as packed uint64 words (``_pack``).  Every pivot is 1, and a
-    row update is an XOR."""
+    """F_2 rows as packed uint64 words (``_pack``), eliminated a byte of
+    columns at a time by ``_eliminate_bytes``."""
 
     zero = 0
     cell_bytes = 1 / 2
@@ -306,14 +309,131 @@ class _PackedF2:
     def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return (a[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
 
-    def column(self, a: np.ndarray, c: int) -> np.ndarray:
-        return a[:, c >> 6] & np.uint64(1 << (c & 63))
 
-    def normalise(self, a: np.ndarray, r: int, c: int) -> None:
-        pass
+# bit j of every byte value, as a 256 x 8 table
+_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
 
-    def update(self, a: np.ndarray, targets: np.ndarray, r: int, c: int) -> None:
-        a[targets, c >> 6 :] ^= a[r, c >> 6 :]
+# The 2^k XOR combinations of k rows in Gray-code order, each the last one
+# with one row flipped: step i flips row _GRAY_FLIPS[i], and the
+# combination with mask m over the rows comes at position _GRAY_INDEX[m].
+_GRAY_FLIPS = np.array([(i & -i).bit_length() - 1 for i in range(1, 256)], dtype=np.intp)
+_GRAY_INDEX = np.empty(256, dtype=np.uint8)
+_GRAY_INDEX[np.arange(256) ^ np.arange(256) >> 1] = np.arange(256)
+
+# nonzero values of a byte column read in row order before its distinct
+# values are counted
+_HEAD = 24
+
+
+def _byte_basis(col: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """The reduced echelon basis of the span of the byte values ``col``, a
+    byte's bit j being column j of its group, so a vector's pivot is its
+    lowest set bit.
+
+    Returns ``(rows, bits, masks)``: the indices in ``col`` of basis rows,
+    one per pivot, the pivot bits ascending and, for each, the mask over
+    ``rows`` whose XOR is the reduced basis vector with that pivot.  The
+    first ``_HEAD`` nonzero values are tried in row order; only when they
+    span less than the whole byte are the others' distinct values counted.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # lowest bit -> (value, mask)
+    rows: list[int] = []
+
+    def add(x: int) -> bool:
+        """Adds x to the basis, with the next row's bit in its mask, when x
+        is outside the span."""
+        m = 0
+        while x:
+            low = x & -x
+            e = basis.get(low)
+            if e is None:
+                basis[low] = (x, m | 1 << len(rows))
+                return True
+            x ^= e[0]
+            m ^= e[1]
+        return False
+
+    nz = np.flatnonzero(col)
+    head = nz[:_HEAD]
+    for i, x in zip(head.tolist(), col[head].tolist()):
+        if add(x):
+            rows.append(i)
+            if len(rows) == 8:
+                break
+    if len(rows) < 8 and len(nz) > _HEAD:
+        rest = col[nz[_HEAD:]]
+        for x in np.flatnonzero(np.bincount(rest, minlength=256)).tolist():
+            if add(x):
+                # outside the span of the head, so x first occurs in the rest
+                rows.append(int(nz[_HEAD + int(np.argmax(rest == x))]))
+                if len(rows) == 8:
+                    break
+    leads = sorted(basis)
+    # clear each pivot from the vectors with lower pivots, highest first, so
+    # the vector used has no higher pivot left
+    for t in reversed(leads):
+        xt, mt = basis[t]
+        for s in leads:
+            if s == t:
+                break
+            xs, ms = basis[s]
+            if xs & t:
+                basis[s] = (xs ^ xt, ms ^ mt)
+    return rows, [s.bit_length() - 1 for s in leads], [basis[s][1] for s in leads]
+
+
+def _eliminate_bytes(a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
+    """Row echelon form, in place, of the packed F_2 rows ``a``, a byte of
+    columns (eight) at a time, as M4RI does with its Four-Russians tables
+    (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010); returns the pivot
+    columns.
+
+    For byte g, column c at bit c % 8 of byte c // 8 of a row, the rows
+    from r on are zero left of the byte, so its pivots are those of the
+    span of their byte values (``_byte_basis``), k of at most eight.  One
+    table holds the 2^k XOR combinations of the k basis rows, built in
+    Gray-code order with one accumulate; each row's byte value picks the
+    combination that clears its pivot bits, and one XOR of whole rows, as
+    contiguous rows XOR fastest, updates every row from r on (every row,
+    when ``reduced``).  The basis rows are then zero, and the reduced pivot
+    rows go to rows r..r+k-1.  Once a byte holds no pivot and the rows from
+    r on are zero, no later byte holds one and the scan stops.
+    """
+    nrows, nwords = a.shape
+    a8 = a.view(np.uint8)
+    # the combination tables, contiguous views of one buffer
+    buf = np.empty(nwords << min(8, nrows), a.dtype)
+    pivots: list[int] = []
+    r = 0
+    for g in range((ncols + 7) >> 3):
+        if r == nrows:
+            break
+        basis, bits, masks = _byte_basis(a8[r:, g])
+        k = len(basis)
+        if k == 0:
+            if a8[r:, g + 1 :].any():
+                continue
+            break
+        tbl = buf[: nwords << k].reshape(1 << k, nwords)
+        tbl[0] = 0
+        picked = a[[r + i for i in basis]]
+        np.bitwise_xor.accumulate(picked[_GRAY_FLIPS[: (1 << k) - 1]], axis=0, out=tbl[1:])
+        # comb[v]: the table position of the basis rows whose XOR clears the
+        # pivot bits of byte value v
+        comb = _GRAY_INDEX[
+            np.bitwise_xor.reduce(_BYTE_BITS[:, bits] * np.array(masks, np.uint8), axis=1)
+        ]
+        lo = 0 if reduced else r
+        np.bitwise_xor(a[lo:], np.take(tbl, np.take(comb, a8[lo:, g]), axis=0), out=a[lo:])
+        # the basis rows, now zero, take the rows in the way of the pivot
+        # rows; these are zero left of the byte, as the table is
+        moved = [r + i for i in basis if i >= k]
+        if moved:
+            a[moved] = a[[i for i in range(r, r + k) if i - r not in basis]]
+        a[r : r + k] = tbl[_GRAY_INDEX[masks]]
+        pivots += [8 * g + j for j in bits]
+        r += k
+    return pivots
 
 
 class _PackedF3:
@@ -504,51 +624,32 @@ def _representation(field):
 def working_cell_bytes(field) -> float:
     """Bytes per cell ``_echelon`` allocates at its peak over ``field``: its
     working copy with one encode block or with the temporaries of an update
-    that reaches every row, or one list reference per cell on the
-    ``rref_rows`` path.  Each representation's figure is the tracemalloc
-    peak on dense matrices at least 500 columns wide, rounded up (0.46 over
-    F_2, 1.29 over F_3, 3.2 itemsizes over F_5, 26 over F_{2^7}, 60 over
-    F_{3^7})."""
+    that reaches every row (over F_2, one byte's update of every row and its
+    table of row combinations), or on the ``rref_rows`` path the row lists
+    and a Python integer per cell.  Each representation's figure is the
+    tracemalloc peak on dense 300 x 600 matrices, rounded up (0.45 over F_2,
+    1.29 over F_3, 3.2 itemsizes over F_5, 26 over F_{2^7}, 60 over
+    F_{3^7}).  The F_2 table is 2 KB per 64 columns whatever the row count,
+    0.11 bytes a cell at 300 rows.  The ``rref_rows`` figure is the peak
+    on random matrices from 12 x 40 (48 bytes over F_{2^21}) to 100 x 200
+    (41), rounded up."""
     rep = _representation(field)
-    return 8 if rep is None else rep.cell_bytes
+    return 56 if rep is None else rep.cell_bytes
 
 
-def _echelon(rows, field, reduced: bool):
-    """Row echelon form of ``rows`` (nested lists or a list of row arrays)
-    over ``field``; reduced (every pivot column a unit vector) when
-    ``reduced`` is set.  ``rows`` is left as it was.
+def _eliminate_pivots(rep, a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
+    """Row echelon form, in place, of the encoded rows ``a``, one pivot at a
+    time (reduced when ``reduced`` is set); returns the pivot columns.
 
-    Returns ``read`` and the pivot columns.  ``read(cols)`` gives the nonzero
-    echelon rows restricted to the columns ``cols``, as token lists, so a
-    caller that wants only the rank reads nothing and a kernel reads only
-    the free columns.  F_2, F_3, the other prime fields below 2^32 and
-    tabulated extension fields share the numpy pivot loop below; each
-    representation supplies its zero, the nonzero test of a column, the
-    pivot normalisation, the row update and the column read.  Normalisation
-    and update touch only the pivot column and those right of it, where the
+    The representation ``rep`` supplies its zero, the nonzero test of a
+    column, the pivot normalisation and the row update.  Normalisation and
+    update touch only the pivot column and those right of it, where the
     pivot row is nonzero, so they are exact in the reduced form too.  The
     rows below the last pivot found are zero left of the current column, so
     once a column holds no pivot and those rows are zero everywhere, no
-    later column can hold one and the scan stops.  Any other field goes
-    through ``rref_rows``.
+    later column can hold one and the scan stops.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if ncols == 0:
-        return lambda cols: [], []
-    rep = _representation(field)
-    if rep is None:
-        res = rref_rows(rows, field)
-        ech = res.matrix.rows[: res.rank]
-        return lambda cols: [[row[c] for c in cols] for row in ech], res.pivots
-    # encoded into a fresh array an eighth of the rows at a time, so the
-    # encode's temporaries are one block's
-    step = -(-nrows // 8)
-    first = rep.encode(rows[:step])
-    a = np.empty((nrows,) + first.shape[1:], first.dtype)
-    a[:step] = first
-    for i in range(step, nrows, step):
-        a[i : i + step] = rep.encode(rows[i : i + step])
+    nrows = len(a)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -573,6 +674,48 @@ def _echelon(rows, field, reduced: bool):
             rep.update(a, targets, r, c)
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def _echelon(rows, field, reduced: bool):
+    """Row echelon form of ``rows`` (nested lists or a list of row arrays)
+    over ``field``; reduced (every pivot column a unit vector) when
+    ``reduced`` is set.  ``rows`` is left as it was.
+
+    Returns ``read`` and the pivot columns.  ``read(cols)`` gives the nonzero
+    echelon rows restricted to the columns ``cols``, as token lists, so a
+    caller that wants only the rank reads nothing and a kernel reads only
+    the free columns.  The rows are encoded into a working copy, which F_2
+    eliminates a byte of columns at a time (``_eliminate_bytes``) and F_3,
+    the other prime fields below 2^32 and tabulated extension fields one
+    pivot at a time (``_eliminate_pivots``).  Both stop once a column or
+    byte holds no pivot and the rows below the last pivot are zero.  The
+    reduced echelon form is unique, so the pivots and ``read`` of a reduced
+    call do not depend on how the rows were eliminated.  Any other field
+    goes through ``rref_rows``.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if ncols == 0:
+        return lambda cols: [], []
+    rep = _representation(field)
+    if rep is None:
+        res = rref_rows(rows, field)
+        ech = res.matrix.rows[: res.rank]
+        return lambda cols: [[row[c] for c in cols] for row in ech], res.pivots
+    # encoded into a fresh array an eighth of the rows at a time, so the
+    # encode's temporaries are one block's
+    step = -(-nrows // 8)
+    first = rep.encode(rows[:step])
+    a = np.empty((nrows,) + first.shape[1:], first.dtype)
+    a[:step] = first
+    for i in range(step, nrows, step):
+        a[i : i + step] = rep.encode(rows[i : i + step])
+    if isinstance(rep, _PackedF2):
+        pivots = _eliminate_bytes(a, ncols, reduced)
+    else:
+        pivots = _eliminate_pivots(rep, a, ncols, reduced)
+    r = len(pivots)
     return lambda cols: rep.read(a[:r], np.asarray(cols, dtype=np.intp)).tolist(), pivots
 
 

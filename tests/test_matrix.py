@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rslminors.fields import TABLE_LIMIT, PrimeField, extension_field, prime_field
-from rslminors.instance import gen_instance
+from rslminors.instance import RslParams, gen_instance, shorten, strategy_params
 from rslminors.matrix import (
     FieldMatrix,
     TokenArrays,
@@ -25,12 +25,13 @@ from rslminors.matrix import (
     column_space_basis,
     kernel_rows,
     minor_table,
+    pivot_columns,
     rank_rows,
     rref_rows,
     solve_rows,
     working_cell_bytes,
 )
-from rslminors.modeling import build_macaulay, build_system
+from rslminors.modeling import build_macaulay, build_system, unfold_system
 from rslminors.verification import sample_family
 
 
@@ -319,6 +320,97 @@ def test_elimination_core_matches_rref_oracle(field, shape):
             assert got <= rank
 
 
+def f2_random(nr, nc, rng, density=0.5):
+    return [[int(rng.random() < density) for _ in range(nc)] for _ in range(nr)]
+
+
+# Widths around the bytes and the 64-bit words that F_2 rows are eliminated
+# in, with fewer rows than a byte holds columns and with more.
+F2_WIDTHS = (1, 7, 8, 9, 63, 64, 65, 129)
+
+
+def f2_byte_group_cases():
+    """(id, rows) pairs for the byte-at-a-time F_2 elimination."""
+    rng = random.Random(97)
+    cases = []
+    for nc in F2_WIDTHS:
+        for nr in (1, 3, 7, 40):
+            cases.append((f"random-{nr}x{nc}", f2_random(nr, nc, rng)))
+        cases.append((f"sparse-50x{nc}", f2_random(50, nc, rng, 0.1)))
+        cases.append((f"rank5-40x{nc}", planted_rank(prime_field(2), 40, nc, 5, rng)))
+        cases.append((f"zero-6x{nc}", [[0] * nc for _ in range(6)]))
+    # whole bytes of zero columns in the middle (columns 24 to 47), and the
+    # rows left zero there after the first bytes' pivots
+    rows = f2_random(60, 100, rng)
+    for row in rows:
+        row[24:48] = [0] * 24
+    cases.append(("zero-bytes-60x100", rows))
+    rows = f2_random(20, 100, rng)
+    cases.append(("zero-bytes-after-rank-60x100", rows + [[0] * 48 + r[48:] for r in rows]))
+    # the first 24 rows span less than the byte: 30 equal rows or 30 zero
+    # rows, then independent ones, which only the scan of the distinct
+    # values finds
+    for first in ([1, 0, 1] + [0] * 6, [0] * 9, [1] * 9):
+        tail = [[0] * i + [1] + [int(rng.random() < 0.5) for _ in range(8 - i)] for i in range(9)]
+        rng.shuffle(tail)
+        cases.append((f"head-{''.join(map(str, first))}-39x9", [list(first) for _ in range(30)] + tail))
+    # 26 rows of two alternating values, then rows whose bytes repeat a
+    # value already seen before the independent one
+    rows = [[1, 1, 0, 0, 0, 0, 0, 0, 1, 0] if i % 2 else [0, 1, 0, 0, 0, 0, 0, 0, 0, 1] for i in range(26)]
+    rows += [[1, 0, 0, 0, 0, 0, 0, 0, 1, 1]] * 5 + [[0, 0, 0, 1, 0, 0, 0, 0, 1, 0]] + f2_random(4, 10, rng)
+    cases.append(("head-alternating-36x10", rows))
+    # duplicated rows, in order and shuffled
+    for nc in (9, 65):
+        rows = f2_random(12, nc, rng)
+        twice = [list(r) for r in rows for _ in range(3)]
+        cases.append((f"tripled-36x{nc}", twice))
+        shuffled = list(twice)
+        rng.shuffle(shuffled)
+        cases.append((f"tripled-shuffled-36x{nc}", shuffled))
+    # more rows than the 256 combinations of one byte's table
+    cases.append(("tall-300x20", f2_random(300, 20, rng)))
+    return cases
+
+
+F2_CASES = f2_byte_group_cases()
+
+
+@pytest.mark.parametrize("rows", [r for _, r in F2_CASES], ids=[i for i, _ in F2_CASES])
+def test_f2_byte_groups_match_rref_oracle(rows):
+    # pivots and reduced rows (reduced=True), pivots and an echelon form of
+    # the same row space (reduced=False), kernel, solve and column space
+    field = prime_field(2)
+    assert_matches_rref_oracle(rows, field, len(rows[0]), random.Random(len(rows)))
+
+
+def attack_f2_macaulay(seed, b):
+    """The degree-b Macaulay matrix of the first attempt of an attack on
+    the q = 2, m = 12, n = 10, k = 5, r = 2, N = 9 shape."""
+    params = RslParams(q=2, m=12, n=10, k=5, r=2, N=9)
+    strategy = strategy_params(params, 0)
+    inst, _ = gen_instance(params, seed)
+    sh = shorten(inst, range(strategy.a, params.k), strategy.N_prime)
+    return build_macaulay(unfold_system(build_system(sh, strategy.w)), b)
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_f2_macaulay_kernels_vanish(b):
+    # 1200 x 675 at b = 2 and 5520 x 1935 at b = 3, both too large for the
+    # pure Python oracle: every kernel vector must vanish on the matrix, and
+    # pivots and free columns must split the columns
+    mac = attack_f2_macaulay(4, b)
+    nrows, ncols = mac.shape
+    basis = kernel_rows(mac.dense_rows(), mac.field, ncols)
+    pivots = pivot_columns(mac.dense_rows(), mac.field)
+    assert _echelon(mac.dense_rows(), mac.field, reduced=True)[1] == pivots
+    free = sorted(set(range(ncols)) - set(pivots))
+    assert basis and len(pivots) + len(basis) == ncols == len(pivots) + len(free)
+    kernel = np.array(basis, dtype=np.int64)
+    assert not np.any(mac.rows.astype(np.int64) @ kernel.T % 2)
+    # each kernel vector is 1 at its own free column and 0 at the others
+    assert np.array_equal(kernel[:, free], np.eye(len(free), dtype=np.int64))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_echelon_takes_row_arrays_as_nested_lists(field):
     # a Macaulay matrix reaches the core as a list of row views of one
@@ -484,6 +576,27 @@ def test_elimination_peak_stays_within_its_price(field):
             finally:
                 tracemalloc.stop()
             assert peak <= a.size * working_cell_bytes(field), (peak / a.size, reduced)
+
+
+@pytest.mark.parametrize("field", [BIG, prime_field(4294967311)], ids=["gf2^21", "p>2^32"])
+def test_untabulated_elimination_peak_stays_within_its_price(field):
+    # rref_rows eliminates in plain Python, one list and one integer object
+    # per cell, so a random 12 x 40 matrix, whose updates reach every row,
+    # keeps it to about a second; its rows come as a Macaulay matrix over
+    # such a field hands them over, row views of an object array.  A first,
+    # untraced run leaves the tuples of the field arithmetic in the
+    # interpreter's free lists, which would otherwise count at this size.
+    rng = np.random.default_rng(5)
+    rows = list(rng.integers(0, field.order, (12, 40)).astype(object))
+    _echelon(rows, field, True)
+    for reduced in (False, True):
+        tracemalloc.start()
+        try:
+            _echelon(rows, field, reduced)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 40 * working_cell_bytes(field), (peak / (12 * 40), reduced)
 
 
 def test_representation_by_field():
