@@ -300,7 +300,6 @@ class _PackedF2:
     """F_2 rows as packed uint64 words (``_pack``), eliminated a byte of
     columns at a time by ``_eliminate_bytes``."""
 
-    zero = 0
     cell_bytes = 1 / 2
 
     def encode(self, rows) -> np.ndarray:
@@ -425,8 +424,9 @@ def _eliminate_bytes(a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
         ]
         lo = 0 if reduced else r
         np.bitwise_xor(a[lo:], np.take(tbl, np.take(comb, a8[lo:, g]), axis=0), out=a[lo:])
-        # the basis rows, now zero, take the rows in the way of the pivot
-        # rows; these are zero left of the byte, as the table is
+        # the rows r..r+k-1 that are not basis rows move to the places of
+        # the basis rows, which the update zeroed; every row from r on is
+        # zero left of the byte, as the table's rows are
         moved = [r + i for i in basis if i >= k]
         if moved:
             a[moved] = a[[i for i in range(r, r + k) if i - r not in basis]]
@@ -629,8 +629,9 @@ def working_cell_bytes(field) -> float:
     and a Python integer per cell.  Each representation's figure is the
     tracemalloc peak on dense 300 x 600 matrices, rounded up (0.45 over F_2,
     1.29 over F_3, 3.2 itemsizes over F_5, 26 over F_{2^7}, 60 over
-    F_{3^7}).  The F_2 table is 2 KB per 64 columns whatever the row count,
-    0.11 bytes a cell at 300 rows.  The ``rref_rows`` figure is the peak
+    F_{3^7}).  The F_2 table and the rows it is accumulated from take up to
+    4 KB per 64 columns whatever the row count, 0.21 bytes a cell at 300
+    rows.  The ``rref_rows`` figure is the peak
     on random matrices from 12 x 40 (48 bytes over F_{2^21}) to 100 x 200
     (41), rounded up."""
     rep = _representation(field)
