@@ -347,9 +347,9 @@ def f2_byte_group_cases():
     cases.append(("zero-bytes-60x100", rows))
     rows = f2_random(20, 100, rng)
     cases.append(("zero-bytes-after-rank-60x100", rows + [[0] * 48 + r[48:] for r in rows]))
-    # the first 24 rows span less than the byte: 30 equal rows or 30 zero
-    # rows, then independent ones, which only the scan of the distinct
-    # values finds
+    # 30 equal or zero rows, then independent ones: the first 24 nonzero
+    # byte values span less than the byte where the rows are equal, and
+    # only the scan of the distinct values finds the other pivots
     for first in ([1, 0, 1] + [0] * 6, [0] * 9, [1] * 9):
         tail = [[0] * i + [1] + [int(rng.random() < 0.5) for _ in range(8 - i)] for i in range(9)]
         rng.shuffle(tail)
@@ -399,12 +399,13 @@ def test_f2_macaulay_kernels_vanish(b):
     # pure Python oracle: every kernel vector must vanish on the matrix, and
     # pivots and free columns must split the columns
     mac = attack_f2_macaulay(4, b)
-    nrows, ncols = mac.shape
+    ncols = mac.shape[1]
     basis = kernel_rows(mac.dense_rows(), mac.field, ncols)
     pivots = pivot_columns(mac.dense_rows(), mac.field)
     assert _echelon(mac.dense_rows(), mac.field, reduced=True)[1] == pivots
+    assert pivots == sorted(set(pivots)) and pivots[-1] < ncols
+    assert basis and len(pivots) + len(basis) == ncols
     free = sorted(set(range(ncols)) - set(pivots))
-    assert basis and len(pivots) + len(basis) == ncols == len(pivots) + len(free)
     kernel = np.array(basis, dtype=np.int64)
     assert not np.any(mac.rows.astype(np.int64) @ kernel.T % 2)
     # each kernel vector is 1 at its own free column and 0 at the others
