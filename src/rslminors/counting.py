@@ -23,9 +23,10 @@ def gauss_binom(n: int, k: int, q: int) -> int:
 def sphere_size(w: int, r: int, n: int, q: int) -> int:
     """Number of r x n matrices over GF(q) of rank exactly w.
 
-    Counts pairs (column space of dimension w, surjection onto it):
-    gauss_binom(n, w, q) choices of row support times the number of full-rank
-    w x r ... equivalently the product of (q**r - q**i) injective images.
+    Such a matrix is fixed by its row space, one of the gauss_binom(n, w, q)
+    w-dimensional subspaces of GF(q)^n, and by its coordinates on a basis of
+    that space, an r x w matrix of rank w, of which there are
+    Prod_{i<w} (q**r - q**i).
     """
     if w < 0 or w > min(r, n):
         raise ValueError(f"rank {w} out of range for {r} x {n} matrices")

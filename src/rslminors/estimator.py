@@ -20,7 +20,9 @@ above F_2 the exact-degree matrix is formal, with no reduction by
 lambda^q = lambda, so the planted point stays in its kernel at b >= q too.
 
 Cost calibration: Strassen-style elimination is charged (M_leq_b)^omega with
-omega = 2.807 after discarding surplus rows, and Wiedemann is charged
+omega = 2.807, as if the surplus rows were discarded first (the solver's
+``solve_linearized`` eliminates every row, so on the tall F_2 matrices it
+does more work than this charge; ROADMAP item 17), and Wiedemann is charged
 3 * row_weight * M_leq_b^2 with row_weight = N' * C(k-a+1+w, w).  The
 strategy picks the solver, in ``bit_cost`` alone: the fully specialized
 search (delta = 0) is charged the dense solve, as the reference table
@@ -94,6 +96,12 @@ class CountSet:
     N_leq_b: int
     M_leq_b: int
 
+    def predicted_rank(self, m: int) -> int:
+        """The rank law of the matrix unfolded over F_q: its m N_leq_b
+        independent rows, capped at M_leq_b - 1 because the planted solution
+        stays in the kernel."""
+        return min(m * self.N_leq_b, self.M_leq_b - 1)
+
 
 def make_counts(q: int, n_eff: int, k_eff: int, w: int, N_eff: int, b: int) -> CountSet:
     """Counts of the matrix the solver builds over F_q: the squarefree
@@ -115,7 +123,7 @@ def _counts_for(params: RslParams, strategy: StrategyParams, b: int) -> CountSet
 
 def is_feasible(params: RslParams, counts: CountSet) -> bool:
     """Linearization condition: enough independent rows to leave a line."""
-    return params.m * counts.N_leq_b >= counts.M_leq_b - 1
+    return counts.predicted_rank(params.m) == counts.M_leq_b - 1
 
 
 def min_b(

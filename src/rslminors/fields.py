@@ -273,6 +273,15 @@ class ExtensionField:
             x //= q
         return tuple(out)
 
+    def unfold_array(self, a: np.ndarray) -> np.ndarray:
+        """The array twin of ``unfold``: the base-q digits of every token of
+        ``a`` (int64 from a tabulated field, Python integers in an object
+        array from an untabulated one) on a new axis after the first, least
+        significant first, in the narrowest unsigned dtype that holds q-1."""
+        powers = np.array(self._qpow[: self.m], dtype=a.dtype)
+        split = a[:, None] // powers.reshape(self.m, *(1,) * (a.ndim - 1)) % self.q
+        return split.astype(np.min_scalar_type(self.q - 1))
+
     def fold(self, coords: Sequence[int]) -> int:
         if len(coords) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
@@ -413,6 +422,7 @@ class ExtensionField:
                 size += step
             qvec = np.array(self._qpow[:m], dtype=np.int64)
             exp = digits @ qvec
+            del digits  # freed before _Tables copies exp and log: 51 MB over F_{3^12}
             log = np.full(Q, -1, dtype=np.int64)
             log[exp] = np.arange(Q - 1, dtype=np.int64)
             if np.count_nonzero(log >= 0) != Q - 1:

@@ -18,8 +18,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .fields import ExtensionField, extension_field, is_prime, prime_field
-from .matrix import FieldMatrix, column_space_basis, pivot_columns, rank_rows
+from .matrix import FieldMatrix, TokenArrays, column_space_basis, pivot_columns, rank_rows
 
 
 @dataclass(frozen=True)
@@ -231,28 +233,17 @@ def verify_support(inst: RslInstance, v_basis: FieldMatrix) -> bool:
     """
     p = inst.params
     ext = inst.field
-    fq = prime_field(p.q)
     d = v_basis.ncols
     if v_basis.nrows != p.m:
         raise ValueError("support basis must have m rows")
     if d == 0:
         return all(x == 0 for col in inst.S.rows for x in col)
-    span_elems = [ext.fold(v_basis.col(t)) for t in range(d)]
-    nk = p.n - p.k
-    # unknowns x[j, t]: coordinate t of entry j of e; columns indexed j*d + t
-    rows: list[list[int]] = []
-    for u in range(nk):
-        coeffs = []
-        for j in range(p.n):
-            h = inst.H[u, j]
-            for t in range(d):
-                coeffs.append(ext.mul(h, span_elems[t]) if h else 0)
-        unfolded = [ext.unfold(c) for c in coeffs]
-        for jc in range(p.m):
-            rows.append([u_digits[jc] for u_digits in unfolded])
-    for i in range(p.N):
-        digits = [ext.unfold(x) for x in inst.S.col(i)]
-        col = [digits[u][jc] for u in range(nk) for jc in range(p.m)]
-        for row, x in zip(rows, col):
-            row.append(x)
-    return all(c < p.n * d for c in pivot_columns(rows, fq))
+    ops = TokenArrays.of(ext)
+    span = np.array([ext.fold(v_basis.col(t)) for t in range(d)], dtype=ops.dtype)
+    H = np.array(inst.H.rows, dtype=ops.dtype)
+    # the unknown x[j, t], coordinate t of entry j of e, has column j*d + t;
+    # row u*m + c is digit c of equation u
+    coeffs = ops.mul(H[:, :, None], span).reshape(len(H), p.n * d)
+    aug = np.concatenate((coeffs, np.array(inst.S.rows, dtype=ops.dtype)), axis=1)
+    rows = ext.unfold_array(aug).reshape(len(H) * p.m, aug.shape[1])
+    return all(c < p.n * d for c in pivot_columns(rows, prime_field(p.q)))

@@ -119,17 +119,15 @@ def unfold_system(system: BilinearSystem) -> BilinearSystem:
     significant first.  A point with F_q coordinates vanishes on the original
     iff it vanishes on all coordinates, so the solution set is preserved.
     Zero coordinate equations are kept so that counts stay m per input.  The
-    digits are stored in the narrowest unsigned dtype that holds q-1."""
+    digits come from ``unfold_array``, in the narrowest unsigned dtype that
+    holds q-1."""
     ext = system.field
-    q, m = ext.q, ext.m
     c = system.coeffs
-    powers = np.array([q**d for d in range(m)], dtype=c.dtype)[:, None, None]
-    digits = (c[:, None] // powers % q).astype(np.min_scalar_type(q - 1))
     return replace(
         system,
-        field=prime_field(q),
-        J=[J for J in system.J for _ in range(m)],
-        coeffs=digits.reshape(len(c) * m, *c.shape[1:]),
+        field=prime_field(ext.q),
+        J=[J for J in system.J for _ in range(ext.m)],
+        coeffs=ext.unfold_array(c).reshape(len(c) * ext.m, *c.shape[1:]),
     )
 
 

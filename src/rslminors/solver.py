@@ -271,8 +271,7 @@ def _attempt(
     unfolded = unfold_system(system)
     fq = unfolded.field
     for b in range(1, b_max + 1):
-        counts = bit_cost(p, strategy, b).counts
-        predicted_rank = min(p.m * counts.N_leq_b, counts.M_leq_b - 1)
+        predicted_rank = bit_cost(p, strategy, b).counts.predicted_rank(p.m)
         started = time.perf_counter()
         try:
             mac = build_macaulay(unfolded, b)

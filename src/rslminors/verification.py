@@ -12,7 +12,10 @@ import math
 import os
 import random
 import time
+from itertools import product
 from typing import Optional
+
+import numpy as np
 
 from .estimator import codeword_stats, count_Nb, make_counts
 from .fields import prime_field
@@ -269,7 +272,7 @@ def run_assumption2(trials: int = 50, bs=(1, 2), seed: int = 0) -> dict:
                 mac = build_macaulay(unfolded, b)
                 got = mac.rank()
                 counts = make_counts(params.q, params.n, params.k, w, params.N, b)
-                want = min(params.m * counts.N_leq_b, counts.M_leq_b - 1)
+                want = counts.predicted_rank(params.m)
                 failure = {
                     "trial": t,
                     "b": b,
@@ -298,26 +301,11 @@ def monte_carlo_codewords(
     count_total = 0
     for _ in range(trials):
         parity = [[rng.randrange(q) for _ in range(rn)] for _ in range(n_parity)]
-        basis = kernel_rows(parity, fq, rn)
-        d = len(basis)
-        count = 0
-        # enumerate all nonzero combinations of the kernel basis
-        for idx in range(1, q**d):
-            coeffs = []
-            x = idx
-            for _ in range(d):
-                coeffs.append(x % q)
-                x //= q
-            word = [0] * rn
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    for j, vj in enumerate(vec):
-                        if vj:
-                            word[j] = fq.add(word[j], fq.mul(c, vj))
-            mat = [word[i * n : (i + 1) * n] for i in range(r)]
-            if rank_rows(mat, fq) == w:
-                count += 1
-        count_total += count
+        basis = np.array(kernel_rows(parity, fq, rn), dtype=np.int64).reshape(-1, rn)
+        # every nonzero combination of the kernel basis, as an r x n matrix
+        coeffs = np.array(list(product(range(q), repeat=len(basis))), dtype=np.int64)[1:]
+        words = (coeffs @ basis % q).reshape(len(coeffs), r, n)
+        count_total += sum(rank_rows(word, fq) == w for word in words)
     stats = codeword_stats(q, r, n, N, w)
     mean = count_total / trials
     expected = float(stats.expectation)

@@ -277,6 +277,21 @@ def test_attack_q3_recovers_at_exact_degree_two(capsys):
     assert "b=2 offset=0 rows=1080 cols=675 kernel_dim=1" in capsys.readouterr().out
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="kernels of dimension > 1 are not searched (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("argv", [
+    # F1: the planted lambda-system has a kernel of dimension > 1
+    ["--m", "12", "--n", "10", "--k", "5", "--r", "2", "--N", "9", "--b-max", "2", "--seed", "4"],
+    # delta = 1: several rank-2 words lie in the support
+    ["--m", "20", "--n", "9", "--k", "4", "--r", "3", "--N", "13", "--delta", "1", "--seed", "0",
+     "--b-max", "2"],
+], ids=["f1-seed4", "delta1-seed0"])
+def test_attack_recovers_from_a_kernel_of_several_solutions(argv, capsys):
+    assert main(["attack", "--q", "2", *argv]) == EXIT_OK
+
+
 def test_attack_stops_cleanly_before_a_matrix_past_physical_memory(monkeypatch, capsys):
     # b = 4 of this shape needs 630000 bytes (600x420 cells at 2.5 bytes);
     # with 500 kB the attack stops there with one line and exits 2

@@ -4,6 +4,7 @@ extension sums and negations, and encoding round trips."""
 
 import random
 
+import numpy as np
 import pytest
 
 from rslminors.fields import (
@@ -180,6 +181,22 @@ def test_fold_unfold_roundtrip():
             assert ext.fold(digits) == x
     with pytest.raises(ValueError):
         extension_field(2, 4).fold((1, 0))
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 8), (2, 21), (3, 1), (3, 7), (3, 21)])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_unfold_array_matches_unfold_token_by_token(q, m, dtype):
+    ext = extension_field(q, m)
+    rng = random.Random(q * 100 + m)
+    tokens = [0, 1, ext.order - 1] + [ext.random_element(rng) for _ in range(21)]
+    for shape in ((24,), (3, 8), (2, 3, 4)):
+        a = np.array(tokens, dtype=dtype).reshape(shape)
+        digits = ext.unfold_array(a)
+        assert digits.dtype == np.uint8
+        assert digits.shape == (shape[0], m) + shape[1:]
+        # token a[i, *rest] has its digits at digits[i, :, *rest]
+        split = np.moveaxis(digits, 1, -1).reshape(len(tokens), m)
+        assert [tuple(d) for d in split.tolist()] == [ext.unfold(x) for x in tokens]
 
 
 def test_frobenius_fixes_every_element():

@@ -117,7 +117,11 @@ def verify_support_two_ranks(inst, v_basis):
     return rank_rows(aug, fq) == rank_rows(coeffs, fq)
 
 
-@pytest.mark.parametrize("params", [TOY, RslParams(q=3, m=5, n=7, k=3, r=2, N=4)])
+@pytest.mark.parametrize("params", [
+    TOY,
+    RslParams(q=3, m=5, n=7, k=3, r=2, N=4),
+    RslParams(q=2, m=21, n=7, k=3, r=2, N=4),  # too large to tabulate
+])
 def test_verify_support_matches_the_two_rank_test(params):
     # planted, planted plus a column, planted minus a column, random, and
     # planted against an instance with syndrome i alone redrawn
