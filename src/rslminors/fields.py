@@ -338,10 +338,10 @@ class ExtensionField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
         t = self._tables or self.np_tables()
         if t is not None:
-            if a == 0 or b == 0:
-                return 0
             return t.exp_list[(t.log_list[a] + t.log_list[b]) % (self.order - 1)]
         return self._mul_poly(a, b)
 

@@ -63,11 +63,6 @@ class SecretWitness:
         """Canonical m x r basis of V = column span of C over F_q."""
         return column_space_basis(self.C)
 
-    def error_vector(self, ext: ExtensionField, i: int) -> list[int]:
-        """e_i = beta C R_i as a length-n vector over F_{q^m}."""
-        prod = self.C.mul(self.R_list[i])  # m x n over F_q
-        return [ext.fold(prod.col(j)) for j in range(prod.ncols)]
-
 
 @dataclass
 class RslInstance:
@@ -178,14 +173,16 @@ def gen_instance(params: RslParams, seed: int) -> tuple[RslInstance, SecretWitne
     ]
     nk = params.n - params.k
     A = FieldMatrix.random(ext, nk, params.k, rng)
-    H = A.hstack(FieldMatrix.identity(ext, nk))
-    witness = SecretWitness(C=C, R_list=R_list)
-    syn_cols = []
-    for i in range(params.N):
-        e = witness.error_vector(ext, i)
-        syn_cols.append(H.matvec(e))
-    S = FieldMatrix(ext, [[syn_cols[i][u] for i in range(params.N)] for u in range(nk)])
-    return RslInstance(params=params, field=ext, H=H, S=S), witness
+    ops = TokenArrays.of(ext)
+    # E[j, i] = e_i[j]: the columns of the F_q product C R_i, folded into tokens
+    R = np.array([Ri.rows for Ri in R_list], dtype=np.int64)
+    digits = np.einsum("cr,irj->jic", np.array(C.rows, dtype=np.int64), R) % params.q
+    E = digits @ np.array([params.q**c for c in range(params.m)], dtype=ops.dtype)
+    # H = [A | I], so S = A E[:k] + E[k:]
+    S = ops.add(ops.dot(np.array(A.rows, dtype=ops.dtype), E[: params.k]), E[params.k :])
+    H = A.hstack(FieldMatrix(ext, np.eye(nk, dtype=np.int64).tolist()))
+    inst = RslInstance(params=params, field=ext, H=H, S=FieldMatrix(ext, S.tolist()))
+    return inst, SecretWitness(C=C, R_list=R_list)
 
 
 def check_assumption1(inst: RslInstance, w: int) -> bool:

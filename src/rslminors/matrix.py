@@ -1,12 +1,14 @@
 """Dense exact linear algebra over the fields in :mod:`rslminors.fields`.
 
-``FieldMatrix`` is a small row-major dense matrix whose entries are element
-tokens of an attached field.  The reduced row echelon form ``rref_rows`` is
-pure Python and works for any field object.  ``minor_table``, the one minor
-routine behind the maximal minors and the minor equations, computes every
-minor of one size at once, level by level, on arrays of tokens;
-``TokenArrays`` holds the elementwise field arithmetic on such arrays for
-every field.
+``FieldMatrix`` is a small row-major dense container of the element tokens
+of an attached field, the form in which instances, supports and reports
+hold matrices: it slices, stacks and transposes, and takes no products.
+``TokenArrays`` holds the field arithmetic on arrays of tokens for every
+field: elementwise ``add``, ``mul`` and ``neg``, and ``dot``, the one
+matrix product.  The reduced row echelon form ``rref_rows`` is pure Python
+and works for any field object.  ``minor_table``, the one minor routine
+behind the maximal minors and the minor equations, computes every minor of
+one size at once, level by level, on arrays of tokens.
 Rank, pivot columns, kernel, solve and column-space basis all run on one
 elimination core, ``_echelon``, which picks one of five representations
 once per call: rows bit-packed into uint64 words for F_2, two such
@@ -38,6 +40,9 @@ from .fields import ExtensionField, PrimeField
 
 
 class FieldMatrix:
+    """Rows of field tokens: a container, whose products are taken on arrays
+    by ``TokenArrays.dot``."""
+
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows: Sequence[Sequence[int]], ncols: int | None = None):
@@ -51,13 +56,6 @@ class FieldMatrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
-
-    @classmethod
-    def identity(cls, field, n: int) -> "FieldMatrix":
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-        return cls(field, rows, n)
 
     @classmethod
     def random(cls, field, nrows: int, ncols: int, rng) -> "FieldMatrix":
@@ -97,38 +95,6 @@ class FieldMatrix:
             [self.rows[i] + other.rows[i] for i in range(self.nrows)],
             self.ncols + other.ncols,
         )
-
-    def mul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.ncols != other.nrows or other.field != self.field:
-            raise ValueError("shape or field mismatch")
-        f = self.field
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        for i in range(self.nrows):
-            row = self.rows[i]
-            acc = out[i]
-            for t in range(self.ncols):
-                a = row[t]
-                if a == 0:
-                    continue
-                orow = other.rows[t]
-                for j in range(other.ncols):
-                    b = orow[j]
-                    if b:
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-        return FieldMatrix(f, out, other.ncols)
-
-    def matvec(self, v: Sequence[int]) -> list[int]:
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -197,7 +163,7 @@ def rref_rows(rows: Sequence[Sequence[int]], field) -> RrefResult:
 @dataclass(frozen=True)
 class TokenArrays:
     """Elementwise ``add``, ``mul`` and ``neg`` on arrays of field tokens of
-    type ``dtype``.
+    type ``dtype``, and the matrix product ``dot`` built on them.
 
     A tabulated F_{q^m} computes on int64 tokens through its logarithm and
     exponent tables, with zero masked: a product adds logarithms, a sum is an
@@ -242,6 +208,12 @@ class TokenArrays:
             return np.where(a == 0, 0, exp[(log[a] + qm1 // 2) % qm1])
 
         return cls(np.int64, add, mul, neg)
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The matrix product of a (p x t) and b (t x s), t >= 1: the t
+        products a[:, u] b[u], taken in one ``mul``, folded with ``add``.  A
+        vector goes in as a one-column matrix."""
+        return functools.reduce(self.add, self.mul(a.T[:, :, None], b[:, None, :]))
 
 
 @functools.cache

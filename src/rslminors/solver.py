@@ -35,7 +35,7 @@ from .instance import (
     shorten,
     verify_support,
 )
-from .matrix import FieldMatrix, column_space_basis, kernel_rows, solve_rows
+from .matrix import FieldMatrix, TokenArrays, column_space_basis, kernel_rows, solve_rows
 from .modeling import (
     MacaulayMatrix,
     MacaulayTooLarge,
@@ -168,9 +168,13 @@ def recover_support(
     ext = inst.field
     if not any(lam_values):
         raise ExtractionError("zero lambda vector")
-    target = inst.S.matvec(lam_values)
-    coeffs = inst.H.mul(FieldMatrix(ext, Rt.rows).transpose())  # (Rt H^T)^T
-    gamma = solve_rows(coeffs.rows, target, ext, Rt.nrows)
+    ops = TokenArrays.of(ext)
+    S, H, lam, rt = (
+        np.array(x, dtype=ops.dtype) for x in (inst.S.rows, inst.H.rows, [lam_values], Rt.rows)
+    )
+    target = ops.dot(S, lam.T)[:, 0]
+    coeffs = ops.dot(H, rt.T)  # (Rt H^T)^T
+    gamma = solve_rows(coeffs.tolist(), target.tolist(), ext, Rt.nrows)
     if gamma is None:
         raise ExtractionError(
             "support system inconsistent: extraction was spurious"
@@ -183,7 +187,7 @@ def recover_support(
 
 
 def planted_solution(
-    witness: SecretWitness, strategy: StrategyParams, n: int, q: int
+    witness: SecretWitness, strategy: StrategyParams, q: int
 ) -> tuple[list[int], dict[tuple[int, ...], int], FieldMatrix]:
     """Ground-truth point of the shortened system, from the secret witness.
 
@@ -200,26 +204,12 @@ def planted_solution(
     R_list = witness.R_list[:Np]
     if len(R_list) < Np:
         raise ValueError(f"witness has {len(R_list)} coordinate blocks, need {Np}")
-    rows = [
-        [R_list[i][rho, j] for i in range(Np)]
-        for rho in range(r)
-        for j in range(a)
-    ]
-    basis = kernel_rows(rows, fq, Np)
+    R = np.array([Ri.rows for Ri in R_list], dtype=np.int64)  # R[i, rho, j]
+    basis = kernel_rows(R[:, :, :a].transpose(1, 2, 0).reshape(r * a, Np).tolist(), fq, Np)
     if not basis:
         raise ExtractionError("no combination vanishes on the shortened columns")
     lam = basis[0]
-    acc_rows = []
-    for rho in range(r):
-        row = []
-        for j in range(a, n):
-            s = 0
-            for i, li in enumerate(lam):
-                if li and R_list[i][rho, j]:
-                    s = fq.add(s, fq.mul(li, R_list[i][rho, j]))
-            row.append(s)
-        acc_rows.append(row)
-    Rt = FieldMatrix(fq, acc_rows)
+    Rt = FieldMatrix(fq, (np.tensordot(lam, R[:, :, a:], axes=1) % q).tolist())
     rT = {tuple(t + 1 for t in T): v for T, v in Rt.maximal_minors().items()}
     return lam, rT, Rt
 

@@ -223,7 +223,7 @@ def test_criterion_7_end_to_end_attack():
         unfolded = unfold_system(build_system(sh, strat.w))
         mac = build_macaulay(unfolded, entry["b"])
         assert mac.shape == (entry["rows"], entry["cols"])
-        lam, rT, _ = planted_solution(witness, strat, params.n, params.q)
+        lam, rT, _ = planted_solution(witness, strat, params.q)
         image = macaulay_apply(mac, point_vector(mac, lam, rT))
         membership = membership and all(v == 0 for v in image)
 

@@ -277,6 +277,22 @@ def test_attack_q3_recovers_at_exact_degree_two(capsys):
     assert "b=2 offset=0 rows=1080 cols=675 kernel_dim=1" in capsys.readouterr().out
 
 
+def test_attack_q5_recovers_at_the_predicted_rank(tmp_path):
+    # F_5 eliminates as residues and F_{5^8} through Zech logarithms; the
+    # b=2 matrix is 560x420, of rank 419
+    out = tmp_path / "q5.json"
+    rc = main([
+        "attack", "--q", "5", "--m", "8", "--n", "9", "--k", "4", "--r", "2", "--N", "7",
+        "--seed", "0", "--b-max", "2", "--report", "json", "-o", str(out),
+    ])
+    assert rc == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["verified"] is True and rep["planted_match"] is True
+    h = rep["b_history"][-1]
+    assert (h["b"], h["rows"], h["cols"], h["rank"]) == (2, 560, 420, 419)
+    assert h["rank"] == h["predicted_rank"]
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="kernels of dimension > 1 are not searched (ROADMAP item 1)",

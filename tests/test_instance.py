@@ -1,7 +1,9 @@
 """Instance generation, shortening strategies, support verification, and the
 instance file format."""
 
+import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -25,6 +27,7 @@ from rslminors.instance_io import (
     write_instance,
 )
 from rslminors.matrix import FieldMatrix, rank_rows
+from test_matrix import column, scalar_product
 
 TOY = RslParams(q=2, m=8, n=8, k=4, r=2, N=5)
 
@@ -56,6 +59,41 @@ def test_gen_instance_deterministic():
     assert b1.S.rows != a1.S.rows
 
 
+def instance_digest(params, seed):
+    """The first 16 hex digits of the SHA-256 of an instance's H, S, C and
+    R_list, written as JSON."""
+    inst, wit = gen_instance(params, seed)
+    blob = json.dumps([inst.H.rows, inst.S.rows, wit.C.rows, [R.rows for R in wit.R_list]])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+ATTACK_F2 = RslParams(q=2, m=12, n=10, k=5, r=2, N=9)
+# The instance stream, frozen.  The benchmark's attack workloads run a
+# fixed instance with several planted solutions, seed 4 of the attack_f2
+# shape and seed 9 of the attack_f3 shape, and stop when it has only one.
+FROZEN_STREAM = [
+    (ATTACK_F2, seed, digest)
+    for seed, digest in enumerate([
+        "89616ff0143652cd", "9da45d965e1c98da", "1563f1c73a71299a", "5f248b7bc0828fb2",
+        "d45a15deb35a8f3b", "80e21eee1ff115fd", "98005dddfbc52881", "ac27d6b9493f95c6",
+        "2447fee9182b267d", "39aca0654797d5e8", "26deb545263eb995", "61155c1639f89633",
+    ])
+] + [
+    (RslParams(q=3, m=12, n=17, k=7, r=2, N=13), 9, "c1c850629cf1e000"),
+    (RslParams(q=2, m=21, n=10, k=5, r=2, N=9), 1, "0cd261e474437282"),  # untabulated
+    (RslParams(q=5, m=8, n=9, k=4, r=2, N=7), 0, "2ffad58ac89ebe85"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, seed, digest",
+    FROZEN_STREAM,
+    ids=[f"q{p.q}m{p.m}n{p.n}-seed{seed}" for p, seed, _ in FROZEN_STREAM],
+)
+def test_instance_stream_is_frozen(params, seed, digest):
+    assert instance_digest(params, seed) == digest
+
+
 def test_gen_instance_plants_a_valid_witness():
     inst, witness = gen_instance(TOY, 1)
     p = inst.params
@@ -64,8 +102,10 @@ def test_gen_instance_plants_a_valid_witness():
     assert inst.is_systematic()
     assert rank_rows(witness.C.rows, fq) == p.r
     for i in range(p.N):
-        e = witness.error_vector(ext, i)
-        assert inst.H.matvec(e) == inst.S.col(i)
+        # e_i = beta C R_i: the columns of C R_i over F_q are its coordinates
+        CR = FieldMatrix(fq, scalar_product(witness.C.rows, witness.R_list[i].rows, fq))
+        e = [ext.fold(CR.col(j)) for j in range(p.n)]
+        assert scalar_product(inst.H.rows, column(e), ext) == column(inst.S.col(i))
         # every coordinate of e lies in the span of C
         for x in e:
             stacked = [list(row) for row in witness.C.rows]
@@ -80,7 +120,7 @@ def test_y_vector_is_canonical_preimage():
     for i in range(inst.params.N):
         y = inst.y_vector(i)
         assert y[: inst.params.k] == [0] * inst.params.k
-        assert inst.H.matvec(y) == inst.S.col(i)
+        assert scalar_product(inst.H.rows, column(y), inst.field) == column(inst.S.col(i))
 
 
 def test_verify_support_accepts_plant_rejects_random():

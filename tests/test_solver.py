@@ -42,6 +42,7 @@ from rslminors.solver import (
     solve_linearized,
 )
 
+from test_matrix import column, scalar_product
 from test_modeling import evaluate, macaulay_apply
 
 TOY = RslParams(q=2, m=14, n=10, k=5, r=2, N=9)
@@ -208,7 +209,7 @@ def point_vector(mac, lam, rT):
 def test_planted_point_solves_system(toy):
     inst, witness = toy
     strat = strategy_params(TOY, 0)
-    lam, rT, Rt = planted_solution(witness, strat, TOY.n, TOY.q)
+    lam, rT, Rt = planted_solution(witness, strat, TOY.q)
     assert any(lam)
     sh = shorten(inst, range(strat.a, TOY.k), TOY.N)
     system = build_system(sh, strat.w)
@@ -234,7 +235,7 @@ def test_toy_kernel_at_b3_is_the_planted_point(toy):
     mac = build_macaulay(unfold_system(build_system(sh, strat.w)), 3)
     assert mac.shape == (6440, 1935)
     basis = solve_linearized(mac)
-    lam, rT, _ = planted_solution(witness, strat, TOY.n, TOY.q)
+    lam, rT, _ = planted_solution(witness, strat, TOY.q)
     assert basis == [monomial_vector(mac.col_labels, lam, rT, mac.field)]
 
 
@@ -275,7 +276,7 @@ def digit_support_solve(inst, lam_values, Rt):
             if li:
                 acc = ext.add(acc, ext.mul(li, inst.S[u, i]))
         target.append(acc)
-    P = FieldMatrix(ext, Rt.rows).mul(inst.H.transpose())
+    P = FieldMatrix(ext, scalar_product(Rt.rows, inst.H.transpose().rows, ext))
     zpow = [pow(p.q, ell) for ell in range(p.m)]
     rows, rhs = [], []
     for u in range(nk):
@@ -313,17 +314,16 @@ def support_case(q, rng):
         gamma = [ext.random_element(rng) for _ in range(w)]
         if w > 1 and rng.random() < 1 / 2:
             gamma[-1] = gamma[0]
-        target = FieldMatrix(ext, [gamma]).mul(FieldMatrix(ext, Rt.rows)).mul(
-            inst.H.transpose()
-        ).rows[0]
+        gamma_rt = scalar_product([gamma], Rt.rows, ext)
+        (target,) = scalar_product(gamma_rt, inst.H.transpose().rows, ext)
         i0 = next(i for i, li in enumerate(lam) if li)
         rest = [li if i != i0 else 0 for i, li in enumerate(lam)]
-        column = [
+        s_i0 = [
             ext.mul(ext.sub(t, s), ext.inv(lam[i0]))
-            for t, s in zip(target, inst.S.matvec(rest))
+            for t, (s,) in zip(target, scalar_product(inst.S.rows, column(rest), ext))
         ]
         S = FieldMatrix(ext, [
-            [column[u] if i == i0 else x for i, x in enumerate(row)]
+            [s_i0[u] if i == i0 else x for i, x in enumerate(row)]
             for u, row in enumerate(inst.S.rows)
         ])
         inst = replace(inst, S=S)
