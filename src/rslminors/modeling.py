@@ -11,12 +11,15 @@ to have rank at most w, so every maximal minor Q_J (one per (w+1)-subset J of
 the rows {1..n-k}) vanishes.  Expanding Q_J along the word row, and each
 w-minor of R Ht^T by Cauchy-Binet, gives a bilinear polynomial in the
 lambda_i and the maximal minors r_T = |R|_{*,T}, whose coefficients are sums
-of syndrome entries times w-minors of H.  The whole system is one array
-c[J, i, T] of coefficients, computed at once as array products.  Unfolding
-it over F_q splits each coefficient into its base-q digits; the Macaulay
-matrices at bi-degree (b,1) read their entries off its nonzero positions;
-and Lemma 3's structural relations between the equations are expanded on the
-same array.
+of syndrome entries times w-minors of H.  H is systematic, [A | I], so a
+w-minor |H|_{R,T} vanishes unless the identity columns of T lie in R, and
+equation Q_J touches only the C(k+w+1, w) minors r_T whose identity columns
+lie in J (``minor_support``).  The whole system is one array c[J, i, t] of
+coefficients over those minors, computed at once as array products.
+Unfolding it over F_q splits each coefficient into its base-q digits; the
+Macaulay matrices at bi-degree (b,1) read their entries off its nonzero
+positions; and Lemma 3's structural relations between the equations are
+expanded on the same array, scattered back onto every minor.
 
 Monomials are pairs (mu, T): mu is a sorted tuple of lambda indices (1-based,
 repeats allowed), T a sorted w-tuple of column indices (1-based).  The order
@@ -30,6 +33,7 @@ monomials of the span of its rows; Theorem 1's leads are read off them.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
@@ -62,13 +66,33 @@ def grevlex_subkey(mu: LamMono, n_lambda: int) -> tuple[int, ...]:
     return tuple(-exp[i] for i in range(n_lambda, 0, -1))
 
 
+@functools.cache
+def minor_support(n: int, k: int, w: int) -> np.ndarray:
+    """The minors each equation can touch when H = [A | I] is (n-k) x n:
+    entry [e, t] is the position, among the w-subsets of range(n) in
+    ``combinations`` order, of the t-th w-subset of range(k) plus k + J_e,
+    J_e the e-th (w+1)-subset of range(n-k).  Those are the minors whose
+    identity columns lie in k + J_e, C(k+w+1, w) of them, ascending.  The
+    array is cached and shared, so it is read-only."""
+    pos = {T: t for t, T in enumerate(combinations(range(n), w))}
+    info = tuple(range(k))
+    cols = np.array([
+        [pos[T] for T in combinations(info + tuple(k + j for j in J), w)]
+        for J in combinations(range(n - k), w + 1)
+    ], dtype=np.intp)
+    cols.flags.writeable = False
+    return cols
+
+
 @dataclass
 class BilinearSystem:
-    """The minor equations as one coefficient array.
+    """The minor equations as one coefficient array over the minors each
+    equation touches.
 
     coeffs[e, i, t] is the coefficient of lambda_{i+1} r_T in equation e,
-    where T is the t-th w-subset of {1..n_cols} in ``combinations`` order;
-    J[e] is the row subset equation e came from.
+    where T is the minor_cols[e, t]-th w-subset of {1..n_cols} in
+    ``combinations`` order; every other minor has coefficient 0 in equation
+    e.  J[e] is the row subset equation e came from.
     """
 
     field: object
@@ -77,6 +101,7 @@ class BilinearSystem:
     w: int
     J: list[tuple[int, ...]]
     coeffs: np.ndarray
+    minor_cols: np.ndarray
 
 
 def build_system(inst: RslInstance, w: int) -> BilinearSystem:
@@ -90,8 +115,11 @@ def build_system(inst: RslInstance, w: int) -> BilinearSystem:
 
     so the coefficient of lambda_i r_T is c[J, i, T] = Sum_u (-1)^u
     S[J_u, i] |H|_{J minus J_u, T}, with |H| the table of w-minors of H over
-    every row and column w-subset.  That is w+1 array products, one per
-    position u, over ``laplace_index`` positions of (J, u).
+    every row and column w-subset.  With H = [A | I], |H|_{R, T} is zero
+    unless the identity columns T_I of T lie in R, so c[J, i, T] is zero
+    unless T_I lies in J: only the ``minor_support`` minors of J are kept.
+    That is w+1 array products, one per position u, over ``laplace_index``
+    positions of (J, u).
     """
     p = inst.params
     nk = p.n - p.k
@@ -105,12 +133,15 @@ def build_system(inst: RslInstance, w: int) -> BilinearSystem:
     S = np.array(inst.S.rows, dtype=ops.dtype)
     signed = (S, ops.neg(S))
     pick, drop = laplace_index(nk, w + 1)
+    cols = minor_support(p.n, p.k, w)
     c = functools.reduce(ops.add, (
-        ops.mul(signed[u % 2][pick[:, u], :, None], minors[drop[:, u], None, :])
+        ops.mul(signed[u % 2][pick[:, u], :, None], minors[drop[:, u, None], cols][:, None, :])
         for u in range(w + 1)
     ))
     J = list(combinations(range(1, nk + 1), w + 1))
-    return BilinearSystem(field=ext, n_cols=p.n, n_lambda=p.N, w=w, J=J, coeffs=c)
+    return BilinearSystem(
+        field=ext, n_cols=p.n, n_lambda=p.N, w=w, J=J, coeffs=c, minor_cols=cols
+    )
 
 
 def unfold_system(system: BilinearSystem) -> BilinearSystem:
@@ -118,9 +149,9 @@ def unfold_system(system: BilinearSystem) -> BilinearSystem:
     equations over F_q, the base-q digits of its coefficients, least
     significant first.  A point with F_q coordinates vanishes on the original
     iff it vanishes on all coordinates, so the solution set is preserved.
-    Zero coordinate equations are kept so that counts stay m per input.  The
-    digits come from ``unfold_array``, in the narrowest unsigned dtype that
-    holds q-1."""
+    Zero coordinate equations are kept so that counts stay m per input, and
+    each keeps the minors of its equation.  The digits come from
+    ``unfold_array``, in the narrowest unsigned dtype that holds q-1."""
     ext = system.field
     c = system.coeffs
     return replace(
@@ -128,6 +159,7 @@ def unfold_system(system: BilinearSystem) -> BilinearSystem:
         field=prime_field(ext.q),
         J=[J for J in system.J for _ in range(ext.m)],
         coeffs=ext.unfold_array(c).reshape(len(c) * ext.m, *c.shape[1:]),
+        minor_cols=np.repeat(system.minor_cols, ext.m, axis=0),
     )
 
 
@@ -207,10 +239,11 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
     base + (C(n_cols, w) - 1 - t) * stride, where base = off[d] + (position
     of mu) and stride = (number of degree-d mu), from tables indexed by
     multiplier and lambda_i, without hashing a monomial.  Every nonzero
-    coefficient of ``system.coeffs`` is scattered into one dense array for
-    all multipliers at once.  Above F_2 the products of one multiplier with
-    distinct terms are distinct; over F_2 lambda_i * mu = mu for i in mu,
-    and colliding terms add (XOR).
+    coefficient c[e, i, s] of ``system.coeffs`` is scattered into one dense
+    array for all multipliers at once, at the minor t = minor_cols[e, s].
+    Above F_2 the products of one multiplier with distinct terms are
+    distinct; over F_2 lambda_i * mu = mu for i in mu, and colliding terms
+    add (XOR).
 
     Raises MacaulayTooLarge, before the array exists, when the array and
     what eliminating it allocates at its peak (``working_cell_bytes``) would
@@ -248,6 +281,7 @@ def build_macaulay(system: BilinearSystem, b: int) -> MacaulayMatrix:
             stride[r, i - 1] = len(mus[len(pr)])
     eqs, lams, ts = np.nonzero(coeffs)
     values = coeffs[eqs, lams, ts]
+    ts = system.minor_cols[eqs, ts]
     # row and column of every nonzero term times every multiplier
     row = eqs * len(multipliers) + np.arange(len(multipliers))[:, None]
     col = base[:, lams] + (len(minors) - 1 - ts) * stride[:, lams]
@@ -316,7 +350,12 @@ def syzygies(inst: RslInstance, system: BilinearSystem) -> tuple[list[int], list
     w = system.w
     pick, drop = laplace_index(inst.params.n - inst.params.k, w + 2)
     forms = np.stack([signed[(w + u + 1) % 2][pick[:, u]] for u in range(w + 2)], axis=1)
-    c = system.coeffs.transpose(0, 2, 1)  # c[J, T, j]
+    # c[J, T, j] on every minor T: the relations mix the minors of w+2 equations
+    n_eqs = len(system.J)
+    c = np.zeros(
+        (n_eqs, math.comb(system.n_cols, w), system.n_lambda), dtype=system.coeffs.dtype
+    )
+    c[np.arange(n_eqs)[:, None], system.minor_cols] = system.coeffs.transpose(0, 2, 1)
     # P[K, T, i, j]: the coefficient of lambda_i (from the form) lambda_j r_T
     P = functools.reduce(ops.add, (
         ops.mul(forms[:, u, None, :, None], c[drop[:, u], :, None, :]) for u in range(w + 2)

@@ -10,6 +10,7 @@ import random
 import time
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from rslminors.counting import sphere_size
@@ -40,6 +41,7 @@ from rslminors.verification import (
     run_prop1,
     run_thm1,
     run_thm2,
+    word_ranks,
 )
 
 from test_modeling import equation_terms, macaulay_apply
@@ -173,6 +175,21 @@ def test_criterion_6_codeword_count_statistics():
         assert cell["ok"]
     assert cells[(3, 2)]["expected"] == pytest.approx(6.5625)
     assert ok
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_word_ranks_match_rank_rows(q):
+    # the batched elimination of the codeword count against the core, on
+    # sparse words, words with a repeated row and zero words, wide and tall
+    rng = np.random.default_rng(q)
+    fq = prime_field(q)
+    for r in (1, 2, 3):
+        for n in (1, 2, 4, 6):
+            words = rng.integers(0, q, size=(60, r, n))
+            words[:20] *= rng.integers(0, 2, size=(20, r, n))
+            words[20:30, -1] = words[20:30, 0]
+            words[30:35] = 0
+            assert word_ranks(words, q).tolist() == [rank_rows(word, fq) for word in words]
 
 
 def point_vector(mac, lam, rT):

@@ -1,11 +1,15 @@
 """Bilinear system construction checked against direct determinant
 evaluation and term by term against per-minor determinants (over small,
-large Zech-table and untabulated fields), the monomial order, Macaulay
-matrices against a dict-of-tuples reference build, Macaulay shapes and
-ranks, Theorem 1's leading monomials against a swap-free echelonization of
-the equations, and the structural relations, which a wrong coefficient
+large Zech-table and untabulated fields), the compact layout on each
+equation's minors against a full-width build over all C(n, w) minors, the
+monomial order, Macaulay matrices against a dict-of-tuples reference build
+and against digests of the attack's matrices, Macaulay shapes and ranks,
+Theorem 1's leading monomials against a swap-free echelonization of the
+equations, and the structural relations, which a wrong coefficient
 breaks."""
 
+import functools
+import hashlib
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -25,13 +29,21 @@ from rslminors.instance import (
     strategy_params,
 )
 from rslminors import modeling, verification
-from rslminors.matrix import FieldMatrix, pivot_columns, rank_rows
+from rslminors.matrix import (
+    FieldMatrix,
+    TokenArrays,
+    laplace_index,
+    minor_table,
+    pivot_columns,
+    rank_rows,
+)
 from rslminors.modeling import (
     MacaulayTooLarge,
     build_macaulay,
     build_system,
     grevlex_subkey,
     lambda_monomials,
+    minor_support,
     monomial_vector,
     predicted_leads,
     syzygies,
@@ -73,7 +85,10 @@ def equation_terms(system, e):
     Ts = list(combinations(range(1, system.n_cols + 1), system.w))
     c = system.coeffs[e]
     rows, cols = np.nonzero(c)
-    return {((i + 1,), Ts[t]): int(c[i, t]) for i, t in zip(rows.tolist(), cols.tolist())}
+    return {
+        ((i + 1,), Ts[system.minor_cols[e, t]]): int(c[i, t])
+        for i, t in zip(rows.tolist(), cols.tolist())
+    }
 
 
 def evaluate(system, e, lam_values, rT_values):
@@ -149,7 +164,8 @@ def test_minor_equations_match_per_minor_determinants_exactly(q):
         inst, _ = gen_instance(p, 50 + w)
         system = build_system(inst, w)
         assert system.J == list(combinations(range(1, 5), w + 1))
-        assert system.coeffs.shape == (len(system.J), p.N, comb(p.n, w))
+        assert system.coeffs.shape == (len(system.J), p.N, comb(p.k + w + 1, w))
+        assert system.minor_cols.shape == (len(system.J), comb(p.k + w + 1, w))
         for e, J in enumerate(system.J):
             assert equation_terms(system, e) == minor_terms_reference(inst, J, w)
 
@@ -170,6 +186,8 @@ def test_minor_equations_exact_over_an_untabulated_field():
         for e, row in enumerate(system.coeffs.reshape(len(system.J), -1).tolist()):
             digits = unfolded.coeffs[e * p.m : (e + 1) * p.m].reshape(p.m, -1).T.tolist()
             assert digits == [list(ext.unfold(c)) for c in row]
+            # each digit equation keeps the minors of its equation
+            assert (unfolded.minor_cols[e * p.m : (e + 1) * p.m] == system.minor_cols[e]).all()
 
 
 def test_minor_equations_exact_on_large_zech_tables():
@@ -187,6 +205,81 @@ def test_minor_equations_exact_on_large_zech_tables():
         assert len(system.J) == comb(p.n - p.k, 4)
         for e, J in enumerate(system.J):
             assert equation_terms(system, e) == minor_terms_reference(inst, J, 3)
+
+
+def full_width_coeffs(inst, w):
+    """Oracle: the coefficients c[J, i, T] over every one of the C(n, w)
+    minors T, as w+1 products on the whole table of w-minors of H."""
+    p = inst.params
+    ops = TokenArrays.of(inst.field)
+    minors = minor_table(inst.H.rows, inst.field, w)
+    S = np.array(inst.S.rows, dtype=ops.dtype)
+    signed = (S, ops.neg(S))
+    pick, drop = laplace_index(p.n - p.k, w + 1)
+    return functools.reduce(ops.add, (
+        ops.mul(signed[u % 2][pick[:, u], :, None], minors[drop[:, u], None, :])
+        for u in range(w + 1)
+    ))
+
+
+def full_width_system(inst, w):
+    """Oracle: the system with every equation on all C(n, w) minors."""
+    c = full_width_coeffs(inst, w)
+    cols = np.broadcast_to(np.arange(c.shape[2]), (len(c), c.shape[2]))
+    return replace(build_system(inst, w), coeffs=c, minor_cols=cols)
+
+
+def scattered(system):
+    """The system's coefficients on every minor: entry [e, i, minor_cols[e,
+    t]] holds coeffs[e, i, t], every other entry is 0."""
+    full = np.zeros(
+        (len(system.J), system.n_lambda, comb(system.n_cols, system.w)), dtype=system.coeffs.dtype
+    )
+    for e, cols in enumerate(system.minor_cols):
+        full[e][:, cols] = system.coeffs[e]
+    return full
+
+
+@pytest.mark.parametrize(
+    "n, k, w", [(8, 4, 1), (8, 4, 3), (6, 1, 2), (11, 1, 2), (7, 4, 2), (10, 4, 3)]
+)
+def test_minor_support_names_the_minors_inside_each_row_set(n, k, w):
+    # T = T_A plus (k + T_I) can be nonzero in equation J iff T_I lies in J
+    cols = minor_support(n, k, w)
+    Ts = list(combinations(range(n), w))
+    J_list = list(combinations(range(n - k), w + 1))
+    assert cols.shape == (len(J_list), comb(k + w + 1, w)) and not cols.flags.writeable
+    for J, row in zip(J_list, cols.tolist()):
+        assert row == sorted(row)
+        assert row == [t for t, T in enumerate(Ts) if all(c < k or c - k in J for c in T)]
+
+
+LAYOUT_SHAPES = [
+    (RslParams(q=2, m=5, n=8, k=4, r=3, N=4), (1, 2, 3)),
+    (RslParams(q=3, m=5, n=8, k=4, r=3, N=4), (1, 2, 3)),
+    (RslParams(q=5, m=4, n=8, k=4, r=3, N=4), (1, 2, 3)),
+    (RslParams(q=2, m=21, n=8, k=4, r=3, N=4), (1, 2, 3)),  # untabulated
+    (RslParams(q=3, m=6, n=7, k=1, r=2, N=5), (1, 2)),  # k = 1, as the attack shortens
+    (RslParams(q=2, m=7, n=7, k=4, r=2, N=3), (2,)),  # n-k = w+1: one equation
+]
+
+
+@pytest.mark.parametrize(
+    "params, ws", LAYOUT_SHAPES, ids=[f"q{p.q}m{p.m}n{p.n}k{p.k}" for p, _ in LAYOUT_SHAPES]
+)
+def test_compact_system_matches_the_full_width_oracle(params, ws):
+    for w in ws:
+        inst, _ = gen_instance(params, 40 + w)
+        system, full = build_system(inst, w), full_width_system(inst, w)
+        assert np.array_equal(scattered(system), full.coeffs)
+        unfolded, full_unfolded = unfold_system(system), unfold_system(full)
+        assert np.array_equal(scattered(unfolded), full_unfolded.coeffs)
+        for compact, oracle in ((system, full), (unfolded, full_unfolded)):
+            for b in (1, 2):
+                mac, ref = build_macaulay(compact, b), build_macaulay(oracle, b)
+                assert mac.row_labels == ref.row_labels and mac.col_labels == ref.col_labels
+                assert mac.rows.dtype == ref.rows.dtype and np.array_equal(mac.rows, ref.rows)
+        assert syzygies(inst, system) == syzygies(inst, full)
 
 
 def test_build_qj_validation():
@@ -456,6 +549,53 @@ def test_macaulay_matches_reference_on_attack_shapes(shape):
     unfolded = unfold_system(build_system(sh, strategy.w))
     for b in (1, 2):
         assert_macaulay_matches_reference(unfolded, b)
+
+
+def macaulay_digest(params, seed, b):
+    """The first 16 hex digits of the SHA-256 of the dtype, row labels,
+    column labels and cells of the attack's degree-b Macaulay matrix on a
+    fresh instance: shortened by the full-weight strategy at offset 0, then
+    unfolded."""
+    inst, _ = gen_instance(params, seed)
+    strategy = strategy_params(params, 0)
+    sh = shorten(inst, range(strategy.a, params.k), strategy.N_prime)
+    mac = build_macaulay(unfold_system(build_system(sh, strategy.w)), b)
+    labels = repr((str(mac.rows.dtype), mac.row_labels, mac.col_labels))
+    return hashlib.sha256(labels.encode() + mac.rows.tobytes()).hexdigest()[:16]
+
+
+ATTACK_F2 = RslParams(q=2, m=12, n=10, k=5, r=2, N=9)
+ATTACK_F3 = RslParams(q=3, m=12, n=17, k=7, r=2, N=13)
+# The Macaulay stream, frozen: the attack_f2 and attack_f3 shapes of the
+# benchmark and the q=5, F_{2^21} and q=3 b=3 attacks of CI, at every degree
+# their attacks build.
+FROZEN_MACAULAY = [
+    (ATTACK_F2, 0, 1, "ef5ef5d9e2f337e1"), (ATTACK_F2, 0, 2, "ea017bf0f0427a49"),
+    (ATTACK_F2, 1, 1, "e05994149d2a9af3"), (ATTACK_F2, 1, 2, "7e7090090f3e637a"),
+    (ATTACK_F2, 2, 1, "a3655c2360940e40"), (ATTACK_F2, 2, 2, "21df064c46bdc1fb"),
+    (ATTACK_F2, 3, 1, "2e7417af8a82330c"), (ATTACK_F2, 3, 2, "d9a3f7b6d8660d0f"),
+    (ATTACK_F2, 4, 1, "9264ec417b11ad06"), (ATTACK_F2, 4, 2, "ee01faf2aeee355e"),
+    (ATTACK_F2, 5, 1, "67bc842a3ea07b8f"), (ATTACK_F2, 5, 2, "a8e60bc92509c6fa"),
+    (ATTACK_F3, 0, 1, "79b8df6c58bb14c4"), (ATTACK_F3, 1, 1, "7b5d3ff48b4c1bcb"),
+    (ATTACK_F3, 2, 1, "9807ff6b7281182f"), (ATTACK_F3, 3, 1, "7beaab46f8785e2a"),
+    (ATTACK_F3, 4, 1, "45621c89b22151d5"), (ATTACK_F3, 5, 1, "403dd1bdef329320"),
+    (ATTACK_F3, 9, 1, "07657cc0eb88bbdf"),
+    (RslParams(q=5, m=8, n=9, k=4, r=2, N=7), 0, 1, "9f4cc673406f1c74"),
+    (RslParams(q=5, m=8, n=9, k=4, r=2, N=7), 0, 2, "30438a154bb5f9d0"),
+    (RslParams(q=2, m=21, n=10, k=5, r=2, N=9), 1, 1, "0af88d9b0a8e1640"),
+    (RslParams(q=3, m=7, n=10, k=5, r=2, N=9), 0, 1, "2122109fcb963efb"),
+    (RslParams(q=3, m=7, n=10, k=5, r=2, N=9), 0, 2, "fb1052f60cb2f323"),
+    (RslParams(q=3, m=7, n=10, k=5, r=2, N=9), 0, 3, "29787e8768998b8b"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, seed, b, digest",
+    FROZEN_MACAULAY,
+    ids=[f"q{p.q}m{p.m}n{p.n}-seed{seed}-b{b}" for p, seed, b, _ in FROZEN_MACAULAY],
+)
+def test_macaulay_stream_is_frozen(params, seed, b, digest):
+    assert macaulay_digest(params, seed, b) == digest
 
 
 def sequential_elim(rows, field):

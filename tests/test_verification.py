@@ -89,7 +89,9 @@ def test_thm1_reports_a_system_missing_an_equation(monkeypatch):
 
     def short_system(inst, w):
         system = build_system(inst, w)
-        return dataclasses.replace(system, J=system.J[:-1], coeffs=system.coeffs[:-1])
+        return dataclasses.replace(
+            system, J=system.J[:-1], coeffs=system.coeffs[:-1], minor_cols=system.minor_cols[:-1]
+        )
 
     monkeypatch.setattr(verification, "build_system", short_system)
     rep = verification.run_thm1(trials=10, seed=3)
