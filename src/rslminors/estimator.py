@@ -20,9 +20,10 @@ above F_2 the exact-degree matrix is formal, with no reduction by
 lambda^q = lambda, so the planted point stays in its kernel at b >= q too.
 
 Cost calibration: Strassen-style elimination is charged (M_leq_b)^omega with
-omega = 2.807, as if the surplus rows were discarded first (the solver's
-``solve_linearized`` eliminates every row, so on the tall F_2 matrices it
-does more work than this charge; ROADMAP item 17), and Wiedemann is charged
+omega = 2.807, as if the surplus rows were discarded first, as the solver's
+``solve_linearized`` does on a tall matrix over F_q: it eliminates a sample
+of M_leq_b + 16 rows and takes every row only when the sample's kernel fails
+its check on the rows left out.  Wiedemann is charged
 3 * row_weight * M_leq_b^2 with row_weight = N' * C(k-a+1+w, w).  The
 strategy picks the solver, in ``bit_cost`` alone: the fully specialized
 search (delta = 0) is charged the dense solve, as the reference table

@@ -17,13 +17,18 @@ bit-planes per row for F_3 (the nonzero entries and the entries equal to
 to 2^32, and, for extension fields with tabulated logarithms, the element
 tokens over F_{2^m}, which add by XOR, and Zech logarithms in odd
 characteristic.  Any other field goes through the generic ``rref_rows``.
-F_2 is eliminated a byte of columns (eight pivots) at a time, with one
-table of row combinations and one XOR of every row per byte, as in M4RI's
-Four-Russians method; the other representations one pivot at a time.
+F_2 is reduced in place a byte of columns (eight pivots) at a time, with
+one table of row combinations and one XOR of every row per byte, as in
+M4RI's Four-Russians method.  The other representations are brought to row
+echelon form one pivot at a time, each pivot clearing only the rows below
+it; reading the reduced rows at some columns then back-substitutes against
+the unit upper-triangular pivot block, bottom up, for those columns alone,
+so a kernel pays for its free columns only.
 The core takes rows as nested lists or as a list of numpy row arrays (the
 rows of a Macaulay matrix) and encodes them, a block of rows at a time,
 into a working copy; ``working_cell_bytes`` gives the bytes per cell it
-allocates at its peak, that copy and the temporaries of its row updates.
+allocates at its peak, that copy and the temporaries of its row updates
+or of a back-substitution.
 Matrices are immutable by convention; all operations return fresh objects.
 """
 
@@ -268,6 +273,33 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return words.view("<u8")
 
 
+# cells that a read or a back-substitution step works on at a time, which
+# bounds their temporaries
+_CHUNK = 1 << 15
+
+
+def _unpack(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries at ``cols`` of the packed rows ``a``, rows x words x
+    planes in ``_pack``'s layout on every plane, as uint8: the sum of the
+    planes' bits.  Only the words from the first to the last that hold
+    ``cols`` are unpacked, by ``np.unpackbits``, a block of rows at a time,
+    so the temporaries stay within ``_CHUNK`` bytes."""
+    nrows, _, planes = a.shape
+    out = np.zeros((nrows, len(cols)), np.uint8)
+    if not len(cols):
+        return out
+    first = int(cols.min()) >> 6
+    words = a[:, first : (int(cols.max()) >> 6) + 1]
+    at, bit = (cols >> 6) - first, cols & 63
+    step = max(1, _CHUNK // (words.shape[1] * planes * 64))
+    for i in range(0, nrows, step):
+        # bit j of plane k of a word unpacks to position 64 * k + j
+        bits = np.unpackbits(words[i : i + step].view(np.uint8), axis=2, bitorder="little")
+        for k in range(planes):
+            out[i : i + step] += bits[:, at, bit + 64 * k]
+    return out
+
+
 class _PackedF2:
     """F_2 rows as packed uint64 words (``_pack``), eliminated a byte of
     columns at a time by ``_eliminate_bytes``."""
@@ -278,7 +310,7 @@ class _PackedF2:
         return _pack(np.array(rows, dtype=np.uint8))
 
     def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return (a[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
+        return _unpack(a.reshape(a.shape + (1,)), cols)
 
 
 # bit j of every byte value, as a 256 x 8 table
@@ -353,11 +385,11 @@ def _byte_basis(col: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     return rows, [s.bit_length() - 1 for s in leads], [basis[s][1] for s in leads]
 
 
-def _eliminate_bytes(a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
-    """Row echelon form, in place, of the packed F_2 rows ``a``, a byte of
-    columns (eight) at a time, as M4RI does with its Four-Russians tables
-    (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010); returns the pivot
-    columns.
+def _eliminate_bytes(a: np.ndarray, ncols: int) -> list[int]:
+    """Reduced row echelon form, in place, of the packed F_2 rows ``a``, a
+    byte of columns (eight) at a time, as M4RI does with its Four-Russians
+    tables (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010); returns the
+    pivot columns.
 
     For byte g, column c at bit c % 8 of byte c // 8 of a row, the rows
     from r on are zero left of the byte, so its pivots are those of the
@@ -365,10 +397,10 @@ def _eliminate_bytes(a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
     table holds the 2^k XOR combinations of the k basis rows, built in
     Gray-code order with one accumulate; each row's byte value picks the
     combination that clears its pivot bits, and one XOR of whole rows, as
-    contiguous rows XOR fastest, updates every row from r on (every row,
-    when ``reduced``).  The basis rows are then zero, and the reduced pivot
-    rows go to rows r..r+k-1.  Once a byte holds no pivot and the rows from
-    r on are zero, no later byte holds one and the scan stops.
+    contiguous rows XOR fastest, updates every row.  The basis rows are
+    then zero, and the reduced pivot rows go to rows r..r+k-1.  Once a byte
+    holds no pivot and the rows from r on are zero, no later byte holds one
+    and the scan stops.
     """
     nrows, nwords = a.shape
     a8 = a.view(np.uint8)
@@ -394,8 +426,7 @@ def _eliminate_bytes(a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
         comb = _GRAY_INDEX[
             np.bitwise_xor.reduce(_BYTE_BITS[:, bits] * np.array(masks, np.uint8), axis=1)
         ]
-        lo = 0 if reduced else r
-        np.bitwise_xor(a[lo:], np.take(tbl, np.take(comb, a8[lo:, g]), axis=0), out=a[lo:])
+        np.bitwise_xor(a, np.take(tbl, np.take(comb, a8[:, g]), axis=0), out=a)
         # the rows r..r+k-1 that are not basis rows move to the places of
         # the basis rows, which the update zeroed; every row from r on is
         # zero left of the byte, as the table's rows are
@@ -408,7 +439,48 @@ def _eliminate_bytes(a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
     return pivots
 
 
-class _PackedF3:
+class _Residues:
+    """Back-substitution arithmetic on the residues that a representation of
+    F_p reads out, in its dtype of k bits, which holds (p-1)^2 + p - 1 =
+    p^2 - p and so p^2 - 1: p^2 - p < 2^k only when p <= 2^(k/2)."""
+
+    def neg(self, x: np.ndarray) -> np.ndarray:
+        """-x as p - x, from 1 to p, a representative that ``axpy`` takes."""
+        return self.p - x
+
+    def axpy(self, x: np.ndarray, f: np.ndarray, y: np.ndarray) -> None:
+        """x += f y^T, in place, unreduced: each term is at most p (p - 1)."""
+        x += np.multiply.outer(f, y)
+
+    def reduce(self, x: np.ndarray) -> None:
+        x %= self.p
+
+    def slack(self) -> int:
+        """How many ``axpy`` terms a reduced residue takes before the dtype
+        could overflow: at least one, as the dtype holds p^2 - 1."""
+        p = int(self.p)
+        return (np.iinfo(self.p.dtype).max - (p - 1)) // (p * (p - 1))
+
+
+class _Tokens:
+    """Back-substitution arithmetic on the tokens of a tabulated F_{q^m}, by
+    ``TokenArrays``."""
+
+    def neg(self, x: np.ndarray) -> np.ndarray:
+        return self.ops.neg(x)
+
+    def axpy(self, x: np.ndarray, f: np.ndarray, y: np.ndarray) -> None:
+        """x += f y^T, in place."""
+        x[...] = self.ops.add(x, self.ops.mul(f[:, None], y))
+
+    def reduce(self, x: np.ndarray) -> None:
+        pass  # tokens are exact
+
+    def slack(self) -> float:
+        return np.inf
+
+
+class _PackedF3(_Residues):
     """F_3 rows as two bit-planes of packed uint64 words (``_pack``),
     interleaved per word in an array of shape rows x words x 2: plane 0
     marks the nonzero entries and plane 1 the entries equal to 2, so plane 1
@@ -417,14 +489,14 @@ class _PackedF3:
 
     zero = 0
     cell_bytes = 3 / 2
+    p = np.uint8(3)
 
     def encode(self, rows) -> np.ndarray:
         v = np.array(rows, dtype=np.uint8)
         return np.stack((_pack(v), _pack(v >> 1)), axis=2)
 
     def read(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        bits = (a[:, cols >> 6] >> (cols & 63).astype(np.uint64)[:, None]) & np.uint64(1)
-        return bits.sum(axis=2)
+        return _unpack(a, cols)
 
     def column(self, a: np.ndarray, c: int) -> np.ndarray:
         return a[:, c >> 6, 0] & np.uint64(1 << (c & 63))
@@ -453,7 +525,7 @@ class _PackedF3:
         a[targets, w:] = x
 
 
-class _ModP:
+class _ModP(_Residues):
     """F_p elements, p >= 5, as residues in ``dtype``, an unsigned type that
     holds (p-1)^2 + p - 1, the largest value a row update forms; zero is 0.
     Every operand is a ``dtype`` scalar or array, so no step leaves the
@@ -490,7 +562,7 @@ class _ModP:
         a[targets, c:] = out
 
 
-class _ZechLog:
+class _ZechLog(_Tokens):
     """Elements of a tabulated F_{q^m} of odd characteristic as logarithms to
     the table's generator; zero is -1, and sums go through the Zech
     logarithm table.  Normalisation and update touch only the pivot row's
@@ -501,6 +573,7 @@ class _ZechLog:
 
     def __init__(self, field: ExtensionField, tables):
         self.t = tables
+        self.ops = TokenArrays.of(field)
         self.qm1 = field.order - 1
         self.log_m1 = int(tables.log[field.neg(1)])
 
@@ -536,7 +609,7 @@ class _ZechLog:
         a[cells] = out
 
 
-class _XorF2m:
+class _XorF2m(_Tokens):
     """Elements of a tabulated F_{2^m} as their tokens, whose bits are the
     coordinates on the polynomial basis, so a sum is an XOR; zero is 0.
     Products go through the logarithm and exponent tables."""
@@ -546,6 +619,7 @@ class _XorF2m:
 
     def __init__(self, field: ExtensionField, tables):
         self.t = tables
+        self.ops = TokenArrays.of(field)
         self.qm1 = field.order - 1
 
     def encode(self, rows) -> np.ndarray:
@@ -603,21 +677,25 @@ def working_cell_bytes(field) -> float:
     1.29 over F_3, 3.2 itemsizes over F_5, 26 over F_{2^7}, 60 over
     F_{3^7}).  The F_2 table and the rows it is accumulated from take up to
     4 KB per 64 columns whatever the row count, 0.21 bytes a cell at 300
-    rows.  The ``rref_rows`` figure is the peak
+    rows.  Reading the free columns of such a matrix back, a kernel's
+    read, stays within the same figures on every field but F_2: the
+    back-substitution peaks at 1.42 over F_3, 2.0 itemsizes over F_5, 16.3
+    over F_{2^7} and 21.9 over F_{3^7}.  F_2's read unpacks a byte per
+    cell read, which is not priced.  The ``rref_rows`` figure is the peak
     on random matrices from 12 x 40 (48 bytes over F_{2^21}) to 100 x 200
     (41), rounded up."""
     rep = _representation(field)
     return 56 if rep is None else rep.cell_bytes
 
 
-def _eliminate_pivots(rep, a: np.ndarray, ncols: int, reduced: bool) -> list[int]:
+def _eliminate_pivots(rep, a: np.ndarray, ncols: int) -> list[int]:
     """Row echelon form, in place, of the encoded rows ``a``, one pivot at a
-    time (reduced when ``reduced`` is set); returns the pivot columns.
+    time, every pivot 1; returns the pivot columns.
 
     The representation ``rep`` supplies its zero, the nonzero test of a
-    column, the pivot normalisation and the row update.  Normalisation and
-    update touch only the pivot column and those right of it, where the
-    pivot row is nonzero, so they are exact in the reduced form too.  The
+    column, the pivot normalisation and the row update, which reaches only
+    the rows below the pivot row.  Normalisation and update touch only the
+    pivot column and those right of it, where the pivot row is nonzero.  The
     rows below the last pivot found are zero left of the current column, so
     once a column holds no pivot and those rows are zero everywhere, no
     later column can hold one and the scan stops.
@@ -640,42 +718,99 @@ def _eliminate_pivots(rep, a: np.ndarray, ncols: int, reduced: bool) -> list[int
         rep.normalise(a, r, c)
         # the swap left row i zero in column c; the rows below it still are
         # the ones nz found
-        targets = r + nz[1:]
-        if reduced:
-            targets = np.concatenate((np.nonzero(rep.column(a[:r], c))[0], targets))
-        if targets.size:
-            rep.update(a, targets, r, c)
+        if nz.size > 1:
+            rep.update(a, r + nz[1:], r, c)
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _echelon(rows, field, reduced: bool):
-    """Row echelon form of ``rows`` (nested lists or a list of row arrays)
-    over ``field``; reduced (every pivot column a unit vector) when
-    ``reduced`` is set.  ``rows`` is left as it was.
+# pivots whose columns of the echelon rows are read at a time in
+# ``_back_substitute``
+_BLOCK = 64
+
+
+def _back_substitute(rep, e: np.ndarray, pivots: list[int], cols: np.ndarray) -> np.ndarray:
+    """The reduced echelon rows at ``cols`` of the echelon rows ``e`` (every
+    pivot 1, at ``pivots``), as tokens.
+
+    The reduced rows are U^-1 e, U the unit upper triangular block of ``e``
+    at the pivot columns.  At a pivot column they are a unit vector.  At the
+    other columns, x = e[:, cols] is swept bottom up: the rows above pivot j
+    take -U[:j, j] times row j of x, which is final once the rows below it
+    are.  U is read ``_BLOCK`` columns at a time, negated, and a step
+    updates ``_CHUNK`` cells at a time, so the sweep's arrays are x, one
+    block and one chunk's update, in the representation's token dtype.
+    Residues are reduced mod p only when a row is used and when the rows
+    above have taken as many updates as the dtype holds (``slack``).
+    """
+    piv = np.asarray(pivots, dtype=np.intp)
+    r = len(piv)
+    at = np.minimum(np.searchsorted(piv, cols), max(r - 1, 0))
+    is_piv = piv[at] == cols if r else np.zeros(len(cols), dtype=bool)
+    x = rep.read(e, cols[~is_piv])
+    if x.shape[1]:
+        step = max(1, _CHUNK // x.shape[1])
+        slack, terms = rep.slack(), 0  # terms: updates since x was reduced
+        for hi in range(r, 1, -_BLOCK):
+            lo = max(hi - _BLOCK, 0)
+            # row j - lo holds -U[:hi, j]
+            u = np.ascontiguousarray(rep.neg(rep.read(e[:hi], piv[lo:hi])).T)
+            for j in range(hi - 1, max(lo, 1) - 1, -1):
+                rep.reduce(x[j])
+                if np.count_nonzero(x[j]):
+                    if terms == slack:
+                        rep.reduce(x[:j])
+                        terms = 0
+                    for i in range(0, j, step):
+                        k = min(i + step, j)
+                        rep.axpy(x[i:k], u[j - lo, i:k], x[j])
+                    terms += 1
+        rep.reduce(x)
+    if not is_piv.any():
+        return x
+    out = np.zeros((r, len(cols)), dtype=x.dtype)
+    out[:, ~is_piv] = x
+    out[at[is_piv], np.flatnonzero(is_piv)] = 1
+    return out
+
+
+def _echelon(rows, field):
+    """The pivot columns of ``rows`` (nested lists or a list of row arrays)
+    over ``field`` and a reader of its reduced row echelon form.  ``rows``
+    is left as it was.
 
     Returns ``read`` and the pivot columns.  ``read(cols)`` gives the nonzero
-    echelon rows restricted to the columns ``cols``, as token lists, so a
-    caller that wants only the rank reads nothing and a kernel reads only
-    the free columns.  The rows are encoded into a working copy, which F_2
-    eliminates a byte of columns at a time (``_eliminate_bytes``) and F_3,
-    the other prime fields below 2^32 and tabulated extension fields one
-    pivot at a time (``_eliminate_pivots``).  Both stop once a column or
-    byte holds no pivot and the rows below the last pivot are zero.  The
-    reduced echelon form is unique, so the pivots and ``read`` of a reduced
-    call do not depend on how the rows were eliminated.  Any other field
-    goes through ``rref_rows``.
+    reduced echelon rows restricted to the columns ``cols``, as an array of
+    tokens, so a caller that wants only the rank reads nothing and a kernel
+    reads only the free columns.  The rows are encoded into a working copy.
+    F_2 is reduced in place a byte of columns at a time
+    (``_eliminate_bytes``), and ``read`` unpacks.  F_3, the other prime
+    fields below 2^32 and tabulated extension fields are brought to row
+    echelon form one pivot at a time, updating only the rows below the
+    pivot (``_eliminate_pivots``), and ``read`` back-substitutes
+    (``_back_substitute``).  Both stop once a column or byte holds no pivot
+    and the rows below the last pivot are zero.  The reduced echelon form is
+    unique, so ``read`` does not depend on how the rows were eliminated.
+    Any other field goes through ``rref_rows``, and ``read`` gives an
+    object array.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if ncols == 0:
-        return lambda cols: [], []
+        return lambda cols: np.zeros((0, len(cols)), dtype=np.uint8), []
     rep = _representation(field)
     if rep is None:
         res = rref_rows(rows, field)
         ech = res.matrix.rows[: res.rank]
-        return lambda cols: [[row[c] for c in cols] for row in ech], res.pivots
+
+        def read(cols):
+            out = np.empty((res.rank, len(cols)), dtype=object)
+            for i, row in enumerate(ech):
+                out[i] = [row[c] for c in cols]
+            return out
+
+        return read, res.pivots
     # encoded into a fresh array an eighth of the rows at a time, so the
     # encode's temporaries are one block's
     step = -(-nrows // 8)
@@ -685,18 +820,19 @@ def _echelon(rows, field, reduced: bool):
     for i in range(step, nrows, step):
         a[i : i + step] = rep.encode(rows[i : i + step])
     if isinstance(rep, _PackedF2):
-        pivots = _eliminate_bytes(a, ncols, reduced)
-    else:
-        pivots = _eliminate_pivots(rep, a, ncols, reduced)
-    r = len(pivots)
-    return lambda cols: rep.read(a[:r], np.asarray(cols, dtype=np.intp)).tolist(), pivots
+        pivots = _eliminate_bytes(a, ncols)
+        e = a[: len(pivots)]
+        return lambda cols: rep.read(e, np.asarray(cols, dtype=np.intp)), pivots
+    pivots = _eliminate_pivots(rep, a, ncols)
+    e = a[: len(pivots)]
+    return lambda cols: _back_substitute(rep, e, pivots, np.asarray(cols, dtype=np.intp)), pivots
 
 
 def pivot_columns(rows, field) -> list[int]:
     """Pivot columns of a row echelon form, ascending.  They do not depend on
     the echelon form: column c is one exactly when some vector of the row
     space has its first nonzero entry at c."""
-    return _echelon(rows, field, reduced=False)[1]
+    return _echelon(rows, field)[1]
 
 
 def rank_rows(rows, field) -> int:
@@ -706,30 +842,33 @@ def rank_rows(rows, field) -> int:
 
 def kernel_rows(rows, field, ncols: int) -> list[list[int]]:
     """Basis of the right kernel {v : M v = 0} of the len(rows) x ncols
-    matrix, as token vectors."""
-    read, pivots = _echelon(rows, field, reduced=True)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    matrix, as token vectors: for each free column, in order, the vector that
+    is 1 there, 0 at the other free columns and minus the reduced echelon
+    rows' entries of that column at the pivot columns."""
+    read, pivots = _echelon(rows, field)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     ech = read(free)
-    basis = []
-    for j, fc in enumerate(free):
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(ech, pivots):
-            v[pc] = field.neg(row[j])
-        basis.append(v)
-    return basis
+    basis = np.zeros((len(free), ncols), dtype=ech.dtype)
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        if isinstance(field, PrimeField):
+            basis[:, pivots] = ((field.q - ech) % field.q).T
+        else:
+            basis[:, pivots] = TokenArrays.of(field).neg(ech).T
+    return basis.tolist()
 
 
 def solve_rows(rows, rhs: Sequence[int], field, ncols: int) -> list[int] | None:
     """One solution of M x = rhs in ncols unknowns, or None when the system
     is inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    read, pivots = _echelon(aug, field, reduced=True)
+    read, pivots = _echelon(aug, field)
     if ncols in pivots:
         return None
     x = [0] * ncols
-    for (b,), pc in zip(read([ncols]), pivots):
+    for b, pc in zip(read([ncols])[:, 0].tolist(), pivots):
         x[pc] = b
     return x
 
@@ -737,7 +876,5 @@ def solve_rows(rows, rhs: Sequence[int], field, ncols: int) -> list[int] | None:
 def column_space_basis(mat: FieldMatrix) -> FieldMatrix:
     """Canonical basis of the column space: reduced echelon rows of the
     transpose, transposed back, so equal spaces compare equal."""
-    read, pivots = _echelon(mat.transpose().rows, mat.field, reduced=True)
-    ech = read(range(mat.nrows))
-    cols = [[row[i] for row in ech] for i in range(mat.nrows)]
-    return FieldMatrix(mat.field, cols, len(pivots))
+    read, pivots = _echelon(mat.transpose().rows, mat.field)
+    return FieldMatrix(mat.field, read(range(mat.nrows)).T.tolist(), len(pivots))

@@ -20,6 +20,8 @@ solvability test is meaningless on the view.
 
 from __future__ import annotations
 
+import functools
+import random
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .estimator import bit_cost
-from .fields import prime_field
+from .fields import PrimeField, prime_field
 from .instance import (
     RslInstance,
     SecretWitness,
@@ -49,10 +51,51 @@ class ExtractionError(RuntimeError):
     """Kernel vector does not decompose into a single (lambda, R) pair."""
 
 
+# rows beyond the column count that the kernel of a tall Macaulay matrix
+# is first taken on
+SLACK = 16
+
+
 def solve_linearized(mac: MacaulayMatrix) -> list[list[int]]:
     """Basis of the right kernel of the Macaulay matrix.  Its own function
-    so that a trace can tell the attack's kernels from any other."""
-    return kernel_rows(mac.dense_rows(), mac.field, len(mac.col_labels))
+    so that a trace can tell the attack's kernels from any other.
+
+    Over F_q, q <= 2^16, a matrix with more than cols + ``SLACK`` rows is
+    first solved on a sample of cols + ``SLACK`` of them, drawn with a fixed
+    seed and kept in their order, as the estimator's cost discards the
+    surplus rows.  The sample's kernel contains the matrix's, so when every
+    vector of its basis vanishes on all rows, the two kernels, and their
+    bases, are equal.  Otherwise the kernel of all rows is taken.
+    """
+    rows = mac.dense_rows()
+    ncols = len(mac.col_labels)
+    f = mac.field
+    if isinstance(f, PrimeField) and f.q <= 1 << 16 and len(rows) > ncols + SLACK:
+        basis = kernel_rows([rows[i] for i in _row_sample(len(rows), ncols + SLACK)], f, ncols)
+        if all(_vanishes(mac.rows, v, f.q) for v in basis):
+            return basis
+    return kernel_rows(rows, f, ncols)
+
+
+@functools.cache
+def _row_sample(nrows: int, size: int) -> tuple[int, ...]:
+    """``size`` of ``nrows`` row indices, ascending, drawn with seed 0; kept,
+    as every matrix of one shape takes the same sample."""
+    return tuple(sorted(random.Random(0).sample(range(nrows), size)))
+
+
+def _vanishes(rows: np.ndarray, v: list[int], q: int) -> bool:
+    """Whether M v = 0 over F_q, M the digits ``rows``: the columns of v's
+    support, 64 at a time, weighted by v and summed in int64, exact for
+    q <= 2^16.  ``einsum`` casts the digits in its own buffers, so no int64
+    copy of the rows is made."""
+    v = np.array(v, dtype=np.int64)
+    support = np.flatnonzero(v)
+    acc = np.zeros(len(rows), dtype=np.int64)
+    for i in range(0, len(support), 64):
+        cols = support[i : i + 64]
+        acc += np.einsum("ij,j->i", rows[:, cols], v[cols], dtype=np.int64)
+    return not np.any(acc % q)
 
 
 def rank1_extract(

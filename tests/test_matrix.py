@@ -299,24 +299,26 @@ def oracle_kernel(rows, ncols, field):
     return basis
 
 
-def assert_matches_rref_oracle(rows, field, nc, rng):
-    """Pivots, echelon and reduced rows, kernel, solve and column space of
-    the elimination core against ``rref_rows``."""
-    nr = len(rows)
+def assert_reads_match_rref_oracle(rows, field, nc, rng):
+    """Pivots and the reduced rows ``read`` gives against ``rref_rows``: at
+    every column, at the free columns, at the pivot columns and at random
+    columns in random order, repeats and pivot columns included."""
     res = rref_rows(rows, field)
-    read, pivots = _echelon(rows, field, reduced=True)
+    read, pivots = _echelon(rows, field)
     assert pivots == res.pivots
-    assert read(range(nc)) == res.matrix.rows[: res.rank]
-    read, pivots = _echelon(rows, field, reduced=False)
-    echelon = read(range(nc))
-    assert pivots == res.pivots
-    # an echelon form of the same row space: unit pivots, zeros below and
-    # to the left of each pivot, and the oracle's reduced form
-    for i, pc in enumerate(pivots):
-        assert echelon[i][pc] == 1
-        assert all(x == 0 for x in echelon[i][:pc])
-        assert all(row[pc] == 0 for row in echelon[i + 1 :])
-    assert rref_rows(echelon, field).matrix.rows == res.matrix.rows[: res.rank]
+    reduced = res.matrix.rows[: res.rank]
+    free = [c for c in range(nc) if c not in pivots]
+    picked = [rng.randrange(nc) for _ in range(rng.randrange(1, 2 * nc + 2))] if nc else []
+    for cols in (range(nc), free, pivots, picked, []):
+        assert read(cols).tolist() == [[row[c] for c in cols] for row in reduced]
+    return res
+
+
+def assert_matches_rref_oracle(rows, field, nc, rng):
+    """Pivots, reduced rows, kernel, solve and column space of the
+    elimination core against ``rref_rows``."""
+    nr = len(rows)
+    res = assert_reads_match_rref_oracle(rows, field, nc, rng)
     assert rank_rows(rows, field) == res.rank
     assert kernel_rows(rows, field, nc) == oracle_kernel(rows, nc, field)
     m = FieldMatrix(field, rows, nc)
@@ -413,8 +415,7 @@ F2_CASES = f2_byte_group_cases()
 
 @pytest.mark.parametrize("rows", [r for _, r in F2_CASES], ids=[i for i, _ in F2_CASES])
 def test_f2_byte_groups_match_rref_oracle(rows):
-    # pivots and reduced rows (reduced=True), pivots and an echelon form of
-    # the same row space (reduced=False), kernel, solve and column space
+    # pivots, reduced rows, kernel, solve and column space
     field = prime_field(2)
     assert_matches_rref_oracle(rows, field, len(rows[0]), random.Random(len(rows)))
 
@@ -438,7 +439,7 @@ def test_f2_macaulay_kernels_vanish(b):
     ncols = mac.shape[1]
     basis = kernel_rows(mac.dense_rows(), mac.field, ncols)
     pivots = pivot_columns(mac.dense_rows(), mac.field)
-    assert _echelon(mac.dense_rows(), mac.field, reduced=True)[1] == pivots
+    assert _echelon(mac.dense_rows(), mac.field)[1] == pivots
     assert pivots == sorted(set(pivots)) and pivots[-1] < ncols
     assert basis and len(pivots) + len(basis) == ncols
     free = sorted(set(range(ncols)) - set(pivots))
@@ -460,14 +461,42 @@ def test_echelon_takes_row_arrays_as_nested_lists(field):
         dense = np.array(rows, dtype=dtype)
         res = rref_rows(rows, field)
         assert res.rank <= rank < nr
-        for reduced in (True, False):
-            read, pivots = _echelon(rows, field, reduced)
-            aread, apivots = _echelon(list(dense), field, reduced)
-            assert apivots == pivots == res.pivots
-            assert aread(range(nc)) == read(range(nc))
-            if reduced:
-                assert read(range(nc)) == res.matrix.rows[: res.rank]
+        read, pivots = _echelon(rows, field)
+        aread, apivots = _echelon(list(dense), field)
+        assert apivots == pivots == res.pivots
+        assert aread(range(nc)).tolist() == read(range(nc)).tolist() == res.matrix.rows[: res.rank]
         assert dense.tolist() == rows  # the core works on a copy
+
+
+# F_2, whose read unpacks its reduced rows, and fields whose reads
+# back-substitute: F_3 in bit-planes, F_5 in residues, F_{2^4} in tokens
+# that add by XOR and F_{3^3} in Zech logarithms.
+READ_FIELDS = [
+    prime_field(2),
+    prime_field(3),
+    prime_field(5),
+    extension_field(2, 4),
+    extension_field(3, 3),
+]
+READ_IDS = ["gf2", "gf3", "gf5", "gf16", "gf27"]
+
+
+@pytest.mark.parametrize("field", READ_FIELDS, ids=READ_IDS)
+@pytest.mark.parametrize("nc", [63, 64, 65, 129])
+def test_read_matches_rref_oracle(field, nc):
+    # widths either side of the 64-column words that F_2 and F_3 rows are
+    # packed into; rank-deficient rows, whose rank passes the 64 pivots
+    # that a back-substitution reads at a time at 129 columns; and
+    # rows that turn zero early, each followed by a multiple of itself, and
+    # five zero columns in front, so no pivot is at its own row's index
+    rng = random.Random(f"read/{field.order}/{nc}")
+    deficient = planted_rank(field, 72, nc, min(nc - 3, 66), rng)
+    repeated = []
+    for row in planted_rank(field, 12, nc - 5, 8, rng):
+        scalar = rng.randrange(1, field.order)
+        repeated += [[0] * 5 + row, [0] * 5 + [field.mul(scalar, x) for x in row]]
+    for rows in (deficient, repeated):
+        assert_reads_match_rref_oracle(rows, field, nc, rng)
 
 
 def sparse_rows(field, nr, nc, rank, density, rng):
@@ -576,12 +605,11 @@ def test_elimination_leaves_the_callers_rows_alone(field, dtype):
     arr = np.array(rows, dtype=dtype)
     results = []
     for given in (rows, arr):
-        read, pivots = _echelon(given, field, reduced=True)
+        read, pivots = _echelon(given, field)
         results.append(
             (
                 pivots,
-                read(range(12)),
-                _echelon(given, field, reduced=False)[1],
+                read(range(12)).tolist(),
                 kernel_rows(given, field, 12),
                 solve_rows(given, rhs, field, 12),
             )
@@ -600,19 +628,23 @@ def test_elimination_peak_stays_within_its_price(field):
     # the memory guard prices an elimination at working_cell_bytes a cell:
     # in an all-ones matrix the first update reaches every row, a random one
     # runs to full rank; rows come as the Macaulay matrix hands them over, a
-    # list of row views of its uint8 digits or int64 tokens
+    # list of row views of its uint8 digits or int64 tokens.  The read of the
+    # free columns, a kernel's back-substitution, is traced too, but not
+    # over F_2, whose read unpacks a byte per cell read, unpriced.
     dtype = np.uint8 if isinstance(field, PrimeField) else np.int64
     rng = np.random.default_rng(5)
     for a in (np.ones((300, 600), dtype), rng.integers(0, field.order, (300, 600), dtype)):
-        for reduced in (False, True):
-            rows = list(a)
-            tracemalloc.start()
-            try:
-                _echelon(rows, field, reduced)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= a.size * working_cell_bytes(field), (peak / a.size, reduced)
+        rows = list(a)
+        free = np.flatnonzero(~np.isin(np.arange(600), pivot_columns(rows, field)))
+        tracemalloc.start()
+        try:
+            read, _ = _echelon(rows, field)
+            if field.order != 2:
+                read(free)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= a.size * working_cell_bytes(field), peak / a.size
 
 
 @pytest.mark.parametrize("field", [BIG, prime_field(4294967311)], ids=["gf2^21", "p>2^32"])
@@ -625,15 +657,15 @@ def test_untabulated_elimination_peak_stays_within_its_price(field):
     # interpreter's free lists, which would otherwise count at this size.
     rng = np.random.default_rng(5)
     rows = list(rng.integers(0, field.order, (12, 40)).astype(object))
-    _echelon(rows, field, True)
-    for reduced in (False, True):
-        tracemalloc.start()
-        try:
-            _echelon(rows, field, reduced)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * 40 * working_cell_bytes(field), (peak / (12 * 40), reduced)
+    _echelon(rows, field)[0](range(40))
+    tracemalloc.start()
+    try:
+        read, _ = _echelon(rows, field)
+        read(range(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 40 * working_cell_bytes(field), peak / (12 * 40)
 
 
 def test_representation_by_field():

@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from rslminors import modeling, solver
@@ -21,6 +22,7 @@ from rslminors.instance import (
 from rslminors.matrix import (
     FieldMatrix,
     column_space_basis,
+    kernel_rows,
     rank_rows,
     rref_rows,
     solve_rows,
@@ -193,6 +195,49 @@ def test_solve_linearized_underdetermined(toy_macaulay):
     assert len(basis) >= 2
     for vec in basis:
         assert not any(macaulay_apply(starved, vec))
+
+
+def kernel_row_counts(monkeypatch):
+    """The row counts of the kernels that solve_linearized takes, in order."""
+    counts = []
+
+    def counted(rows, field, ncols):
+        counts.append(len(rows))
+        return kernel_rows(rows, field, ncols)
+
+    monkeypatch.setattr(solver, "kernel_rows", counted)
+    return counts
+
+
+def test_solve_linearized_certifies_a_row_sample(monkeypatch):
+    # the 1440 x 715 matrix of an attack on q = 3 at b = 1: the kernel of
+    # cols + SLACK sampled rows vanishes on every row, so it is the whole
+    # matrix's kernel, basis for basis
+    params = RslParams(q=3, m=12, n=17, k=7, r=2, N=13)
+    inst, _ = gen_instance(params, 0)
+    strat = strategy_params(params, 0)
+    sh = shorten(inst, range(strat.a, params.k), strat.N_prime)
+    mac = build_macaulay(unfold_system(build_system(sh, strat.w)), 1)
+    assert mac.shape == (1440, 715)
+    counts = kernel_row_counts(monkeypatch)
+    basis = solve_linearized(mac)
+    assert counts == [715 + solver.SLACK]
+    assert basis and basis == kernel_rows(mac.dense_rows(), mac.field, 715)
+
+
+def test_solve_linearized_falls_back_when_left_out_rows_cut_the_kernel(monkeypatch):
+    # 40 unit rows, one per column, among 160 zero rows: a sample of 56
+    # rows leaves unit rows out, so its kernel is not zero, its vectors do
+    # not vanish on the rows left out, and the kernel of all rows is taken
+    rows = np.zeros((200, 40), dtype=np.uint8)
+    rows[np.arange(0, 200, 5), np.arange(40)] = 1
+    mac = MacaulayMatrix(
+        field=prime_field(3), b=1, n_lambda=0, n_cols_R=0, w=0,
+        row_labels=[], col_labels=[((), ())] * 40, rows=rows,
+    )
+    counts = kernel_row_counts(monkeypatch)
+    assert solve_linearized(mac) == []
+    assert counts == [40 + solver.SLACK, 200]
 
 
 def point_vector(mac, lam, rT):
