@@ -22,7 +22,7 @@ from .fields import is_prime
 from .instance import RslParams, gen_instance, strategy_params
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .solver import attack
-from .verification import SUITES, runner
+from .verification import SUITES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -330,7 +330,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    run = runner(args.suite)
+    run = SUITES[args.suite]
     options = {
         "trials": args.trials,
         "qs": None if args.q is None else (args.q,),

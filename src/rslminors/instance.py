@@ -233,8 +233,6 @@ def verify_support(inst: RslInstance, v_basis: FieldMatrix) -> bool:
     d = v_basis.ncols
     if v_basis.nrows != p.m:
         raise ValueError("support basis must have m rows")
-    if d == 0:
-        return all(x == 0 for col in inst.S.rows for x in col)
     ops = TokenArrays.of(ext)
     span = np.array([ext.fold(v_basis.col(t)) for t in range(d)], dtype=ops.dtype)
     H = np.array(inst.H.rows, dtype=ops.dtype)

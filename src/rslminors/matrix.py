@@ -304,7 +304,7 @@ class _PackedF2:
     """F_2 rows as packed uint64 words (``_pack``), eliminated a byte of
     columns at a time by ``_eliminate_bytes``."""
 
-    cell_bytes = 1 / 2
+    cell_bytes = 3 / 2
 
     def encode(self, rows) -> np.ndarray:
         return _pack(np.array(rows, dtype=np.uint8))
@@ -575,7 +575,8 @@ class _ZechLog(_Tokens):
         self.t = tables
         self.ops = TokenArrays.of(field)
         self.qm1 = field.order - 1
-        self.log_m1 = int(tables.log[field.neg(1)])
+        # log(-1): -1 = g**((Q-1)/2) for odd Q
+        self.log_m1 = self.qm1 // 2
 
     def encode(self, rows) -> np.ndarray:
         return self.t.log[np.asarray(rows, dtype=np.int64)]
@@ -668,22 +669,22 @@ def _representation(field):
 
 
 def working_cell_bytes(field) -> float:
-    """Bytes per cell ``_echelon`` allocates at its peak over ``field``: its
-    working copy with one encode block or with the temporaries of an update
-    that reaches every row (over F_2, one byte's update of every row and its
-    table of row combinations), or on the ``rref_rows`` path the row lists
-    and a Python integer per cell.  Each representation's figure is the
-    tracemalloc peak on dense 300 x 600 matrices, rounded up (0.45 over F_2,
-    1.29 over F_3, 3.2 itemsizes over F_5, 26 over F_{2^7}, 60 over
-    F_{3^7}).  The F_2 table and the rows it is accumulated from take up to
-    4 KB per 64 columns whatever the row count, 0.21 bytes a cell at 300
-    rows.  Reading the free columns of such a matrix back, a kernel's
-    read, stays within the same figures on every field but F_2: the
-    back-substitution peaks at 1.42 over F_3, 2.0 itemsizes over F_5, 16.3
-    over F_{2^7} and 21.9 over F_{3^7}.  F_2's read unpacks a byte per
-    cell read, which is not priced.  The ``rref_rows`` figure is the peak
-    on random matrices from 12 x 40 (48 bytes over F_{2^21}) to 100 x 200
-    (41), rounded up."""
+    """Bytes per cell ``_echelon`` and a read of the free columns allocate
+    at their peak over ``field``: the working copy with one encode block or
+    with the temporaries of an update that reaches every row (over F_2, one
+    byte's update of every row and its table of row combinations), then the
+    read, or on the ``rref_rows`` path the row lists and a Python integer
+    per cell.  Each representation's figure is the tracemalloc peak on
+    dense 300 x 600 matrices, rounded up.  The elimination peaks at 0.45
+    over F_2, 1.29 over F_3, 3.2 itemsizes over F_5, 26 over F_{2^7} and 60
+    over F_{3^7}.  The F_2 table and the rows it is accumulated from take
+    up to 4 KB per 64 columns whatever the row count, 0.21 bytes a cell at
+    300 rows.  Reading the free columns back, a kernel's read, peaks at
+    1.09 over F_2, which unpacks a byte per cell read (1.17 on 300 x 2000),
+    and the back-substitution elsewhere at 1.42 over F_3, 2.0 itemsizes
+    over F_5, 16.3 over F_{2^7} and 21.9 over F_{3^7}.  The ``rref_rows``
+    figure is the peak on random matrices from 12 x 40 (48 bytes over
+    F_{2^21}) to 100 x 200 (41), rounded up."""
     rep = _representation(field)
     return 56 if rep is None else rep.cell_bytes
 

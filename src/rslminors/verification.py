@@ -27,7 +27,7 @@ from .instance import (
     gen_instance,
 )
 from .instance_io import save_instance
-from .matrix import kernel_rows, pivot_columns, rank_rows
+from .matrix import pivot_columns, rank_rows
 from .modeling import build_macaulay, build_system, predicted_leads, syzygies, unfold_system
 
 # Seeds _gen_passing tries after the first before it gives up.
@@ -288,49 +288,33 @@ def run_assumption2(trials: int = 50, bs=(1, 2), seed: int = 0) -> dict:
     return _tally("assumption2", cases(), config, gate=ASSUMPTION2_THRESHOLD)
 
 
-def word_ranks(words: np.ndarray, q: int) -> np.ndarray:
-    """The F_q rank of every r x n matrix words[s], q prime, entries
-    residues mod q: one elimination for all of them, a column at a time.
-    Each matrix takes the first row at or below its rank so far that is
-    nonzero in the column as its pivot, swaps it up, scales it to 1 and
-    clears the column in the rows below it."""
-    a = words.astype(np.int64) % q
-    count, r, n = a.shape
-    rank = np.zeros(count, dtype=np.intp)
-    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
-    row = np.arange(r)
-    for c in range(n):
-        free = (a[:, :, c] != 0) & (row >= rank[:, None])
-        s = np.flatnonzero(free.any(axis=1))
-        p, t = free[s].argmax(axis=1), rank[s]
-        pivot = a[s, p] * inv[a[s, p, c]][:, None] % q
-        a[s, p] = a[s, t]
-        a[s, t] = pivot
-        below = np.where(row > t[:, None], a[s, :, c], 0)
-        a[s] = (a[s] - below[:, :, None] * pivot[:, None, :]) % q
-        rank[s] += 1
-    return rank
-
-
 def monte_carlo_codewords(
     q: int, r: int, n: int, N: int, w: int, trials: int, seed: int = 0
 ) -> dict:
     """Empirical mean of the number of rank-w words in a random code of
     dimension >= N, drawn as the kernel of a uniform (rn - N) x rn parity
-    check, compared against the predicted mean and standard error."""
+    check, compared against the predicted mean and standard error.
+
+    Every nonzero r x n word over F_q is ranked once, so the cost grows as
+    q^(rn); the only caller, ``run_prop1``, takes q=2, r=2, n=4, 255 words.
+    A trial's count is the number of rank-w words its parity check sends to
+    zero, which are the nonzero words of its kernel, and one product of
+    every trial's parity check with those words decides them all."""
     rng = random.Random(seed)
     fq = prime_field(q)
     rn = r * n
     n_parity = rn - N
-    words = []
-    for _ in range(trials):
-        parity = [[rng.randrange(q) for _ in range(rn)] for _ in range(n_parity)]
-        basis = np.array(kernel_rows(parity, fq, rn), dtype=np.int64).reshape(-1, rn)
-        # every nonzero combination of the kernel basis, as an r x n matrix
-        coeffs = np.array(list(product(range(q), repeat=len(basis))), dtype=np.int64)[1:]
-        words.append((coeffs @ basis % q).reshape(len(coeffs), r, n))
-    # the words of every trial, ranked in one elimination
-    count_total = int(np.count_nonzero(word_ranks(np.concatenate(words), q) == w))
+    # the narrowest dtype that holds the product's entries, at most
+    # rn (q-1)^2: the product is the peak, a byte a cell at q=2
+    dtype = np.min_scalar_type(rn * (q - 1) ** 2)
+    words = np.array(list(product(range(q), repeat=rn))[1:], dtype=dtype)
+    rank_w = words[[rank_rows(word.reshape(r, n), fq) == w for word in words]]
+    parity = np.array(
+        [rng.randrange(q) for _ in range(trials * n_parity * rn)], dtype=dtype
+    ).reshape(trials, n_parity, rn)
+    images = parity @ rank_w.T
+    images %= q
+    count_total = int(np.count_nonzero(~images.any(axis=1)))
     stats = codeword_stats(q, r, n, N, w)
     mean = count_total / trials
     expected = float(stats.expectation)
@@ -373,18 +357,11 @@ def run_prop1(trials: int = 2000, seed: int = 0) -> dict:
     }
 
 
-# Suite name -> name of its runner in this module.  The runner is looked up
-# when it is called, so wrappers installed on the module still apply.
 SUITES = {
-    "assumption1": "run_assumption1",
-    "thm1": "run_thm1",
-    "thm2": "run_thm2",
-    "lemma3": "run_lemma3",
-    "assumption2": "run_assumption2",
-    "prop1": "run_prop1",
+    "assumption1": run_assumption1,
+    "thm1": run_thm1,
+    "thm2": run_thm2,
+    "lemma3": run_lemma3,
+    "assumption2": run_assumption2,
+    "prop1": run_prop1,
 }
-
-
-def runner(name: str):
-    """The runner of the named suite, as this module holds it now."""
-    return globals()[SUITES[name]]

@@ -28,7 +28,7 @@ from rslminors.instance import (
     shorten,
     strategy_params,
 )
-from rslminors.matrix import FieldMatrix, rank_rows
+from rslminors.matrix import FieldMatrix, kernel_rows, rank_rows
 from rslminors.modeling import build_macaulay, build_system, unfold_system
 from rslminors.solver import (
     attack,
@@ -36,12 +36,12 @@ from rslminors.solver import (
     plucker_reconstruct,
 )
 from rslminors.verification import (
+    monte_carlo_codewords,
     run_assumption2,
     run_lemma3,
     run_prop1,
     run_thm1,
     run_thm2,
-    word_ranks,
 )
 
 from test_modeling import equation_terms, macaulay_apply
@@ -174,22 +174,31 @@ def test_criterion_6_codeword_count_statistics():
         assert abs(cell["z"]) <= 3.0
         assert cell["ok"]
     assert cells[(3, 2)]["expected"] == pytest.approx(6.5625)
+    # the counts 1415, 6542, 2789 and 12984 of the seeds 0-3
+    means = [cells[c]["mean"] for c in [(2, 1), (2, 2), (3, 1), (3, 2)]]
+    assert means == [0.7075, 3.271, 1.3945, 6.492]
     assert ok
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_word_ranks_match_rank_rows(q):
-    # the batched elimination of the codeword count against the core, on
-    # sparse words, words with a repeated row and zero words, wide and tall
-    rng = np.random.default_rng(q)
+@pytest.mark.parametrize("q, r, n", [(2, 2, 4), (3, 2, 3), (5, 2, 2)])
+def test_codeword_count_matches_the_kernel_words(q, r, n):
+    # the same parity checks, drawn as monte_carlo_codewords draws them,
+    # each kernel from kernel_rows and every nonzero combination of its
+    # basis ranked by rank_rows
     fq = prime_field(q)
-    for r in (1, 2, 3):
-        for n in (1, 2, 4, 6):
-            words = rng.integers(0, q, size=(60, r, n))
-            words[:20] *= rng.integers(0, 2, size=(20, r, n))
-            words[20:30, -1] = words[20:30, 0]
-            words[30:35] = 0
-            assert word_ranks(words, q).tolist() == [rank_rows(word, fq) for word in words]
+    rn = r * n
+    trials = 30
+    for seed, (N, w) in enumerate([(2, 1), (2, 2), (3, 1), (3, 2)]):
+        rng = random.Random(seed)
+        count = 0
+        for _ in range(trials):
+            parity = [[rng.randrange(q) for _ in range(rn)] for _ in range(rn - N)]
+            basis = np.array(kernel_rows(parity, fq, rn)).reshape(-1, rn)
+            for coeffs in list(product(range(q), repeat=len(basis)))[1:]:
+                word = (np.array(coeffs) @ basis % q).reshape(r, n)
+                count += rank_rows(word, fq) == w
+        cell = monte_carlo_codewords(q, r, n, N, w, trials, seed=seed)
+        assert cell["mean"] == count / trials
 
 
 def point_vector(mac, lam, rT):

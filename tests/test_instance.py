@@ -163,8 +163,9 @@ def verify_support_two_ranks(inst, v_basis):
     RslParams(q=2, m=21, n=7, k=3, r=2, N=4),  # too large to tabulate
 ])
 def test_verify_support_matches_the_two_rank_test(params):
-    # planted, planted plus a column, planted minus a column, random, and
-    # planted against an instance with syndrome i alone redrawn
+    # planted, planted plus a column, planted minus a column, random,
+    # planted against an instance with syndrome i alone redrawn, and the
+    # empty basis against the instance and against zero syndromes
     fq = prime_field(params.q)
     rng = random.Random(params.q)
     outcomes = []
@@ -174,18 +175,23 @@ def test_verify_support_matches_the_two_rank_test(params):
         i = seed % params.N
         S = [row[:i] + [inst.field.random_element(rng)] + row[i + 1:] for row in inst.S.rows]
         bent = RslInstance(params=params, field=inst.field, H=inst.H, S=FieldMatrix(inst.field, S))
+        zero = FieldMatrix(inst.field, [[0] * params.N for _ in inst.S.rows])
+        silent = RslInstance(params=params, field=inst.field, H=inst.H, S=zero)
+        empty = FieldMatrix(fq, [[] for _ in range(params.m)], 0)
         cases = [
             (inst, C),
             (inst, C.hstack(FieldMatrix.random(fq, params.m, 1, rng))),
             (inst, C.submatrix(range(params.m), range(params.r - 1))),
             (inst, FieldMatrix.random(fq, params.m, params.r, rng)),
             (bent, C),
+            (inst, empty),
+            (silent, empty),
         ]
         for case in cases:
             got = verify_support(*case)
             assert got == verify_support_two_ranks(*case)
             outcomes.append(got)
-        assert outcomes[-5:] == [True, True, False, False, False]
+        assert outcomes[-7:] == [True, True, False, False, False, False, True]
 
 
 def test_strategy_params_specialized():

@@ -629,8 +629,7 @@ def test_elimination_peak_stays_within_its_price(field):
     # in an all-ones matrix the first update reaches every row, a random one
     # runs to full rank; rows come as the Macaulay matrix hands them over, a
     # list of row views of its uint8 digits or int64 tokens.  The read of the
-    # free columns, a kernel's back-substitution, is traced too, but not
-    # over F_2, whose read unpacks a byte per cell read, unpriced.
+    # free columns, a kernel's unpack or back-substitution, is traced too.
     dtype = np.uint8 if isinstance(field, PrimeField) else np.int64
     rng = np.random.default_rng(5)
     for a in (np.ones((300, 600), dtype), rng.integers(0, field.order, (300, 600), dtype)):
@@ -639,8 +638,7 @@ def test_elimination_peak_stays_within_its_price(field):
         tracemalloc.start()
         try:
             read, _ = _echelon(rows, field)
-            if field.order != 2:
-                read(free)
+            read(free)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
