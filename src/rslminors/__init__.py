@@ -57,7 +57,6 @@ from .solver import (
     ExtractionError,
     RecoveredSupport,
     attack,
-    planted_solution,
     plucker_reconstruct,
     rank1_extract,
     recover_support,
@@ -97,7 +96,6 @@ __all__ = [
     "load_instance",
     "min_b",
     "optimize",
-    "planted_solution",
     "plucker_reconstruct",
     "prime_field",
     "rank1_extract",

@@ -13,9 +13,10 @@ increasing order of the integer whose base-q digits are the non-leading
 coefficients, and irreducibility is decided with Rabin's test.  A different
 monic irreducible modulus can be supplied explicitly.
 
-Fields with at most 2**20 elements build exponent/logarithm/Zech tables on
-first use; these back both scalar arithmetic and the vectorized elimination
-kernels in :mod:`rslminors.matrix`.  With tables every operation is O(1): a
+Fields with at most 2**20 elements build exponent/logarithm/Zech tables as
+int64 arrays on first use; these back the vectorized elimination kernels in
+:mod:`rslminors.matrix`, and list copies of the first two, made on the first
+scalar call, back scalar arithmetic.  With tables every operation is O(1): a
 product adds logarithms, a sum a + b = a * (1 + b/a) adds 1 to the lowest
 digit of b/a, and -a multiplies by -1 = g**((Q-1)/2).  Larger fields fall
 back to digit-wise sums and polynomial products, which are slower but have no
@@ -25,14 +26,18 @@ size limit.
 from __future__ import annotations
 
 import functools
-import threading
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 # Largest field order for which lookup tables are constructed.  Above this
 # the memory cost outweighs the benefit for the matrix sizes handled here.
 TABLE_LIMIT = 1 << 20
+
+# Tokens the exponent-table build splits into digits at a time: its
+# temporaries, and the buffers of their matrix product, stay under 1 MB while
+# the tables grow to 8 bytes a token each.
+TABLE_CHUNK = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -214,27 +219,24 @@ def default_modulus(q: int, m: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({q})")
 
 
-class _Tables:
-    """Exponent, logarithm and Zech logarithm tables of a small field; the
-    Zech table is empty over q = 2."""
+class _Tables(NamedTuple):
+    """Exponent, logarithm and Zech logarithm tables of a small field, int64
+    arrays; the Zech table is empty over q = 2."""
 
-    __slots__ = ("exp", "log", "zech", "exp_list", "log_list")
-
-    def __init__(self, exp, log, zech):
-        self.exp = exp
-        self.log = log
-        self.zech = zech
-        self.exp_list = exp.tolist()
-        self.log_list = log.tolist()
+    exp: np.ndarray
+    log: np.ndarray
+    zech: np.ndarray
 
 
 class ExtensionField:
     """The field F_{q^m} = GF(q)[z] / (modulus).
 
-    Up to TABLE_LIMIT elements, add, neg, sub, mul and inv are a few lookups
-    in the exponent and logarithm tables (over q = 2, add and sub are XOR and
-    neg is the identity); above it, add and neg loop over the base-q digits
-    and mul multiplies polynomials.
+    Up to TABLE_LIMIT elements the field keeps exponent, logarithm and Zech
+    tables as int64 arrays (``np_tables``), and add, neg, sub, mul and inv
+    are a few lookups in list copies of the exponent and logarithm tables,
+    made on the first such call (over q = 2, add and sub are XOR and neg is
+    the identity); above it, add and neg loop over the base-q digits and mul
+    multiplies polynomials.
     """
 
     def __init__(self, q: int, m: int, modulus: Sequence[int] | None = None):
@@ -256,7 +258,9 @@ class ExtensionField:
         self.modulus = tuple(modulus)
         self._qpow = tuple(q**i for i in range(m + 1))
         self._tables: _Tables | None = None
-        self._table_lock = threading.Lock()
+        # list copies of exp and log: a list lookup is a few times faster
+        # than an array lookup, but most callers never make a scalar call
+        self._lists: tuple[list[int], list[int]] | None = None
 
     zero = 0
     one = 1
@@ -297,12 +301,12 @@ class ExtensionField:
         if self.q == 2:
             return a ^ b
         q = self.q
-        t = self._tables or self.np_tables()
-        if t is not None:
+        lists = self._lists or self._scalar_tables()
+        if lists is not None:
             if a == 0 or b == 0:
                 return a or b
             # a + b = a * (1 + b/a), and 1 + x adds 1 mod q to the lowest digit of x
-            log, exp = t.log_list, t.exp_list
+            exp, log = lists
             la = log[a]
             x = exp[(log[b] - la) % (self.order - 1)]
             x += 1 - q if x % q == q - 1 else 1
@@ -319,10 +323,11 @@ class ExtensionField:
     def neg(self, a: int) -> int:
         if self.q == 2 or a == 0:
             return a
-        t = self._tables or self.np_tables()
-        if t is not None:
+        lists = self._lists or self._scalar_tables()
+        if lists is not None:
+            exp, log = lists
             # -1 = g**((Q-1)/2) for odd Q
-            return t.exp_list[(t.log_list[a] + (self.order - 1) // 2) % (self.order - 1)]
+            return exp[(log[a] + (self.order - 1) // 2) % (self.order - 1)]
         q = self.q
         out = 0
         shift = 1
@@ -340,9 +345,10 @@ class ExtensionField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        t = self._tables or self.np_tables()
-        if t is not None:
-            return t.exp_list[(t.log_list[a] + t.log_list[b]) % (self.order - 1)]
+        lists = self._lists or self._scalar_tables()
+        if lists is not None:
+            exp, log = lists
+            return exp[(log[a] + log[b]) % (self.order - 1)]
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:
@@ -356,9 +362,10 @@ class ExtensionField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        t = self._tables or self.np_tables()
-        if t is not None:
-            return t.exp_list[(self.order - 1 - t.log_list[a]) % (self.order - 1)]
+        lists = self._lists or self._scalar_tables()
+        if lists is not None:
+            exp, log = lists
+            return exp[(self.order - 1 - log[a]) % (self.order - 1)]
         return self._pow_poly(a, self.order - 2)
 
     def random_element(self, rng) -> int:
@@ -403,45 +410,57 @@ class ExtensionField:
     def _ensure_tables(self) -> _Tables:
         if self._tables is not None:
             return self._tables
-        with self._table_lock:
-            if self._tables is not None:
-                return self._tables
-            if self.order > TABLE_LIMIT:
-                raise ValueError(f"field of order {self.order} exceeds table limit")
-            q, m, Q = self.q, self.m, self.order
-            g = self._find_generator()
-            # exponent table by repeated doubling: digits of g**0 .. g**(Q-2)
-            digits = np.zeros((Q - 1, m), dtype=np.int64)
-            digits[0, 0] = 1
-            size = 1
-            while size < Q - 1:
-                step = min(size, Q - 1 - size)
-                c = self._mul_poly(int(digits[size - 1] @ self._qpow[:m]), g)
-                M = self._mult_matrix(c)
-                digits[size : size + step] = (digits[:step] @ M.T) % q
-                size += step
-            qvec = np.array(self._qpow[:m], dtype=np.int64)
-            exp = digits @ qvec
-            del digits  # freed before _Tables copies exp and log: 51 MB over F_{3^12}
-            log = np.full(Q, -1, dtype=np.int64)
-            log[exp] = np.arange(Q - 1, dtype=np.int64)
-            if np.count_nonzero(log >= 0) != Q - 1:
-                raise RuntimeError("generator order check failed")
-            # Zech table: zech[d] = log(1 + g**d), -1 when 1 + g**d == 0
-            if q == 2:
-                zech = np.zeros(0, dtype=np.int64)  # sums are XORs
-            else:
-                low = exp % q
-                zech = log[exp - low + (low + 1) % q]
-            self._tables = _Tables(exp, log, zech)
+        if self.order > TABLE_LIMIT:
+            raise ValueError(f"field of order {self.order} exceeds table limit")
+        q, Q = self.q, self.order
+        g = self._find_generator()
+        # exponent table by repeated doubling on the tokens themselves:
+        # exp[size + i] = exp[i] * g**size, a chunk of digit vectors at a time.
+        # The digit products run in float64, where numpy's matrix product is
+        # fast, and are exact: each is a sum of m products below q**2, so
+        # below 2**41.
+        exp = np.empty(Q - 1, dtype=np.int64)
+        exp[0] = 1
+        qvec = np.array(self._qpow[: self.m], dtype=np.int64)
+        size = 1
+        while size < Q - 1:
+            step = min(size, Q - 1 - size)
+            Mt = self._mult_matrix(self._mul_poly(int(exp[size - 1]), g)).T.astype(np.float64)
+            for lo in range(0, step, TABLE_CHUNK):
+                hi = min(lo + TABLE_CHUNK, step)
+                prod = self.unfold_array(exp[lo:hi]) @ Mt
+                exp[size + lo : size + hi] = (prod.astype(np.int64) % q) @ qvec
+            size += step
+        log = np.full(Q, -1, dtype=np.int64)
+        log[exp] = np.arange(Q - 1, dtype=np.int64)
+        if np.count_nonzero(log >= 0) != Q - 1:
+            raise RuntimeError("generator order check failed")
+        # Zech table: zech[d] = log(1 + g**d), -1 when 1 + g**d == 0
+        if q == 2:
+            zech = np.zeros(0, dtype=np.int64)  # sums are XORs
+        else:
+            low = exp % q
+            zech = log[exp - low + (low + 1) % q]
+        self._tables = _Tables(exp, log, zech)
         return self._tables
 
     def np_tables(self) -> _Tables | None:
-        """Tables for scalar arithmetic and the vectorized elimination
-        kernels, or None when the field is too large to tabulate."""
+        """The int64 exponent, logarithm and Zech tables that the vectorized
+        elimination kernels of :mod:`rslminors.matrix` read, built on first
+        use, or None when the field is too large to tabulate.  Building them
+        peaks at about twice their final size."""
         if self.order > TABLE_LIMIT:
             return None
         return self._ensure_tables()
+
+    def _scalar_tables(self) -> tuple[list[int], list[int]] | None:
+        """List copies of the exponent and logarithm tables for the scalar
+        methods, made on their first call, or None above TABLE_LIMIT."""
+        t = self.np_tables()
+        if t is None:
+            return None
+        self._lists = (t.exp.tolist(), t.log.tolist())
+        return self._lists
 
     def __eq__(self, other) -> bool:
         return (

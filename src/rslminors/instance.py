@@ -90,11 +90,6 @@ class RslInstance:
                     return False
         return True
 
-    def y_vector(self, i: int) -> list[int]:
-        """Canonical preimage of syndrome i: zero on the first k coordinates,
-        the syndrome itself on the identity block."""
-        return [0] * self.params.k + self.S.col(i)
-
 
 @dataclass(frozen=True)
 class StrategyParams:

@@ -29,10 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .estimator import bit_cost
-from .fields import PrimeField, prime_field
+from .fields import PrimeField
 from .instance import (
     RslInstance,
-    SecretWitness,
     StrategyParams,
     shorten,
     verify_support,
@@ -227,34 +226,6 @@ def recover_support(
     if basis.ncols == 0:
         raise ExtractionError("recovered support is zero")
     return basis
-
-
-def planted_solution(
-    witness: SecretWitness, strategy: StrategyParams, q: int
-) -> tuple[list[int], dict[tuple[int, ...], int], FieldMatrix]:
-    """Ground-truth point of the shortened system, from the secret witness.
-
-    Only for the full-weight strategy (w = r): lambda is any kernel vector of
-    the stacked first-a-column blocks of the R_i (so the combined word
-    vanishes on the dropped coordinates), and the minor values are those of
-    Rt = Sum_i lambda_i R_i[:, a:].  Returns (lambda, minor values, Rt).
-    """
-    fq = prime_field(q)
-    r = witness.C.ncols
-    if strategy.w != r:
-        raise ValueError("planted point construction needs w = r (delta = 0)")
-    a, Np = strategy.a, strategy.N_prime
-    R_list = witness.R_list[:Np]
-    if len(R_list) < Np:
-        raise ValueError(f"witness has {len(R_list)} coordinate blocks, need {Np}")
-    R = np.array([Ri.rows for Ri in R_list], dtype=np.int64)  # R[i, rho, j]
-    basis = kernel_rows(R[:, :, :a].transpose(1, 2, 0).reshape(r * a, Np).tolist(), fq, Np)
-    if not basis:
-        raise ExtractionError("no combination vanishes on the shortened columns")
-    lam = basis[0]
-    Rt = FieldMatrix(fq, (np.tensordot(lam, R[:, :, a:], axes=1) % q).tolist())
-    rT = {tuple(t + 1 for t in T): v for T, v in Rt.maximal_minors().items()}
-    return lam, rT, Rt
 
 
 @dataclass

@@ -30,11 +30,7 @@ from rslminors.instance import (
 )
 from rslminors.matrix import FieldMatrix, kernel_rows, rank_rows
 from rslminors.modeling import build_macaulay, build_system, unfold_system
-from rslminors.solver import (
-    attack,
-    planted_solution,
-    plucker_reconstruct,
-)
+from rslminors.solver import attack, plucker_reconstruct
 from rslminors.verification import (
     monte_carlo_codewords,
     run_assumption2,
@@ -44,6 +40,7 @@ from rslminors.verification import (
     run_thm2,
 )
 
+from oracles import planted_solution, y_vector
 from test_modeling import equation_terms, macaulay_apply
 
 
@@ -302,7 +299,7 @@ def symbolic_minor(inst, J, w):
         # the top entry collects Sum_i lambda_i (y_i . H[J_v])
         top = {}
         for i in range(p.N):
-            yi = inst.y_vector(i)
+            yi = y_vector(inst, i)
             c = ext.zero
             for t in range(p.n):
                 if yi[t] and h_row[t]:

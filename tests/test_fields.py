@@ -2,11 +2,14 @@
 polynomial oracle for the extension products, a digit-wise oracle for the
 extension sums and negations, and encoding round trips."""
 
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rslminors import fields
 from rslminors.fields import (
     TABLE_LIMIT,
     ExtensionField,
@@ -129,6 +132,60 @@ def test_zech_table_only_over_odd_characteristic():
     t = ext.np_tables()
     want = [ext.add(1, int(x)) for x in t.exp]
     assert t.zech.tolist() == [int(t.log[s]) if s else -1 for s in want]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 8), (3, 1), (3, 5), (5, 3), (7, 3)])
+def test_table_build_matches_the_polynomial_oracle_across_chunks(monkeypatch, q, m, chunk):
+    # chunks of 1, 3 and 7 tokens end inside every doubling step of the build
+    monkeypatch.setattr(fields, "TABLE_CHUNK", chunk)
+    ext = ExtensionField(q, m)  # uncached, so its tables are built here
+    t = ext.np_tables()
+    g = ext._find_generator()
+    exp, log = t.exp.tolist(), t.log.tolist()
+    assert exp[0] == 1 and len(exp) == ext.order - 1
+    for i, x in enumerate(exp):
+        assert ext._mul_poly(x, g) == exp[(i + 1) % len(exp)]
+    assert log[0] == -1 and [log[x] for x in exp] == list(range(len(exp)))
+    if q == 2:
+        assert t.zech.size == 0
+    else:
+        sums = [digitwise_add(ext, 1, x) for x in exp]
+        assert t.zech.tolist() == [log[s] if s else -1 for s in sums]
+
+
+def test_table_build_is_exact_at_the_largest_digit_products():
+    # the largest prime below TABLE_LIMIT: the build's digit products reach
+    # 2**40, and over F_q itself exp[i + 1] = exp[i] * g mod q
+    q = 1048573
+    ext = ExtensionField(q, 1)
+    exp = ext.np_tables().exp
+    g = ext._find_generator()
+    assert exp[0] == 1 and exp[-1] * g % q == 1
+    assert np.array_equal(exp[1:], exp[:-1] * g % q)
+
+
+@pytest.mark.parametrize(
+    "q,m,digest",
+    [
+        (3, 12, "44312cc40a46fc8038e9051713dec18063657db5b78742c4ee50f033f1bdddae"),
+        (2, 20, "681a2435ee064f81fbf1f3ded70ab81d607bec21d4ab3e3228fc8f50c98ba940"),
+    ],
+)
+def test_table_digests_are_frozen(q, m, digest):
+    t = extension_field(q, m).np_tables()
+    assert hashlib.sha256(t.exp.tobytes() + t.log.tobytes() + t.zech.tobytes()).hexdigest() == digest
+
+
+def test_table_build_peak_stays_within_three_times_the_tables():
+    ext = ExtensionField(3, 12)  # uncached, so the traced call builds
+    tracemalloc.start()
+    try:
+        t = ext.np_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (t.exp.nbytes + t.log.nbytes + t.zech.nbytes)
 
 
 def test_untabulated_sums_match_digitwise_oracle():

@@ -27,6 +27,7 @@ from rslminors.instance_io import (
     write_instance,
 )
 from rslminors.matrix import FieldMatrix, rank_rows
+from oracles import y_vector
 from test_matrix import column, scalar_product
 
 TOY = RslParams(q=2, m=8, n=8, k=4, r=2, N=5)
@@ -118,7 +119,7 @@ def test_gen_instance_plants_a_valid_witness():
 def test_y_vector_is_canonical_preimage():
     inst, _ = gen_instance(TOY, 2)
     for i in range(inst.params.N):
-        y = inst.y_vector(i)
+        y = y_vector(inst, i)
         assert y[: inst.params.k] == [0] * inst.params.k
         assert scalar_product(inst.H.rows, column(y), inst.field) == column(inst.S.col(i))
 

@@ -51,6 +51,7 @@ from rslminors.modeling import (
 )
 from rslminors.verification import sample_family
 
+from oracles import y_vector
 from test_matrix import det_leibniz
 
 
@@ -61,7 +62,7 @@ def minor_direct(inst, J, w, lam_values, R):
     ext = inst.field
     word = [ext.zero] * p.n
     for i in range(p.N):
-        y = inst.y_vector(i)
+        y = y_vector(inst, i)
         for t in range(p.n):
             if lam_values[i] and y[t]:
                 word[t] = ext.add(word[t], ext.mul(lam_values[i], y[t]))
@@ -145,7 +146,7 @@ def minor_terms_reference(inst, J, w):
     """Oracle: Q_J summed term by term over every (w+1)-subset T0 of all n
     columns, each minor |H|_{J,T0} from the Leibniz formula."""
     p, ext = inst.params, inst.field
-    ys = [inst.y_vector(i) for i in range(p.N)]
+    ys = [y_vector(inst, i) for i in range(p.N)]
     terms = {}
     for T0 in combinations(range(1, p.n + 1), w + 1):
         minor = det_leibniz([[inst.H[j - 1, t - 1] for t in T0] for j in J], ext)

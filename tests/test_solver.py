@@ -10,7 +10,7 @@ import pytest
 
 from rslminors import modeling, solver
 from rslminors.estimator import bit_cost, make_counts, min_b
-from rslminors.fields import prime_field
+from rslminors.fields import extension_field, prime_field
 from rslminors.instance import (
     RslParams,
     StrategyParams,
@@ -37,13 +37,13 @@ from rslminors.modeling import (
 from rslminors.solver import (
     ExtractionError,
     attack,
-    planted_solution,
     plucker_reconstruct,
     rank1_extract,
     recover_support,
     solve_linearized,
 )
 
+from oracles import planted_solution
 from test_matrix import column, scalar_product
 from test_modeling import evaluate, macaulay_apply
 
@@ -223,6 +223,20 @@ def test_solve_linearized_certifies_a_row_sample(monkeypatch):
     basis = solve_linearized(mac)
     assert counts == [715 + solver.SLACK]
     assert basis and basis == kernel_rows(mac.dense_rows(), mac.field, 715)
+
+
+def test_attack_over_f3_12_leaves_the_scalar_tables_unbuilt(monkeypatch):
+    # the list copies of exp and log cost about 40 MB over F_{3^12}: a
+    # scalar field call on the attack path fails here
+    params = RslParams(q=3, m=12, n=17, k=7, r=2, N=13)
+    field = extension_field(3, 12)
+    monkeypatch.setattr(field, "_lists", None)
+    inst, witness = gen_instance(params, 0)
+    assert inst.field is field
+    result = attack(inst, strategy_params(params, 0), b_max=1)
+    assert result.success and result.support.C == witness.support_basis()
+    assert verify_support(inst, result.support.C)
+    assert field._lists is None
 
 
 def test_solve_linearized_falls_back_when_left_out_rows_cut_the_kernel(monkeypatch):

@@ -285,11 +285,6 @@ def user_sources() -> dict[str, str]:
 TEST_ORACLES = {
     "monomial_vector": "the planted point's monomial vector, which the "
     "Macaulay matrix must annihilate and a solved kernel vector must equal",
-    "y_vector": "RslInstance.y_vector: the canonical syndrome preimage the "
-    "minor oracles in the tests expand",
-    "planted_solution": "the planted point of a shortened delta = 0 system, "
-    "built from the secret witness, which the system, its Macaulay matrices "
-    "and the attack's kernels must vanish on or equal",
 }
 
 
