@@ -1,19 +1,19 @@
 """Closed-form counting, solvability and bit-cost estimation.
 
 Everything here is exact big-integer combinatorics until the final log2.  The
-counts mirror the structure of the equation system: count_Nb is the number of
-independent rows of the Macaulay matrix at exact bi-degree (b,1), count_Mb the
-number of its columns, each with an f2 flag that keeps squarefree
-lambda-monomials only.  count_Nb counts the pairs (mu, I) with
-min(mu) < min(I), for every degree and field, in closed form: Vandermonde's
-identity, the linearisation of C(x, w) C(x, i) and the hockey stick turn its
-sum over min(mu) into O(b min(w, b)) binomials.  It is known not to be the
-rank in two cases, over F_2 at b = 3 and at q = 3, b = 2 with small m
-(ROADMAP item 2).
-The field picks the matrix, and ``make_counts`` keeps one pair, N_leq_b and
-M_leq_b, for the matrix the solver builds over it: over F_2 the squarefree
-matrix of lambda-degrees 1..b, whose counts it sums over the degrees
-j = 1..b, above F_2 the matrix of lambda-degree exactly b.
+counts mirror the structure of the equation system: ``count_ladder`` gives the
+independent rows of the Macaulay matrix at exact bi-degrees (1,1)..(b_max,1)
+in one pass, count_Mb its columns, each with an f2 flag that keeps squarefree
+lambda-monomials only; ``count_Nb`` is the ladder's per-degree view.  Its
+closed form (Vandermonde, the linearisation of C(x, w) C(x, i), the hockey
+stick) splits the sum over min(mu) into terms h(i) that do not depend on b, so
+each rung costs O(min(w, b)) binomials for its new h and O(b) to recombine.
+The count is known not to be the rank over F_2 at b = 3 and at q = 3, b = 2
+with small m (ROADMAP item 2).
+The field picks the matrix, and ``count_sets`` keeps one pair, N_leq_b and
+M_leq_b, per rung for the matrix the solver builds over it: over F_2 the
+squarefree matrix of lambda-degrees 1..b, above it the one of degree exactly
+b.  ``make_counts`` reads one rung; ``min_b`` walks one ladder up to b_max.
 Linearization is feasible once the independent rows reach the column count
 minus one (the solution is projective), on every field and at every degree:
 above F_2 the exact-degree matrix is formal, with no reduction by
@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .counting import sphere_size
 from .instance import RslParams, StrategyParams, strategy_params
@@ -45,40 +45,49 @@ from .instance import RslParams, StrategyParams, strategy_params
 OMEGA = 2.807
 
 
-@lru_cache(maxsize=None)
-def count_Nb(n: int, k: int, w: int, N: int, b: int, f2: bool = False) -> int:
-    """Independent equations at exact bi-degree (b,1): the pairs (mu, I)
-    with min(mu) < min(I), Theorem 1's leads at b = 1, mu a degree-b
-    multiplier monomial and I a w-subset of {1..n-k}.  Over F_2 (f2) mu is a
-    squarefree b-set of N+1 indices, P = V = N+1; above it a monomial in N
-    indices, P = N+b-1 and V = N.  By v = min(mu), with x = n-k-v, c = b-1,
-    D = P-(n-k) and lo = n-k - min(V, n-k-w), the count is
+def count_ladder(
+    n: int, k: int, w: int, N: int, b_max: int, f2: bool = False, memo: dict | None = None
+) -> Iterator[int]:
+    """Independent equations at exact bi-degree (b,1), for b = 1..b_max in
+    turn: the pairs (mu, I) with min(mu) < min(I), Theorem 1's leads at
+    b = 1, mu a degree-b multiplier monomial and I a w-subset of {1..n-k}.
+    Over F_2 (f2) mu is a squarefree b-set of N+1 indices, P = V = N+1;
+    above it a monomial in N indices, P = N+b-1 and V = N.  By v = min(mu),
+    with x = n-k-v, D = P-(n-k) and lo = n-k - min(V, n-k-w), the count is
 
-        Sum_{v=1..min(V, n-k-w)} C(x, w) C(P-v, c)
-          = Sum_{i<=c} C(D, c-i) Sum_{t<=min(w,i)} C(w+i-t, w) C(w, t)
-                [C(n-k, w+i-t+1) - C(lo, w+i-t+1)]
+        Sum_{v=1..min(V, n-k-w)} C(x, w) C(P-v, b-1) = Sum_{i<b} C(D, b-1-i) h(i),
+        h(i) = Sum_{t<=min(w,i)} C(w, t) g(i-t),  g(j) = C(w+j, w) [C(n-k, w+j+1) - C(lo, w+j+1)]
 
-    by Vandermonde, C(P-v, c) = Sum_i C(D, c-i) C(x, i) with C(D, j) =
+    by Vandermonde, C(P-v, b-1) = Sum_i C(D, b-1-i) C(x, i) with C(D, j) =
     (-1)^j C(j-D-1, j) for D < 0; the linearisation C(x, w) C(x, i) =
     Sum_t C(w+i-t, w) C(w, t) C(x, w+i-t); and the hockey stick
-    Sum_{x=lo..n-k-1} C(x, j) = C(n-k, j+1) - C(lo, j+1).  The count is not
-    always the rank: over F_2 at b = 3 the rank falls short by C(n-k, w+2) on
-    the shapes measured, and at q = 3, b = 2 when m is small (ROADMAP item 2).
+    Sum_{x=lo..n-k-1} C(x, j) = C(n-k, j+1) - C(lo, j+1).  g and h depend
+    on (n-k, w, lo) alone, and ``memo``, a dict the caller keeps, shares
+    them between ladders.  The count is not always the rank (ROADMAP item 2).
     """
-    if b < 1 or w < 1 or N < 1 or n - k <= w:
-        raise ValueError(
-            f"need b >= 1, w >= 1, N >= 1, n-k > w, got n-k={n - k}, w={w}, N={N}, b={b}"
-        )
+    if w < 1 or N < 1 or n - k <= w:
+        raise ValueError(f"need w >= 1, N >= 1, n-k > w, got n-k={n - k}, w={w}, N={N}")
     nk = n - k
-    P, V = (N + 1, N + 1) if f2 else (N + b - 1, N)
-    c, D, lo = b - 1, P - nk, nk - min(V, nk - w)
-    binom_D = [math.comb(D, j) if D >= 0 else (-1) ** j * math.comb(j - D - 1, j) for j in range(b)]
-    return sum(
-        binom_D[c - i] * math.comb(w + i - t, w) * math.comb(w, t)
-        * (math.comb(nk, w + i - t + 1) - math.comb(lo, w + i - t + 1))
-        for i in range(c + 1)
-        for t in range(min(w, i) + 1)
-    )
+    lo = nk - min(N + 1 if f2 else N, nk - w)
+    g, h = ([], []) if memo is None else memo.setdefault((nk, w, lo), ([], []))
+    for b in range(1, b_max + 1):
+        if len(h) < b:
+            g.append(math.comb(w + b - 1, w) * (math.comb(nk, w + b) - math.comb(lo, w + b)))
+            h.append(sum(math.comb(w, t) * g[b - 1 - t] for t in range(min(w, b - 1) + 1)))
+        D = N + 1 - nk if f2 else N + b - 1 - nk
+        yield sum(
+            (math.comb(D, j) if D >= 0 else (-1) ** j * math.comb(j - D - 1, j)) * h[b - 1 - j]
+            for j in range(b)
+        )
+
+
+@lru_cache(maxsize=None)
+def count_Nb(n: int, k: int, w: int, N: int, b: int, f2: bool = False) -> int:
+    """The count of ``count_ladder`` at degree b alone."""
+    if b < 1:
+        raise ValueError(f"need b >= 1, got b={b}")
+    *_, count = count_ladder(n, k, w, N, b, f2)
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -104,22 +113,29 @@ class CountSet:
         return min(m * self.N_leq_b, self.M_leq_b - 1)
 
 
+def count_sets(
+    q: int, n_eff: int, k_eff: int, w: int, N_eff: int, b_max: int, memo: dict | None = None
+) -> Iterator[CountSet]:
+    """Counts of the matrix the solver builds over F_q at b = 1..b_max, up
+    one ladder: the squarefree matrix of lambda-degrees 1..b over F_2, the
+    exact-degree-b one above."""
+    f2 = q == 2
+    N_leq_b = M_leq_b = 0
+    for b, N_b in enumerate(count_ladder(n_eff, k_eff, w, N_eff, b_max, f2, memo), 1):
+        M_b = count_Mb(n_eff, w, N_eff, b, f2)
+        N_leq_b, M_leq_b = (N_leq_b + N_b, M_leq_b + M_b) if f2 else (N_b, M_b)
+        yield CountSet(N_leq_b=N_leq_b, M_leq_b=M_leq_b)
+
+
 def make_counts(q: int, n_eff: int, k_eff: int, w: int, N_eff: int, b: int) -> CountSet:
-    """Counts of the matrix the solver builds over F_q: the squarefree
-    matrix of lambda-degrees 1..b over F_2, the exact-degree-b one above."""
-    if q == 2:
-        degrees = range(1, b + 1)
-        N_leq_b = sum(count_Nb(n_eff, k_eff, w, N_eff, j, f2=True) for j in degrees)
-        M_leq_b = sum(count_Mb(n_eff, w, N_eff, j, f2=True) for j in degrees)
-    else:
-        N_leq_b = count_Nb(n_eff, k_eff, w, N_eff, b)
-        M_leq_b = count_Mb(n_eff, w, N_eff, b)
-    return CountSet(N_leq_b=N_leq_b, M_leq_b=M_leq_b)
+    """The counts of ``count_sets`` at degree b."""
+    *_, counts = count_sets(q, n_eff, k_eff, w, N_eff, b)
+    return counts
 
 
-def _counts_for(params: RslParams, strategy: StrategyParams, b: int) -> CountSet:
-    a = strategy.a
-    return make_counts(params.q, params.n - a, params.k - a, strategy.w, strategy.N_prime, b)
+def _counts_for(params: RslParams, strategy: StrategyParams, b_max: int, memo=None):
+    a, w, N_prime = strategy.a, strategy.w, strategy.N_prime
+    return count_sets(params.q, params.n - a, params.k - a, w, N_prime, b_max, memo)
 
 
 def is_feasible(params: RslParams, counts: CountSet) -> bool:
@@ -130,11 +146,11 @@ def is_feasible(params: RslParams, counts: CountSet) -> bool:
 def min_b(
     params: RslParams,
     strategy: StrategyParams,
-    b_max: int = 8,
+    b_max: int = 8, memo: dict | None = None,
 ) -> Optional[tuple[int, CountSet]]:
-    """Smallest b with a solvable linearization, or None up to b_max."""
-    for b in range(1, b_max + 1):
-        counts = _counts_for(params, strategy, b)
+    """Smallest b with a solvable linearization, or None up to b_max: one
+    ladder walked up to the first feasible degree."""
+    for b, counts in enumerate(_counts_for(params, strategy, b_max, memo), 1):
         if is_feasible(params, counts):
             return b, counts
     return None
@@ -165,13 +181,15 @@ class CostReport:
         }
 
 
-def bit_cost(params: RslParams, strategy: StrategyParams, b: int) -> CostReport:
+def bit_cost(params: RslParams, strategy: StrategyParams, b: int, counts=None) -> CostReport:
     """Bit cost of solving at degree b with the solver the strategy picks:
     the dense (strassen) solve when delta = 0, the cheaper of dense and
     sparse (wiedemann) when delta > 0.  Every strategy ``strategy_params``
     returns keeps k - a >= 1, N' >= 1 and w < n - k, so M_leq_b >=
-    C(n-a, w) >= 3 and both logarithms are defined."""
-    counts = _counts_for(params, strategy, b)
+    C(n-a, w) >= 3 and both logarithms are defined.  ``counts`` are the
+    counts at b when known, as ``min_b`` returns them."""
+    if counts is None:
+        *_, counts = _counts_for(params, strategy, b)
     log2_M = math.log2(counts.M_leq_b)
     w = strategy.w
     row_weight = strategy.N_prime * math.comb(params.k - strategy.a + 1 + w, w)
@@ -259,6 +277,7 @@ def optimize(
     if deltas is None:
         deltas = list(range(0, delta_max(params) + 1))
     rows: list[CostReport] = []
+    memo = {}
     for delta in deltas:
         try:
             widest = strategy_params(params, delta)
@@ -268,9 +287,9 @@ def optimize(
             strategy_params(params, delta, a) for a in range(widest.a + 1)
         ]
         for strat in candidates:
-            found = min_b(params, strat, b_max)
+            found = min_b(params, strat, b_max, memo)
             if found is not None:
-                rows.append(bit_cost(params, strat, found[0]))
+                rows.append(bit_cost(params, strat, *found))
     best = min(rows, key=lambda r: r.log2_cost) if rows else None
     return OptimizeResult(best=best, rows=rows)
 

@@ -435,12 +435,13 @@ class ExtensionField:
         log[exp] = np.arange(Q - 1, dtype=np.int64)
         if np.count_nonzero(log >= 0) != Q - 1:
             raise RuntimeError("generator order check failed")
-        # Zech table: zech[d] = log(1 + g**d), -1 when 1 + g**d == 0
+        # Zech table: zech[d] = log(1 + g**d), -1 when 1 + g**d == 0; 1 + x wraps x's low digit
         if q == 2:
             zech = np.zeros(0, dtype=np.int64)  # sums are XORs
         else:
-            low = exp % q
-            zech = log[exp - low + (low + 1) % q]
+            one_up = exp + 1
+            one_up[one_up % q == 0] -= q
+            zech = log[one_up]
         self._tables = _Tables(exp, log, zech)
         return self._tables
 
@@ -448,7 +449,7 @@ class ExtensionField:
         """The int64 exponent, logarithm and Zech tables that the vectorized
         elimination kernels of :mod:`rslminors.matrix` read, built on first
         use, or None when the field is too large to tabulate.  Building them
-        peaks at about twice their final size."""
+        peaks at about one and a half times their final size."""
         if self.order > TABLE_LIMIT:
             return None
         return self._ensure_tables()

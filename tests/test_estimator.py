@@ -18,8 +18,10 @@ from rslminors.estimator import (
     DELTA_POS_TOL,
     OMEGA,
     TABLE2_ROWS,
+    CountSet,
     bit_cost,
     codeword_stats,
+    count_ladder,
     count_Mb,
     count_Nb,
     delta_max,
@@ -100,7 +102,10 @@ def test_count_nb_matches_literal_sum():
 
 def test_count_nb_closed_form_matches_the_sum_over_v():
     # D = P - (n-k) takes both signs, and min(V, n-k-w) both sides of its
-    # cap, up to n-k = 200, N = 1100 and b = 6
+    # cap, up to n-k = 200, N = 1100 and b = 6.  Every rung of one ladder
+    # per shape is checked: against the sum over v everywhere, against the
+    # literal double sum on every rung up to n-k = 64 and above it on the
+    # top rung, which reads every h(i)
     seen = set()
     for nk in (2, 3, 4, 7, 12, 31, 64, 121, 152, 179, 200):
         for w in sorted({1, 2, 3, nk // 3, nk - 2, nk - 1}):
@@ -110,30 +115,108 @@ def test_count_nb_closed_form_matches_the_sum_over_v():
             for N in sorted({1, 2, cap - 2, cap - 1, cap, cap + 1, nk, nk + 3, 97, 400, 1100}):
                 if N < 1:
                     continue
-                for b in range(1, 7):
-                    for f2 in (False, True):
+                for f2 in (False, True):
+                    rungs = list(count_ladder(nk + 3, 3, w, N, 6, f2))
+                    assert len(rungs) == 6
+                    for b, got in enumerate(rungs, 1):
                         P, V = (N + 1, N + 1) if f2 else (N + b - 1, N)
                         seen.add((P - nk < 0, V < cap))
                         case = (nk, w, N, b, f2)
-                        assert count_Nb(nk + 3, 3, w, N, b, f2=f2) == count_Nb_sum(
-                            nk, w, N, b, f2=f2
-                        ), case
+                        assert got == count_Nb(nk + 3, 3, w, N, b, f2=f2), case
+                        assert got == count_Nb_sum(nk, w, N, b, f2=f2), case
+                        if nk <= 64 or b == 6:
+                            assert got == count_Nb_literal(nk + 3, 3, w, N, b, f2=f2), case
     assert seen == {(neg, capped) for neg in (False, True) for capped in (False, True)}
 
 
+def test_ladder_memo_leaves_the_rungs_unchanged():
+    # one memo across shapes that share (n-k, w, lo) and shapes that do not
+    memo = {}
+    for nk, w, N, f2 in ((12, 3, 20, True), (12, 3, 30, True), (12, 3, 5, True),
+                         (12, 3, 20, False), (12, 3, 9, False), (20, 3, 20, True)):
+        for b_max in (2, 5, 3):
+            got = list(count_ladder(nk + 4, 4, w, N, b_max, f2, memo))
+            assert got == list(count_ladder(nk + 4, 4, w, N, b_max, f2)), (nk, w, N, f2, b_max)
+    assert len(memo) < 6 * 3
+
+
 def test_count_nb_matches_the_sum_on_every_table2_call(monkeypatch):
-    calls = []
-    closed_form = estimator.count_Nb
+    # every rung run_table2 takes, read off the ladders its sweeps walk
+    rungs = set()
+    ladder = estimator.count_ladder
 
-    def recording(n, k, w, N, b, f2=False):
-        calls.append((n, k, w, N, b, f2))
-        return closed_form(n, k, w, N, b, f2)
+    def recording(n, k, w, N, b_max, f2=False, memo=None):
+        for b, count in enumerate(ladder(n, k, w, N, b_max, f2, memo), 1):
+            rungs.add((n, k, w, N, b, f2, count))
+            yield count
 
-    monkeypatch.setattr(estimator, "count_Nb", recording)
+    monkeypatch.setattr(estimator, "count_ladder", recording)
     run_table2()
-    assert len(set(calls)) > 2000
-    for n, k, w, N, b, f2 in set(calls):
-        assert closed_form(n, k, w, N, b, f2) == count_Nb_sum(n - k, w, N, b, f2), (n, k, w, N, b)
+    assert len(rungs) > 2000
+    for n, k, w, N, b, f2, count in rungs:
+        assert count == count_Nb_sum(n - k, w, N, b, f2) == count_Nb(n, k, w, N, b, f2), (
+            n, k, w, N, b
+        )
+
+
+def make_counts_per_degree(q, n, k, w, N, b):
+    """The counts degree by degree, one sum over v each: over F_2 summed
+    over the degrees 1..b, above F_2 at degree b alone."""
+    degrees = range(1, b + 1) if q == 2 else [b]
+    return CountSet(
+        N_leq_b=sum(count_Nb_sum(n - k, w, N, j, f2=q == 2) for j in degrees),
+        M_leq_b=sum(count_Mb(n, w, N, j, f2=q == 2) for j in degrees),
+    )
+
+
+def min_b_per_degree(params, strategy, b_max=8, memo=None):
+    """The smallest feasible b, trying each degree in turn."""
+    a = strategy.a
+    for b in range(1, b_max + 1):
+        counts = make_counts_per_degree(
+            params.q, params.n - a, params.k - a, strategy.w, strategy.N_prime, b
+        )
+        if is_feasible(params, counts):
+            return b, counts
+    return None
+
+
+def small_params(rng, q):
+    n = rng.randrange(6, 40)
+    k = rng.randrange(2, n - 2)
+    r = rng.randrange(1, min(6, n - k))
+    return RslParams(q=q, m=rng.randrange(max(r, 2), 40), n=n, k=k, r=r,
+                     N=rng.randrange(1, 4 * n))
+
+
+def assert_ladder_matches_per_degree_loop(params, b_max, monkeypatch):
+    rows = optimize(params, b_max=b_max).rows
+    for delta in range(params.r):
+        try:
+            widest = strategy_params(params, delta)
+        except ValueError:
+            continue
+        for a in ([None] if delta == 0 else range(widest.a + 1)):
+            strat = strategy_params(params, delta, a)
+            assert min_b(params, strat, b_max) == min_b_per_degree(params, strat, b_max), (
+                params, strat
+            )
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "min_b", min_b_per_degree)
+        assert optimize(params, b_max=b_max).rows == rows, params
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_min_b_and_optimize_match_the_per_degree_loop(q, monkeypatch):
+    rng = random.Random(320 + q)
+    for _ in range(40):
+        assert_ladder_matches_per_degree_loop(small_params(rng, q), 6, monkeypatch)
+
+
+def test_min_b_and_optimize_match_the_per_degree_loop_on_table2(monkeypatch):
+    for m, n, k, r, _, N, _, _ in TABLE2_ROWS:
+        params = RslParams(q=2, m=m, n=n, k=k, r=r, N=N)
+        assert_ladder_matches_per_degree_loop(params, 4, monkeypatch)
 
 
 def test_degree_one_count_is_binomial():

@@ -177,7 +177,7 @@ def test_table_digests_are_frozen(q, m, digest):
     assert hashlib.sha256(t.exp.tobytes() + t.log.tobytes() + t.zech.tobytes()).hexdigest() == digest
 
 
-def test_table_build_peak_stays_within_three_times_the_tables():
+def test_table_build_peak_stays_within_twice_the_tables():
     ext = ExtensionField(3, 12)  # uncached, so the traced call builds
     tracemalloc.start()
     try:
@@ -185,7 +185,7 @@ def test_table_build_peak_stays_within_three_times_the_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * (t.exp.nbytes + t.log.nbytes + t.zech.nbytes)
+    assert peak <= 2 * (t.exp.nbytes + t.log.nbytes + t.zech.nbytes)
 
 
 def test_untabulated_sums_match_digitwise_oracle():
