@@ -81,14 +81,8 @@ class RslInstance:
             raise ValueError("H is not in systematic form [A | I]")
 
     def is_systematic(self) -> bool:
-        p = self.params
-        nk = p.n - p.k
-        for i in range(nk):
-            for j in range(nk):
-                want = 1 if i == j else 0
-                if self.H[i, p.k + j] != want:
-                    return False
-        return True
+        k = self.params.k
+        return [row[k:] for row in self.H.rows] == np.eye(self.params.n - k, dtype=int).tolist()
 
 
 @dataclass(frozen=True)

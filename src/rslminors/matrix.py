@@ -7,8 +7,8 @@ hold matrices: it slices, stacks and transposes, and takes no products.
 field: elementwise ``add``, ``mul`` and ``neg``, and ``dot``, the one
 matrix product.  The reduced row echelon form ``rref_rows`` is pure Python
 and works for any field object.  ``minor_table``, the one minor routine
-behind the maximal minors and the minor equations, computes every minor of
-one size at once, level by level, on arrays of tokens.
+behind the minor equations and the Plucker check of an extraction, computes
+every minor of one size at once, level by level, on arrays of tokens.
 Rank, pivot columns, kernel, solve and column-space basis all run on one
 elimination core, ``_echelon``, which picks one of five representations
 once per call: rows bit-packed into uint64 words for F_2, two such
@@ -110,17 +110,6 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-    def maximal_minors(self) -> dict[tuple[int, ...], int]:
-        """All maximal minors, keyed by the sorted column subset.
-
-        Requires nrows <= ncols; the minor at subset T is the determinant of
-        the columns T taken in increasing order: row 0 of ``minor_table``.
-        """
-        if self.nrows > self.ncols:
-            raise ValueError("maximal minors need nrows <= ncols")
-        top = minor_table(self.rows, self.field, self.nrows)[0].tolist()
-        return dict(zip(combinations(range(self.ncols), self.nrows), top))
 
 
 @dataclass

@@ -318,18 +318,20 @@ def predicted_leads(inst: RslInstance, w: int) -> set[Monomial]:
 
 
 def monomial_vector(
-    col_labels: list[Monomial], lam_values: list[int], rT_values: dict[MinorIndex, int], field
-) -> list[int]:
-    """Evaluate every column monomial at a point (for kernel membership)."""
-    out = []
-    for mu, T in col_labels:
-        v = rT_values.get(T, 0)
-        for i in mu:
-            if v == 0:
-                break
-            v = field.mul(v, lam_values[i - 1])
-        out.append(v)
-    return out
+    col_labels: list[Monomial], lam_values: list[int], rT_values: np.ndarray, field
+) -> np.ndarray:
+    """Evaluate every column monomial at a point (for kernel membership).
+    rT_values[t] is the minor on the t-th w-subset in ``combinations`` order;
+    the labels name every w-subset, as a Macaulay matrix's do, so the t of a
+    label is the rank of its T among them."""
+    ops = TokenArrays.of(field)
+    _, t = np.unique([T for _, T in col_labels], axis=0, return_inverse=True)
+    b = max(len(mu) for mu, _ in col_labels)
+    # index 0 is lambda_0 = 1, which pads the lambda-monomials to degree b
+    lam = np.array([field.one, *lam_values], dtype=ops.dtype)
+    mus = np.array([mu + (0,) * (b - len(mu)) for mu, _ in col_labels], dtype=np.intp)
+    rT = np.array(rT_values, dtype=ops.dtype)[t.reshape(-1)]
+    return functools.reduce(ops.mul, lam[mus].T, rT)
 
 
 def syzygies(inst: RslInstance, system: BilinearSystem) -> tuple[list[int], list[list[int]]]:

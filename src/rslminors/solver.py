@@ -5,7 +5,9 @@ minor equations, stack the Macaulay matrix at growing degree b (over F_2 the
 squarefree one of lambda-degrees 1..b, above F_2 the one of lambda-degree
 exactly b, the matrices whose shapes ``estimator.make_counts`` counts), take
 the basis of its right kernel, and branch on its length: none ends the
-attempt, several raise b, and one is the projective solution.  That vector
+attempt, several raise b, and one is the projective solution.  Several
+often means several true solutions, not too few equations, and raising b
+does not shrink such a kernel (ROADMAP item 1).  The one vector
 splits back into (lambda, r_T), the Plucker coordinates invert into an
 echelon-form matrix, and one linear solve over F_{q^m} gives the support
 basis.  Above F_2, b may reach and pass q, as the estimator's count rule
@@ -21,6 +23,7 @@ solvability test is meaningless on the view.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -37,6 +40,7 @@ from .instance import (
     verify_support,
 )
 from .matrix import FieldMatrix, TokenArrays, column_space_basis, kernel_rows, solve_rows
+from .matrix import laplace_index, minor_table
 from .modeling import (
     MacaulayMatrix,
     MacaulayTooLarge,
@@ -97,95 +101,83 @@ def _vanishes(rows: np.ndarray, v: list[int], q: int) -> bool:
     return not np.any(acc % q)
 
 
-def rank1_extract(
-    mac: MacaulayMatrix, vector: list[int]
-) -> tuple[list[int], dict[tuple[int, ...], int]]:
-    """Split the block Z[i, T] = lambda_{i0}^(d-1) lambda_i r_T of a kernel
+def rank1_extract(mac: MacaulayMatrix, vector: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Split the block Z[i, t] = lambda_{i0}^(d-1) lambda_i r_T of a kernel
     vector, read at the lowest lambda-degree d among the matrix's columns,
-    into an outer product lambda * rT.
+    into an outer product lambda x rT, T the t-th minor in ``combinations``
+    order.
 
-    i0 is any lambda index of a nonzero degree-d column, so lambda_{i0} is
+    ``build_macaulay`` lays the degree-d columns out last, as a (minors x
+    degree-d monomials) block with the minors descending.  i0 is the first
+    lambda index of the first nonzero degree-d column, so lambda_{i0} is
     nonzero and Z is the bi-degree (1,1) block times one scalar; for d = 1
-    it is that block.  The first nonzero lambda entry is normalized to 1.
-    Every entry of Z is re-checked against the product; any mismatch means
-    the block has rank at least 2 (multiple distinct solutions folded into
-    one kernel vector).
+    it is that block.  At the first nonzero entry Z[i, t], rT is row i and
+    lambda is column t over that entry, so lambda's first nonzero entry is
+    1; on a product Z every nonzero column t gives the same pair.  Z is
+    compared with the product as a whole: a mismatch means the block has
+    rank at least 2 (multiple distinct solutions folded into one kernel
+    vector).
     """
     f = mac.field
-    d = min(len(mu) for mu, _ in mac.col_labels)
-    values = dict(zip(mac.col_labels, vector))
-    i0 = next((mu[0] for (mu, _), v in values.items() if len(mu) == d and v), None)
-    if i0 is None:
+    ops = TokenArrays.of(f)
+    minors = math.comb(mac.n_cols_R, mac.w)
+    d = len(mac.col_labels[-1][0])
+    count = sum(len(mu) == d for mu, _ in mac.col_labels) // minors
+    mus = [mu for mu, _ in mac.col_labels[-count:]]
+    block = np.array(vector[-count * minors:], dtype=ops.dtype).reshape(minors, count)
+    nonzero = np.flatnonzero(block != 0)
+    if not len(nonzero):
         raise ExtractionError("no nonzero solution in the bilinear block")
-    minors = {T for mu, T in mac.col_labels if len(mu) == d}
-    Z = {
-        (i, T): values.get((tuple(sorted((i0,) * (d - 1) + (i,))), T), 0)
-        for i in range(1, mac.n_lambda + 1)
-        for T in minors
-    }
-    T0 = max((T for (_, T), v in Z.items() if v), default=None)
-    if T0 is None:
+    i0 = mus[nonzero[0] % count][0]
+    row_mus = [tuple(sorted((i0,) * (d - 1) + (i,))) for i in range(1, mac.n_lambda + 1)]
+    Z = block[::-1, [mus.index(mu) for mu in row_mus]].T
+    nonzero = np.flatnonzero(Z != 0)
+    if not len(nonzero):
         raise ExtractionError("the block vanishes: the kernel vector is no product")
-    pivot_rows = [i for i in range(1, mac.n_lambda + 1) if Z.get((i, T0))]
-    i_first = pivot_rows[0]
-    inv_p = f.inv(Z[(i_first, T0)])
-    lam = [f.mul(Z.get((i, T0), 0), inv_p) for i in range(1, mac.n_lambda + 1)]
-    rT = {T: Z.get((i_first, T), 0) for T in minors}
-    for i in range(1, mac.n_lambda + 1):
-        li = lam[i - 1]
-        for T in minors:
-            if Z.get((i, T), 0) != f.mul(li, rT[T]):
-                raise ExtractionError(
-                    "bilinear block has rank >= 2; the kernel mixes several "
-                    "solutions (raise b or shorten more)"
-                )
+    i, t = divmod(nonzero[0], minors)
+    lam, rT = ops.mul(Z[:, t], f.inv(Z[i, t])), Z[i]
+    if np.any(ops.mul(lam[:, None], rT) != Z):
+        raise ExtractionError(
+            "bilinear block has rank >= 2; the kernel mixes several "
+            "solutions (raise b or shorten more)"
+        )
     return lam, rT
 
 
-def plucker_reconstruct(
-    rT: dict[tuple[int, ...], int], w: int, n_cols: int, field
-) -> FieldMatrix:
+def plucker_reconstruct(rT: np.ndarray, w: int, n_cols: int, field) -> FieldMatrix:
     """Invert the maximal-minor map: build the unique w x n_cols matrix in
     reduced echelon profile with pivot set T0 whose minors are proportional
-    to the given values.
+    to the given values, rT[t] the minor on the t-th w-subset T of
+    {1..n_cols} in ``combinations`` order.
 
-    T0 is the largest index set with a nonzero value.  Entries off the pivot
-    columns are signed ratios r_{(T0 minus t_u) + j} / r_{T0}.  All minors of
-    the result are checked against the input; a mismatch means the input is
-    not the minor vector of any single matrix.
+    T0 is the last subset with a nonzero value.  Row u holds, at the one
+    column j of each subset T = (T0 minus t_u) + j, the signed ratio
+    (-1)^(u+c) r_T / r_{T0}, c the position of j in T; T = T0 puts the pivot
+    1.  All minors of the result are checked against the input; a mismatch
+    means the input is not the minor vector of any single matrix.
     """
-    nonzero = [T for T, v in rT.items() if v]
-    if not nonzero:
+    ops = TokenArrays.of(field)
+    rT = np.array(rT, dtype=ops.dtype)
+    nonzero = np.flatnonzero(rT != 0)
+    if not len(nonzero):
         raise ExtractionError("all minors are zero")
-    T0 = max(nonzero)
-    if len(T0) != w:
-        raise ValueError(f"minor index size {len(T0)} does not match w={w}")
-    inv0 = field.inv(rT[T0])
-    t0set = set(T0)
-    rows = [[0] * n_cols for _ in range(w)]
-    for u, t in enumerate(T0, start=1):
-        rows[u - 1][t - 1] = 1
-    for j in range(1, n_cols + 1):
-        if j in t0set:
-            continue
-        for u, t in enumerate(T0, start=1):
-            T = tuple(sorted((t0set - {t}) | {j}))
-            val = rT.get(T, 0)
-            if not val:
-                continue
-            c = T.index(j) + 1
-            x = field.mul(val, inv0)
-            if (u + c) % 2 == 1:
-                x = field.neg(x)
-            rows[u - 1][j - 1] = x
-    M = FieldMatrix(field, rows)
-    for T0b, v in M.maximal_minors().items():
-        T = tuple(t + 1 for t in T0b)
-        if v != field.mul(rT.get(T, 0), inv0):
-            raise ExtractionError(
-                f"minor mismatch at {T}: input is not a consistent minor vector"
-            )
-    return M
+    if len(rT) != math.comb(n_cols, w):
+        raise ValueError(f"need C({n_cols}, {w}) minors for w={w}, got {len(rT)}")
+    pick, drop = laplace_index(n_cols, w)
+    t0 = nonzero[-1]
+    scaled = ops.mul(rT, field.inv(rT[t0]))
+    # (t, c, u): subset t is T0 without its u-th column, plus column c of t
+    t, c, u = np.nonzero(drop[:, :, None] == drop[t0])
+    rows = np.zeros((w, n_cols), dtype=ops.dtype)
+    rows[u, pick[t, c]] = np.where((u + c) % 2, ops.neg(scaled[t]), scaled[t])
+    Rt = FieldMatrix(field, rows.tolist())
+    mismatch = np.flatnonzero(minor_table(Rt.rows, field, w)[0] != scaled)
+    if len(mismatch):
+        raise ExtractionError(
+            f"minor mismatch at {tuple((pick[mismatch[0]] + 1).tolist())}: "
+            "input is not a consistent minor vector"
+        )
+    return Rt
 
 
 @dataclass
@@ -304,7 +296,9 @@ def _attempt(
         if not basis:
             return None  # no word of this weight under this strategy
         if len(basis) > 1:
-            continue  # too few equations at this degree
+            # often several true solutions, which a higher degree keeps
+            # (ROADMAP item 1), rather than too few equations
+            continue
         try:
             lam, rT = rank1_extract(mac, basis[0])
             Rt = plucker_reconstruct(rT, strategy.w, sh.params.n, fq)

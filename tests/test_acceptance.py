@@ -28,7 +28,7 @@ from rslminors.instance import (
     shorten,
     strategy_params,
 )
-from rslminors.matrix import FieldMatrix, kernel_rows, rank_rows
+from rslminors.matrix import FieldMatrix, kernel_rows, minor_table, rank_rows
 from rslminors.modeling import build_macaulay, build_system, unfold_system
 from rslminors.solver import attack, plucker_reconstruct
 from rslminors.verification import (
@@ -40,7 +40,7 @@ from rslminors.verification import (
     run_thm2,
 )
 
-from oracles import planted_solution, y_vector
+from oracles import minor_dict, planted_solution, y_vector
 from test_modeling import equation_terms, macaulay_apply
 
 
@@ -247,7 +247,7 @@ def test_criterion_7_end_to_end_attack():
         mac = build_macaulay(unfolded, entry["b"])
         assert mac.shape == (entry["rows"], entry["cols"])
         lam, rT, _ = planted_solution(witness, strat, params.q)
-        image = macaulay_apply(mac, point_vector(mac, lam, rT))
+        image = macaulay_apply(mac, point_vector(mac, lam, minor_dict(rT, mac.n_cols_R, mac.w)))
         membership = membership and all(v == 0 for v in image)
 
     ok = recovered and membership and elapsed < 300
@@ -377,17 +377,15 @@ def test_criterion_8_oracle_equivalences():
             )
             if rank_rows(R.rows, fq) == w:
                 break
-        minors = {tuple(t + 1 for t in T): v for T, v in R.maximal_minors().items()}
+        minors = minor_table(R.rows, fq, w)[0].tolist()
         rec = plucker_reconstruct(minors, w, n, fq)
-        rec_minors = {
-            tuple(t + 1 for t in T): v for T, v in rec.maximal_minors().items()
-        }
-        assert set(rec_minors) == set(minors)
-        pivot = next(T for T in sorted(minors) if minors[T])
+        rec_minors = minor_table(rec.rows, fq, w)[0].tolist()
+        assert len(rec_minors) == len(minors)
+        pivot = next(t for t, v in enumerate(minors) if v)
         scale = fq.mul(rec_minors[pivot], fq.inv(minors[pivot]))
         plucker_ok = plucker_ok and scale != 0
-        for T, v in minors.items():
-            plucker_ok = plucker_ok and rec_minors[T] == fq.mul(scale, v)
+        for got, v in zip(rec_minors, minors):
+            plucker_ok = plucker_ok and got == fq.mul(scale, v)
     assert plucker_ok
 
     sphere_ok = True

@@ -120,8 +120,8 @@ def random_point(p, w, rng):
     lam = [rng.randrange(p.q) for _ in range(p.N)]
     R = FieldMatrix.random(fq, w, p.n, rng)
     rT = {
-        tuple(t + 1 for t in T): det_leibniz([[row[t] for t in T] for row in R.rows], fq)
-        for T in combinations(range(p.n), w)
+        T: det_leibniz([[row[t - 1] for t in T] for row in R.rows], fq)
+        for T in combinations(range(1, p.n + 1), w)
     }
     return lam, R, rT
 
@@ -362,7 +362,7 @@ def test_macaulay_apply_matches_equation_evaluation():
             mac = build_macaulay(sys_b, 2)
             for _ in range(5):
                 lam, _, rT = random_point(p, 2, rng)
-                vec = monomial_vector(mac.col_labels, lam, rT, mac.field)
+                vec = monomial_vector(mac.col_labels, lam, list(rT.values()), mac.field)
                 got = macaulay_apply(mac, vec)
                 f = mac.field
                 per_eq = len(mac.rows) // len(sys_b.J)

@@ -2,8 +2,9 @@
 attack pipeline on small planted instances."""
 
 import random
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from rslminors.matrix import (
     FieldMatrix,
     column_space_basis,
     kernel_rows,
+    minor_table,
     rank_rows,
     rref_rows,
     solve_rows,
 )
 from rslminors.modeling import (
+    BilinearSystem,
     MacaulayMatrix,
     build_macaulay,
     build_system,
@@ -43,7 +46,8 @@ from rslminors.solver import (
     solve_linearized,
 )
 
-from oracles import planted_solution
+import oracles
+from oracles import minor_dict, planted_solution
 from test_matrix import column, scalar_product
 from test_modeling import evaluate, macaulay_apply
 
@@ -80,96 +84,212 @@ def test_plucker_round_trip():
             w = rng.randrange(1, 6)
             n = rng.randrange(w + 1, w + 5)
             M = random_full_rank(f, w, n, rng)
-            rT = {tuple(t + 1 for t in T): v for T, v in M.maximal_minors().items()}
-            rec = plucker_reconstruct(rT, w, n, f)
+            rec = plucker_reconstruct(minor_table(M.rows, f, w)[0], w, n, f)
             assert rref_rows(rec.rows, f).matrix == rref_rows(M.rows, f).matrix
 
 
 def test_plucker_rejects_bad_input():
     f = prime_field(3)
-    with pytest.raises(ExtractionError):
-        plucker_reconstruct({(1, 2): 0, (1, 3): 0}, 2, 3, f)
+    with pytest.raises(ExtractionError, match="all minors are zero"):
+        plucker_reconstruct([0, 0, 0], 2, 3, f)
     M = FieldMatrix(f, [[1, 0, 1, 1], [0, 1, 1, 2]])
-    rT = {tuple(t + 1 for t in T): v for T, v in M.maximal_minors().items()}
+    rT = minor_table(M.rows, f, 2)[0]
     with pytest.raises(ValueError):
         plucker_reconstruct(rT, 3, 4, f)
-    corrupt = dict(rT)
-    key = min(T for T, v in rT.items() if v)
-    corrupt[key] = f.add(corrupt[key], 1)
-    with pytest.raises(ExtractionError):
+    corrupt = rT.copy()
+    t = np.flatnonzero(rT != 0)[0]
+    corrupt[t] = f.add(corrupt[t], 1)
+    with pytest.raises(ExtractionError, match=r"minor mismatch at \(1, 2\)"):
         plucker_reconstruct(corrupt, 2, 4, f)
 
 
-def columns_only(field, col_labels, n_lambda):
-    """A Macaulay matrix without rows: rank1_extract reads only its columns."""
-    return MacaulayMatrix(
-        field=field,
-        b=max(len(mu) for mu, _ in col_labels),
-        n_lambda=n_lambda,
-        n_cols_R=max(max(T) for _, T in col_labels),
-        w=len(col_labels[0][1]),
-        row_labels=[],
-        col_labels=col_labels,
-        rows=[],
+def outcome(call, *args):
+    """What a call returns, or the type of the error it raises and, for an
+    ExtractionError, its text: the ValueErrors of the array functions and
+    of the scalar oracles word the size mismatch differently."""
+    try:
+        return call(*args)
+    except ExtractionError as exc:
+        return ExtractionError, str(exc)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 2**32 + 15])
+def test_plucker_matches_the_scalar_oracle(q):
+    # minor vectors of random matrices (of deficient rank too), the same
+    # with one entry shifted, random vectors, and vectors of another size;
+    # every product is taken on Python integers, exact above 2^32
+    f = prime_field(q)
+    rng = random.Random(q)
+    seen = Counter()
+    for trial in range(200):
+        w = rng.randrange(1, 5)
+        n = rng.randrange(w, w + 4)
+        size = w
+        if trial % 4 == 3:
+            size = rng.choice([s for s in range(1, n + 1) if comb(n, s) != comb(n, w)] or [w])
+        rT = minor_table(FieldMatrix.random(f, size, n, rng).rows, f, size)[0].tolist()
+        if trial % 4 == 1:
+            t = rng.randrange(len(rT))
+            rT[t] = f.add(rT[t], f.random_element(rng))
+        elif trial % 4 == 2:
+            rT = [f.random_element(rng) for _ in rT]
+        expected = outcome(oracles.plucker_reconstruct, minor_dict(rT, n, size), w, n, f)
+        assert outcome(plucker_reconstruct, np.array(rT, dtype=object), w, n, f) == expected
+        seen[expected if expected is ValueError else type(expected)] += 1
+    assert seen[FieldMatrix] >= 40 and seen[ValueError] >= 10, seen
+
+
+def columns_only(field, n_lambda, n_cols, w, b):
+    """The Macaulay matrix of no equations: no rows, and the columns laid out
+    as in every attack; rank1_extract reads only the columns."""
+    system = BilinearSystem(
+        field=field, n_cols=n_cols, n_lambda=n_lambda, w=w, J=[],
+        coeffs=np.zeros((0, n_lambda, 0), dtype=np.uint8),
+        minor_cols=np.zeros((0, 0), dtype=np.intp),
     )
+    return build_macaulay(system, b)
 
 
-def bilinear_labels(n_lambda, n_cols, w):
-    return [
-        ((i,), T)
-        for i in range(1, n_lambda + 1)
-        for T in combinations(range(1, n_cols + 1), w)
-    ]
+def same_extraction(mac, vector):
+    """rank1_extract's outcome on a vector, checked against the scalar
+    oracle's; returns it."""
+    got = outcome(rank1_extract, mac, vector)
+    expected = outcome(oracles.rank1_extract, mac, vector)
+    if isinstance(got, tuple) and got[0] is not ExtractionError:
+        lam, rT = got
+        got = (lam.tolist(), minor_dict(rT, mac.n_cols_R, mac.w))
+    assert got == expected
+    return got
 
 
 def test_rank1_extract_normalizes_outer_product():
     f = prime_field(3)
-    lam = [0, 2, 1, 0]
-    rT = {(1, 2): 1, (1, 3): 2, (1, 4): 1, (2, 3): 2, (2, 4): 0, (3, 4): 1}
-    labels = bilinear_labels(4, 4, 2) + [((1, 2), (1, 2))]
-    vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels[:-1]] + [2]
-    lam_out, rT_out = rank1_extract(columns_only(f, labels, 4), vec)
-    assert lam_out == [0, 1, 2, 0]
-    assert rT_out == {T: f.mul(2, v) for T, v in rT.items()}
-    for (mu, T), v in zip(labels[:-1], vec):
-        assert f.mul(lam_out[mu[0] - 1], rT_out[T]) == v
+    mac = columns_only(f, 4, 4, 2, 1)
+    rT = [1, 2, 1, 2, 0, 1]
+    vec = monomial_vector(mac.col_labels, [0, 2, 1, 0], rT, f).tolist()
+    lam_out, rT_out = rank1_extract(mac, vec)
+    assert lam_out.tolist() == [0, 1, 2, 0]
+    assert rT_out.tolist() == [f.mul(2, v) for v in rT]
+    assert monomial_vector(mac.col_labels, lam_out, rT_out, f).tolist() == vec
+    same_extraction(mac, vec)
+
+
+def test_rank1_extract_reads_the_lowest_degree_block():
+    # over F_2 the columns hold lambda-degrees 1 and 2: only degree 1 counts
+    f = prime_field(2)
+    mac = columns_only(f, 3, 3, 2, 2)
+    vec = monomial_vector(mac.col_labels, [1, 0, 1], [1, 1, 0], f).tolist()
+    vec[0] ^= 1  # the first column has degree 2
+    lam_out, rT_out = rank1_extract(mac, vec)
+    assert (lam_out.tolist(), rT_out.tolist()) == ([1, 0, 1], [1, 1, 0])
+    same_extraction(mac, vec)
 
 
 def test_rank1_extract_rejects_mixed_solutions():
     f = prime_field(3)
-    labels = bilinear_labels(3, 3, 2)
-    lam = [1, 2, 0]
-    rT = {(1, 2): 1, (1, 3): 1, (2, 3): 2}
-    vec = [f.mul(lam[mu[0] - 1], rT[T]) for (mu, T) in labels]
+    mac = columns_only(f, 3, 3, 2, 1)
+    vec = monomial_vector(mac.col_labels, [1, 2, 0], [1, 1, 2], f).tolist()
     vec[1] = f.add(vec[1], 1)  # now Z has rank 2
-    mac = columns_only(f, labels, 3)
-    with pytest.raises(ExtractionError):
+    with pytest.raises(ExtractionError, match="rank >= 2"):
         rank1_extract(mac, vec)
-    with pytest.raises(ExtractionError):
-        rank1_extract(mac, [0] * len(labels))
+    with pytest.raises(ExtractionError, match="no nonzero solution"):
+        rank1_extract(mac, [0] * len(vec))
+    same_extraction(mac, vec)
+    same_extraction(mac, [0] * len(vec))
 
 
 def test_rank1_extract_reads_the_exact_degree_block():
     # exact degree 2 with lambda_1 = 0: the block is read through i0 = 2
     f = prime_field(3)
-    lam = [0, 2, 1]
-    rT = {(1, 2): 1, (1, 3): 2, (2, 3): 0}
-    labels = [
-        (mu, T) for mu in combinations_with_replacement(range(1, 4), 2) for T in rT
-    ]
-    vec = [f.mul(f.mul(lam[i - 1], lam[j - 1]), rT[T]) for (i, j), T in labels]
-    lam_out, rT_out = rank1_extract(columns_only(f, labels, 3), vec)
-    assert lam_out == [0, 1, 2]
-    assert rT_out == rT  # scaled by lambda_2^2 = 1
+    mac = columns_only(f, 3, 3, 2, 2)
+    vec = monomial_vector(mac.col_labels, [0, 2, 1], [1, 2, 0], f).tolist()
+    lam_out, rT_out = rank1_extract(mac, vec)
+    assert lam_out.tolist() == [0, 1, 2]
+    assert rT_out.tolist() == [1, 2, 0]  # scaled by lambda_2^2 = 1
+    same_extraction(mac, vec)
     mixed = list(vec)
-    mixed[labels.index(((2, 3), (1, 3)))] = 0
-    with pytest.raises(ExtractionError):
-        rank1_extract(columns_only(f, labels, 3), mixed)
+    mixed[mac.col_labels.index(((2, 3), (1, 3)))] = 0
+    with pytest.raises(ExtractionError, match="rank >= 2"):
+        rank1_extract(mac, mixed)
+    same_extraction(mac, mixed)
     # degree 3, nonzero only at lambda_1 lambda_2 lambda_3: no product point
-    cubic = [(mu, (1, 2)) for mu in combinations_with_replacement(range(1, 4), 3)]
-    lone = [1 if mu == (1, 2, 3) else 0 for mu, _ in cubic]
-    with pytest.raises(ExtractionError):
-        rank1_extract(columns_only(f, cubic, 3), lone)
+    cubic = columns_only(f, 3, 2, 2, 3)
+    lone = [int(mu == (1, 2, 3)) for mu, _ in cubic.col_labels]
+    with pytest.raises(ExtractionError, match="the block vanishes"):
+        rank1_extract(cubic, lone)
+    same_extraction(cubic, lone)
+
+
+@pytest.mark.parametrize("q, b", [(2, 2), (3, 2), (5, 2)])
+def test_rank1_extract_matches_the_scalar_oracle_on_random_vectors(q, b):
+    # random points, the same with one entry shifted, and random vectors
+    f = prime_field(q)
+    rng = random.Random(q)
+    seen = Counter()
+    for trial in range(60):
+        n_lambda, w = rng.randrange(1, 5), rng.randrange(1, 3)
+        mac = columns_only(f, n_lambda, rng.randrange(w, 5), w, b)
+        minors = comb(mac.n_cols_R, w)
+        lam = [f.random_element(rng) for _ in range(n_lambda)]
+        vec = monomial_vector(
+            mac.col_labels, lam, [f.random_element(rng) for _ in range(minors)], f
+        ).tolist()
+        if trial % 3 == 1:
+            vec[rng.randrange(len(vec))] = f.random_element(rng)
+        elif trial % 3 == 2:
+            vec = [f.random_element(rng) for _ in vec]
+        got = same_extraction(mac, vec)
+        seen[got[1] if got[0] is ExtractionError else "extracted"] += 1
+    assert len(seen) >= 3, seen
+
+
+# the attack_f2 and attack_f3 workloads' shapes, q = 3 at exact degree b = 2,
+# and the same at m = 7, where every kernel has dimension about 100
+ATTACK_SHAPES = [
+    (RslParams(q=2, m=12, n=10, k=5, r=2, N=9), 2),
+    (RslParams(q=3, m=12, n=17, k=7, r=2, N=13), 1),
+    (RslParams(q=3, m=12, n=10, k=5, r=2, N=9), 2),
+    (RslParams(q=3, m=7, n=10, k=5, r=2, N=9), 2),
+]
+
+
+@pytest.mark.parametrize("params, b", ATTACK_SHAPES)
+def test_rank1_extract_matches_the_scalar_oracle_on_attack_kernels(params, b):
+    # the first basis vectors of every kernel and a random combination of
+    # them: the one-dimensional kernels extract, the larger ones mostly mix
+    rng = random.Random(b)
+    strat = strategy_params(params, 0)
+    seen = Counter()
+    for seed in range(8):
+        inst, _ = gen_instance(params, seed)
+        sh = shorten(inst, range(strat.a, params.k), strat.N_prime)
+        mac = build_macaulay(unfold_system(build_system(sh, strat.w)), b)
+        basis = np.array(solve_linearized(mac), dtype=np.int64)
+        if not len(basis):
+            continue
+        mix = np.array([rng.randrange(params.q) for _ in basis]) @ basis % params.q
+        for vec in [*basis[:4].tolist(), mix.tolist()]:
+            got = same_extraction(mac, vec)
+            seen["raised" if got[0] is ExtractionError else "extracted"] += 1
+    assert seen["extracted"] >= 2, seen
+
+
+@pytest.mark.parametrize("field, n_lambda, n_cols, w, b", [
+    (prime_field(2), 4, 5, 2, 3),
+    (prime_field(3), 3, 5, 3, 2),
+    (prime_field(7), 2, 4, 1, 3),
+    (extension_field(2, 4), 3, 4, 2, 2),
+])
+def test_monomial_vector_matches_point_vector(field, n_lambda, n_cols, w, b):
+    rng = random.Random(n_cols)
+    mac = columns_only(field, n_lambda, n_cols, w, b)
+    for _ in range(10):
+        lam = [field.random_element(rng) for _ in range(n_lambda)]
+        rT = [field.random_element(rng) for _ in range(comb(n_cols, w))]
+        vec = monomial_vector(mac.col_labels, lam, rT, field).tolist()
+        assert vec == point_vector(mac, lam, minor_dict(rT, n_cols, w))
 
 
 def test_solve_linearized_dense(toy_macaulay):
@@ -271,6 +391,7 @@ def test_planted_point_solves_system(toy):
     lam, rT, Rt = planted_solution(witness, strat, TOY.q)
     assert any(lam)
     sh = shorten(inst, range(strat.a, TOY.k), TOY.N)
+    rT = minor_dict(rT, sh.params.n, strat.w)
     system = build_system(sh, strat.w)
     for e in range(len(system.J)):
         assert evaluate(system, e, lam, rT) == 0
@@ -295,7 +416,7 @@ def test_toy_kernel_at_b3_is_the_planted_point(toy):
     assert mac.shape == (6440, 1935)
     basis = solve_linearized(mac)
     lam, rT, _ = planted_solution(witness, strat, TOY.q)
-    assert basis == [monomial_vector(mac.col_labels, lam, rT, mac.field)]
+    assert basis == [monomial_vector(mac.col_labels, lam, rT, mac.field).tolist()]
 
 
 def test_recover_support_rejects_garbage(toy):

@@ -44,6 +44,10 @@ def test_tracer_installs_and_sees_the_attack_layers():
         "modeling.dense_rows",
         "solver.solve_linearized",
         "matrix.kernel_rows",
+        # the spans behind solver.extract_s and solver.recover_support_s
+        "solver.rank1_extract",
+        "solver.plucker_reconstruct",
+        "solver.recover_support",
         "matrix.solve_rows",
         "matrix.column_space_basis",
         "instance.verify_support",
@@ -283,8 +287,9 @@ def user_sources() -> dict[str, str]:
 # Toolkit names that only tests call, kept because the tests check the
 # planted point against them.
 TEST_ORACLES = {
-    "monomial_vector": "the planted point's monomial vector, which the "
-    "Macaulay matrix must annihilate and a solved kernel vector must equal",
+    "monomial_vector": "the planted point's monomial vector, on the array of "
+    "its minors, which the Macaulay matrix must annihilate and a solved kernel "
+    "vector must equal",
 }
 
 
